@@ -17,7 +17,7 @@ whose invariant is local to one function body):
   hands hooks live ``RunningTask``/machine state and assumes it comes
   back untouched.
 * **mutation-after-freeze** (RPR904–RPR905): objects stored into
-  memo-signature slots (``_sig*`` / ``_cohort*`` / the
+  memo-signature slots (``_sig*`` / the
   :data:`~repro.lint.rules.memosafety.MEMO_KEY_FIELDS` slots of a
   ``__slots__`` class) are hashed once; mutating the stored object
   afterwards — through any alias — silently desynchronizes the memo
@@ -43,10 +43,7 @@ from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 from repro.lint.engine import Finding
 from repro.lint.rules.base import Rule
 from repro.lint.rules.determinism import DETERMINISTIC_LAYERS
-from repro.lint.rules.memosafety import (
-    MEMO_KEY_FIELDS,
-    _REBUILD_METHODS,
-)
+from repro.lint.rules.memosafety import _REBUILD_METHODS, is_memo_key_slot
 
 __all__ = [
     "PolicyHookArgumentMutationRule",
@@ -88,13 +85,7 @@ def _protected_slots(cls) -> FrozenSet[str]:
     """Memo-signature slot names of one class (RPR202's scoping)."""
     if cls.slots is None:
         return frozenset()
-    return frozenset(
-        name
-        for name in cls.slots
-        if name.startswith("_sig")
-        or name.startswith("_cohort")
-        or name in MEMO_KEY_FIELDS
-    )
+    return frozenset(name for name in cls.slots if is_memo_key_slot(name))
 
 
 def _ancestors(

@@ -17,12 +17,16 @@ from typing import Iterator, List, Optional, Set
 from repro.lint.engine import FileContext, Finding
 from repro.lint.rules.base import Rule, dotted_name
 
-__all__ = ["FrozenMutationRule", "MemoFieldMutationRule", "MEMO_KEY_FIELDS"]
+__all__ = [
+    "FrozenMutationRule",
+    "MemoFieldMutationRule",
+    "MEMO_KEY_FIELDS",
+    "is_memo_key_slot",
+]
 
 #: Field names treated as memo-signature inputs on ``__slots__``
-#: classes: anything spelled ``_sig*`` or ``_cohort*`` plus the
-#: dispatch-cached derived fields of
-#: :class:`~repro.sim.engine.RunningTask`.
+#: classes besides anything spelled ``_sig*``: the dispatch-cached
+#: derived fields of :class:`~repro.sim.engine.RunningTask`.
 MEMO_KEY_FIELDS = frozenset({"demand", "total_units"})
 
 _CONSTRUCTORS = frozenset({"__init__", "__post_init__"})
@@ -71,6 +75,12 @@ def _slot_names(node: ast.ClassDef) -> Optional[Set[str]]:
                             names.add(element.value)
                 return names
     return None
+
+
+def is_memo_key_slot(name: str) -> bool:
+    """Whether a ``__slots__`` name feeds a memo signature: ``_sig*``
+    (signature tuple entries) or one of :data:`MEMO_KEY_FIELDS`."""
+    return name.startswith("_sig") or name in MEMO_KEY_FIELDS
 
 
 def _methods(node: ast.ClassDef) -> Iterator[ast.FunctionDef]:
@@ -127,13 +137,11 @@ class MemoFieldMutationRule(Rule):
     """RPR202: memo-signature field of a ``__slots__`` class reassigned.
 
     On a ``__slots__`` class, slots named ``_sig*`` (signature tuple
-    entries), ``_cohort*`` (rate-cohort keys derived from them), or
-    listed in :data:`MEMO_KEY_FIELDS` (``demand``, ``total_units``)
-    feed the rate-snapshot/equilibrium memo keys and the cohort table.
+    entries) or listed in :data:`MEMO_KEY_FIELDS` (``demand``,
+    ``total_units``) feed the rate-snapshot/equilibrium memo keys.
     They are computed once at dispatch; reassigning one after
     ``__init__`` would let a cached snapshot describe a population
-    that no longer exists — or strand a task in a cohort whose key no
-    longer matches its rate.
+    that no longer exists.
     """
 
     id = "RPR202"
@@ -148,13 +156,7 @@ class MemoFieldMutationRule(Rule):
             slots = _slot_names(class_node)
             if slots is None:
                 continue
-            protected = {
-                name
-                for name in slots
-                if name.startswith("_sig")
-                or name.startswith("_cohort")
-                or name in MEMO_KEY_FIELDS
-            }
+            protected = {name for name in slots if is_memo_key_slot(name)}
             if not protected:
                 continue
             for method in _methods(class_node):

@@ -42,22 +42,6 @@ Hot-path structure (see ``docs/performance.md``):
   computed under a different summation order than a cold solve of the
   same sequence would use — breaking the engine's bit-identical
   guarantee for mixed populations.
-* **Warm-started misses** — on a full-key miss the solver projects the
-  population onto its memory-demanding subsequence (the only part the
-  iteration ever reads: zero-request demands are filtered out before
-  the first step and contribute nothing afterwards) and consults a
-  second memo keyed by that *canonical* signature.  A hit there is the
-  nearest cached neighbour at distance zero in the projected
-  demand-signature space — the one neighbour whose solution is
-  provably the same floats a cold solve would produce — so the solver
-  reuses it outright, skipping every damped iteration.  Zero distance
-  is not an implementation shortcut but the correctness boundary:
-  seeding the iteration from a *nonzero*-distance neighbour would walk
-  a different trajectory and converge with different last-ULP bits,
-  breaking the golden fig13 artifacts.  In the engine this fires
-  constantly: populations that differ only in their miss-free compute
-  tasks (dispatch churn on other contexts) project to the same
-  canonical key.
 """
 
 from __future__ import annotations
@@ -141,7 +125,6 @@ def effective_concurrency(
     tolerance: float = 1e-9,
     max_iterations: int = 200,
     fast_path: bool = True,
-    stats: Optional[Dict[str, int]] = None,
 ) -> float:
     """Solve ``c = sum_i w_i(c)`` for the running task population.
 
@@ -158,16 +141,10 @@ def effective_concurrency(
             forces the damped iteration; results are bit-identical
             either way (the regression tests pin this), the flag exists
             so tests and the perf microbenchmark can compare the paths.
-        stats: Optional dict that receives ``{"iterations": n}`` — the
-            damped-iteration steps this solve performed (0 on the
-            closed-form paths).  :class:`EquilibriumSolver` uses it to
-            account iterations saved by warm-start reuse.
 
     Returns:
         The effective memory concurrency, ``0 <= c <= len(demands)``.
     """
-    if stats is not None:
-        stats["iterations"] = 0
     if fast_path:
         # One scan: count memory tasks, bail to the general path on the
         # first impure one.  ``pure`` ends at -1 for mixed populations.
@@ -216,7 +193,7 @@ def effective_concurrency(
     # loop float for float (pinned by the equilibrium property tests).
     pairs = [(d.cpu_seconds_per_unit, d.requests_per_unit) for d in memory_tasks]
     c = float(len(memory_tasks))
-    for iteration in range(max_iterations):
+    for _ in range(max_iterations):
         latency = latency_fn(c)
         if latency <= 0:
             raise ModelError(f"latency_fn returned non-positive latency {latency}")
@@ -227,8 +204,6 @@ def effective_concurrency(
             if total != 0.0:
                 updated += memory_time / total
         if abs(updated - c) <= tolerance:
-            if stats is not None:
-                stats["iterations"] = iteration + 1
             return updated
         # Damped update: guards against oscillation if latency_fn is
         # only piecewise monotone (e.g. the bandwidth-share model's kink).
@@ -254,25 +229,9 @@ class EquilibriumSolver:
     competes with itself; with no memory task running it is the
     unloaded ``L(1)`` a newly arriving request would pay).
 
-    Full-key misses are *warm-started*: the population is projected
-    onto its memory-demanding subsequence and a second memo keyed by
-    that canonical signature is consulted.  The projection is exact —
-    :func:`effective_concurrency` filters out zero-request demands
-    before its first step, so two populations with the same canonical
-    key provably solve to the same floats — which makes a warm hit a
-    zero-distance nearest-neighbour reuse, the only distance at which
-    reuse preserves the engine's bit-identical guarantee (see the
-    module docstring).  A warm hit skips the entire damped iteration;
-    ``warm_hits`` and ``iterations_saved`` account the savings.
-
     Attributes:
-        hits / misses: Full-key lookup counters for cache-effectiveness
+        hits / misses: Lookup counters for cache-effectiveness
             telemetry (``snapshot_cache`` events).
-        warm_hits: Full-key misses served from the canonical memo
-            without iterating.
-        iterations_saved: Damped-iteration steps those warm hits
-            avoided (each canonical entry remembers what its cold
-            solve cost).
     """
 
     def __init__(
@@ -285,26 +244,18 @@ class EquilibriumSolver:
         self._latency_fn = latency_fn
         self._max_entries = max_entries
         self._memo: Dict[bytes, Tuple[float, float]] = {}
-        #: canonical signature -> (concurrency, latency, cold iterations)
-        self._canonical: Dict[bytes, Tuple[float, float, int]] = {}
         self.hits = 0
         self.misses = 0
-        self.warm_hits = 0
-        self.iterations_saved = 0
 
     def __len__(self) -> int:
         return len(self._memo)
 
     def cache_info(self) -> Dict[str, int]:
-        """Lookup/warm-start counters and table sizes, for telemetry."""
+        """Lookup counters and table size, for telemetry."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "entries": len(self._memo),
-            "warm_hits": self.warm_hits,
-            "cold_solves": self.misses - self.warm_hits,
-            "iterations_saved": self.iterations_saved,
-            "warm_entries": len(self._canonical),
         }
 
     def solve(
@@ -327,34 +278,12 @@ class EquilibriumSolver:
             self.hits += 1
             return cached
         self.misses += 1
-        # Warm start: a neighbour at distance zero in the projected
-        # demand-signature space solved this exact subproblem already.
-        memory_tasks = [d for d in demands if d.requests_per_unit > 0]
-        canonical_key = demand_signature(memory_tasks)
-        warm = self._canonical.get(canonical_key)
-        if warm is not None:
-            concurrency, latency, iterations = warm
-            self.warm_hits += 1
-            self.iterations_saved += iterations
-            self._remember(key, concurrency, latency)
-            return concurrency, latency
-        stats: Dict[str, int] = {}
-        concurrency = effective_concurrency(demands, self._latency_fn, stats=stats)
+        concurrency = effective_concurrency(demands, self._latency_fn)
         latency = self._latency_fn(concurrency if concurrency > 1.0 else 1.0)
-        self._remember(key, concurrency, latency)
-        if len(self._canonical) >= self._max_entries:
-            self._canonical.clear()
-        self._canonical[canonical_key] = (
-            concurrency,
-            latency,
-            stats["iterations"],
-        )
-        return concurrency, latency
-
-    def _remember(self, key: bytes, concurrency: float, latency: float) -> None:
         if len(self._memo) >= self._max_entries:
             # Populations recur in tight cycles; a full table means the
             # workload's working set outgrew it, and starting over is
             # cheaper and simpler than tracking recency.
             self._memo.clear()
         self._memo[key] = (concurrency, latency)
+        return concurrency, latency

@@ -77,9 +77,9 @@ class MemorySystem:
         return solver
 
     def equilibrium_cache_info(self) -> Dict[str, int]:
-        """Counters of the shared solver (hits, misses, warm-start
-        hits, iterations saved); feeds ``equilibrium_warm`` telemetry
-        without handing callers the solver itself."""
+        """Counters of the shared solver (hits, misses, entries); feeds
+        ``snapshot_cache`` telemetry without handing callers the solver
+        itself."""
         return self.equilibrium_solver().cache_info()
 
     def resolve(

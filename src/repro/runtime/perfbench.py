@@ -9,19 +9,13 @@ for how to read it):
   (``fast_path=False``, byte-for-byte the seed algorithm), the pure
   closed-form fast path, and the memoized
   :class:`~repro.memory.equilibrium.EquilibriumSolver` hit path the
-  engine actually rides.  The iterative numbers double as the honest
-  "before", since that code path is unchanged.  The headline
-  ``mixed_solves_per_sec`` drives a *stream* of distinct mixed
-  populations (different full memo keys, shared canonical projection)
-  through fresh solvers — the access pattern a simulated run produces
-  as pure-CPU tasks come and go around a stable memory population —
-  so it measures the warm-started solver path end to end: one cold
-  damped iteration amortized over its warm-started siblings.
+  engine actually rides, plus the same iterative/memoized pair on a
+  mixed population.  The iterative numbers double as the honest
+  "before", since that code path is unchanged.
 * **engine** — end-to-end simulated events/sec of one Figure 13 point
   (offline search, four static-MTL runs), plus the snapshot/equilibrium
   cache hit rates of a direct simulator run (emitted as
-  ``snapshot_cache`` / ``equilibrium_warm`` telemetry when
-  ``--telemetry`` is given).
+  ``snapshot_cache`` telemetry when ``--telemetry`` is given).
 * **fig13** — wall-clock of the Figure 13 synthetic sweep at
   ``jobs=1`` (``--quick`` runs a 16-ratio subset; per-point wall makes
   the two comparable).
@@ -38,10 +32,10 @@ Numbers for the seed engine live in ``benchmarks/perf/baseline.json``
 ``--check`` compares measured engine events/sec against the baseline's
 ``"current"`` block and fails on a >30 % regression, and additionally
 enforces every entry of the baseline's ``"floors"`` block (seed-anchored
-hard minimums for the schema-2 headline metrics) — the CI tripwire
-that protects the optimization.  ``--profile`` wraps the engine
-benchmark in :mod:`cProfile` and reports the top functions by
-cumulative time (also as ``profile`` telemetry events).
+hard minimums) — the CI tripwire that protects the optimization.
+``--profile`` wraps the engine benchmark in :mod:`cProfile` and reports
+the top functions by cumulative time (also as ``profile`` telemetry
+events).
 """
 
 from __future__ import annotations
@@ -70,7 +64,6 @@ from repro.runtime.parallel import (
 )
 from repro.runtime.telemetry import (
     TelemetryWriter,
-    equilibrium_warm_event,
     profile_event,
     snapshot_cache_event,
 )
@@ -88,7 +81,7 @@ __all__ = [
     "format_report",
 ]
 
-BENCH_SCHEMA_VERSION = 2
+BENCH_SCHEMA_VERSION = 3
 
 DEFAULT_OUTPUT_PATH = "BENCH_sim.json"
 DEFAULT_BASELINE_PATH = "benchmarks/perf/baseline.json"
@@ -100,8 +93,6 @@ REGRESSION_TOLERANCE = 0.30
 #: ``floors`` key -> (section, metric).
 _FLOOR_METRICS: Dict[str, Tuple[str, str]] = {
     "engine_events_per_sec": ("engine", "events_per_sec"),
-    "equilibrium_mixed_solves_per_sec": ("equilibrium", "mixed_solves_per_sec"),
-    "warm_start_hit_rate": ("equilibrium", "warm_start_hit_rate"),
 }
 
 #: The fig13 grid (mirrors benchmarks/test_fig13_synthetic_sweep.py).
@@ -115,10 +106,6 @@ _I7_LLC = {"capacity_bytes": mebibytes(8), "sharers": 4}
 #: the iterative path's per-solve cost is dominated by real work, not
 #: loop setup.
 _EQ_POPULATION = 64
-
-#: Distinct populations per warm-start stream (one cold solve
-#: amortized over ``_EQ_STREAM - 1`` warm-started siblings).
-_EQ_STREAM = 32
 
 
 def _fig13_point(ratio: float) -> SweepPoint:
@@ -202,60 +189,14 @@ def _bench_equilibrium(quick: bool) -> Dict[str, Any]:
         lambda: solver.solve(mixed, key=mixed_key), mixed_inner, outer
     )
 
-    # The warm-start stream: _EQ_STREAM distinct full keys sharing one
-    # canonical (memory-demand) projection.  Half the population is a
-    # fixed mixed memory sub-population; the other half is pure-CPU
-    # demand whose magnitude varies per stream member, so every member
-    # misses the full-key memo but (after the first) warm-hits the
-    # canonical one.  Fresh solver per pass — stream members must stay
-    # memo misses, or the benchmark degrades into the hit path.
-    memory_half = [
-        MemoryDemand(1e-3 if i % 2 else 0.0, 0.5 + 0.01 * i)
-        for i in range(_EQ_POPULATION // 2)
-    ]
-    stream: List[Tuple[bytes, List[MemoryDemand]]] = []
-    for member in range(_EQ_STREAM):
-        cpu_half = [
-            MemoryDemand(1e-3 + 1e-6 * (member * 37 + i), 0.0)
-            for i in range(_EQ_POPULATION // 2)
-        ]
-        population = [
-            demand
-            for pair in zip(memory_half, cpu_half)
-            for demand in pair
-        ]
-        stream.append((demand_signature(population), population))
-
-    stream_passes = 10 if quick else 40
-    warm_info: Dict[str, int] = {}
-
-    def run_stream() -> None:
-        for _ in range(stream_passes):
-            fresh = EquilibriumSolver(latency_fn)
-            for signature, population in stream:
-                fresh.solve(population, key=signature)
-            warm_info.update(fresh.cache_info())
-
-    solves_per_rep = stream_passes * _EQ_STREAM
-    mixed_stream = [
-        solves_per_rep / seconds
-        for seconds in _rep_seconds(run_stream, outer)
-    ]
-    solves = warm_info["warm_hits"] + warm_info["cold_solves"]
-    hit_rate = warm_info["warm_hits"] / solves if solves else 0.0
-
     rates = {
         "pure_iterative_solves_per_sec": iterative,
         "pure_fast_path_solves_per_sec": fast,
         "pure_memoized_solves_per_sec": memoized,
         "mixed_iterative_solves_per_sec": mixed_iterative,
         "mixed_memoized_solves_per_sec": mixed_memoized,
-        "mixed_solves_per_sec": mixed_stream,
     }
-    report: Dict[str, Any] = {
-        "population": _EQ_POPULATION,
-        "stream_length": _EQ_STREAM,
-    }
+    report: Dict[str, Any] = {"population": _EQ_POPULATION}
     for name, values in rates.items():
         report[name] = statistics.median(values)
     report["pure_fast_path_speedup"] = (
@@ -270,12 +211,6 @@ def _bench_equilibrium(quick: bool) -> Dict[str, Any]:
         report["mixed_memoized_solves_per_sec"]
         / report["mixed_iterative_solves_per_sec"]
     )
-    report["mixed_stream_speedup"] = (
-        report["mixed_solves_per_sec"]
-        / report["mixed_iterative_solves_per_sec"]
-    )
-    report["warm_start_hit_rate"] = hit_rate
-    report["warm_cache"] = dict(warm_info)
     report["spread"] = {name: _spread(values) for name, values in rates.items()}
     return report
 
@@ -406,13 +341,10 @@ def _speedups(
 ) -> Dict[str, Any]:
     """Before/after ratios against the baseline's seed measurements."""
     speedups: Dict[str, Any] = {
-        # Same-run, same-hardware ratios: memo hit / warm-started
-        # stream vs the unchanged iterative algorithm.
+        # Same-run, same-hardware ratio: memo hit vs the unchanged
+        # iterative algorithm.
         "equilibrium_pure_memoized_vs_iterative": report["equilibrium"][
             "pure_memoized_speedup"
-        ],
-        "equilibrium_mixed_stream_vs_iterative": report["equilibrium"][
-            "mixed_stream_speedup"
         ],
     }
     seed = (baseline or {}).get("seed")
@@ -426,11 +358,6 @@ def _speedups(
         if seed_eps:
             speedups["engine_events_per_sec_vs_seed"] = (
                 report["engine"]["events_per_sec"] / seed_eps
-            )
-        seed_mixed = seed.get("equilibrium_mixed_solves_per_sec")
-        if seed_mixed:
-            speedups["equilibrium_mixed_vs_seed"] = (
-                report["equilibrium"]["mixed_solves_per_sec"] / seed_mixed
             )
         seed_fig14 = seed.get("fig14_point_wall_seconds")
         if seed_fig14:
@@ -530,19 +457,6 @@ def run_perfbench(
                     entries=stats["entries"],
                 )
             )
-        for label, warm in (
-            ("perfbench/engine", engine["equilibrium_cache"]),
-            ("perfbench/equilibrium", report["equilibrium"]["warm_cache"]),
-        ):
-            telemetry.emit(
-                equilibrium_warm_event(
-                    label=label,
-                    warm_hits=warm["warm_hits"],
-                    cold_solves=warm["cold_solves"],
-                    iterations_saved=warm["iterations_saved"],
-                    warm_entries=warm["warm_entries"],
-                )
-            )
         for row in report.get("profile", []):
             telemetry.emit(
                 profile_event(
@@ -574,9 +488,8 @@ def format_report(report: Dict[str, Any]) -> str:
         f"  memoized     {eq['pure_memoized_solves_per_sec']:>12,.0f} solves/s"
         f"  ({eq['pure_memoized_speedup']:.1f}x)",
         f"  mixed cold   {eq['mixed_iterative_solves_per_sec']:>12,.0f} solves/s",
-        f"  mixed stream {eq['mixed_solves_per_sec']:>12,.0f} solves/s"
-        f"  ({eq['mixed_stream_speedup']:.1f}x, "
-        f"warm hit rate {eq['warm_start_hit_rate']:.0%})",
+        f"  mixed memo   {eq['mixed_memoized_solves_per_sec']:>12,.0f} solves/s"
+        f"  ({eq['mixed_memoized_speedup']:.1f}x)",
         "",
         f"engine: {engine['events_per_sec']:,.0f} events/s "
         f"(median of {engine['reps']} reps, "
@@ -584,8 +497,7 @@ def format_report(report: Dict[str, Any]) -> str:
         f"  snapshot cache: {engine['snapshot_cache']['hits']} hits / "
         f"{engine['snapshot_cache']['misses']} misses",
         f"  equilibrium cache: {engine['equilibrium_cache']['hits']} hits / "
-        f"{engine['equilibrium_cache']['misses']} misses "
-        f"({engine['equilibrium_cache']['warm_hits']} warm-started)",
+        f"{engine['equilibrium_cache']['misses']} misses",
         "",
         f"fig13 sweep (jobs=1, {fig13['points']} points): "
         f"{fig13['wall_seconds']:.3f}s "
@@ -597,7 +509,6 @@ def format_report(report: Dict[str, Any]) -> str:
     shown = {
         "fig13_wall_vs_seed": "fig13 wall vs seed",
         "engine_events_per_sec_vs_seed": "engine events/s vs seed",
-        "equilibrium_mixed_vs_seed": "equilibrium mixed stream vs seed",
         "fig14_point_vs_seed": "fig14 point vs seed",
         "equilibrium_pure_memoized_vs_iterative": "equilibrium memo vs iterative",
     }

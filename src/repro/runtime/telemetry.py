@@ -3,7 +3,7 @@
 Every sweep point executed (or served from cache) by the
 :class:`~repro.runtime.parallel.SweepExecutor` emits one JSON object on
 its own line — the JSON-lines format that log shippers and ``jq`` both
-consume directly.  Eleven event kinds exist:
+consume directly.  Ten event kinds exist:
 
 ``point``
     One record per successful sweep point: the content-address of the
@@ -52,13 +52,6 @@ consume directly.  Eleven event kinds exist:
     calculator's snapshot memo or the memory system's equilibrium
     memo (see ``docs/performance.md``).
 
-``equilibrium_warm``
-    One record per instrumented run (emitted by the perf benchmarks):
-    the :class:`~repro.memory.equilibrium.EquilibriumSolver`'s
-    warm-start counters — how many memo misses were warm-started from
-    a canonical sibling, how many solved cold, and the iteration work
-    the warm starts avoided (see ``docs/performance.md``).
-
 ``profile``
     One record per hot function when ``perfbench --profile`` is
     active: its rank in the cProfile top-N plus call counts and
@@ -93,7 +86,6 @@ __all__ = [
     "cache_quarantine_event",
     "sweep_event",
     "snapshot_cache_event",
-    "equilibrium_warm_event",
     "profile_event",
     "read_telemetry",
     "validate_record",
@@ -205,16 +197,6 @@ EVENT_SCHEMAS: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "misses": _INT,
         "hit_rate": _FLOAT,
         "entries": _INT,
-    },
-    "equilibrium_warm": {
-        "schema": _INT,
-        "event": _STR,
-        "label": _STR,
-        "warm_hits": _INT,
-        "cold_solves": _INT,
-        "iterations_saved": _INT,
-        "warm_entries": _INT,
-        "warm_hit_rate": _FLOAT,
     },
     "profile": {
         "schema": _INT,
@@ -417,33 +399,6 @@ def snapshot_cache_event(
         "misses": misses,
         "hit_rate": (hits / lookups) if lookups else 0.0,
         "entries": entries,
-    }
-
-
-def equilibrium_warm_event(
-    label: str,
-    warm_hits: int,
-    cold_solves: int,
-    iterations_saved: int,
-    warm_entries: int,
-) -> Dict[str, Any]:
-    """Build one ``equilibrium_warm`` (solver warm-start) record.
-
-    ``warm_hit_rate`` is the fraction of memo *misses* that were
-    warm-started from a canonical sibling (0.0 when no miss ever
-    reached the solver), derived here so every consumer computes it
-    the same way.
-    """
-    solves = warm_hits + cold_solves
-    return {
-        "schema": TELEMETRY_SCHEMA_VERSION,
-        "event": "equilibrium_warm",
-        "label": label,
-        "warm_hits": warm_hits,
-        "cold_solves": cold_solves,
-        "iterations_saved": iterations_saved,
-        "warm_entries": warm_entries,
-        "warm_hit_rate": (warm_hits / solves) if solves else 0.0,
     }
 
 

@@ -33,7 +33,7 @@ selects a different memo slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.memory.equilibrium import MemoryDemand
@@ -41,7 +41,7 @@ from repro.memory.system import MemorySystem
 from repro.sim.cores import Processor
 from repro.stream.task import Task
 
-__all__ = ["RunningTask", "RateSnapshot", "RateCalculator", "CohortTable"]
+__all__ = ["RunningTask", "RateSnapshot", "RateCalculator"]
 
 #: Relative work threshold below which a task counts as finished.
 #: Historically lived in :mod:`repro.sim.simulator` (which re-exports
@@ -74,8 +74,6 @@ class RunningTask:
         "completion_threshold",
         "_sig_work",
         "_sig_overhead",
-        "_cohort_work",
-        "_cohort_overhead",
     )
 
     def __init__(
@@ -117,14 +115,9 @@ class RunningTask:
             self.demand.cpu_seconds_per_unit,
             self.demand.requests_per_unit,
         )
-        # Rate-cohort keys (the signature minus the context id),
-        # precomputed so admitting or removing the task from a cohort
-        # never slices a tuple on the event path.  The overhead pair is
-        # set unconditionally: ``overhead_remaining`` is a public slot
+        # Set unconditionally: ``overhead_remaining`` is a public slot
         # that callers (and tests) may raise after construction.
-        self._cohort_work = self._sig_work[1:]
         self._sig_overhead = (context_id, core_id, True)
-        self._cohort_overhead = (core_id, True)
 
     def __repr__(self) -> str:
         return (
@@ -146,109 +139,6 @@ class RunningTask:
         if self.overhead_remaining > 0.0:
             return self._sig_overhead
         return self._sig_work
-
-
-class CohortTable:
-    """The running population grouped into same-rate cohorts.
-
-    Every member of a cohort shares the same core, the same phase
-    (dispatch overhead vs real work), and — for work-phase tasks — the
-    same per-unit demand.  A :class:`RateSnapshot` assigns rates per
-    context from exactly those inputs, so all members provably carry
-    bitwise-equal speeds (a property test pins this), and the event
-    loop can advance a cohort as one batch: one ``min`` over remaining
-    work, one ``time_step * speed`` product, instead of one of each per
-    task.
-
-    The table also maintains the population's signature list
-    incrementally — dispatches, completions, and phase flips each touch
-    one slot — so the per-event memo key for
-    :meth:`RateCalculator.snapshot_keyed` is a ``tuple()`` of a live
-    list instead of a fresh per-task rebuild.
-
-    What invalidates a cohort: nothing in place.  Dispatches add
-    members, completions remove them, and a task leaving its overhead
-    phase *moves* (:meth:`flip_to_work`) into its work cohort; between
-    events a cohort's membership is exact by construction.  MTL changes
-    need no handling at all — they alter dispatch decisions, never the
-    rates of already-running tasks.
-
-    Mutating methods find a task's slot by identity
-    (:class:`RunningTask` has no ``__eq__``), mirroring how the seed
-    loop's ``running`` dict keyed members by context.
-
-    The methods below are the *specification* of the bookkeeping (and
-    what the cohort property tests exercise); the simulator's event
-    loop aliases the three slots as locals and performs the equivalent
-    mutations inline, because at small populations the method-call
-    overhead alone would exceed the batching win.
-    """
-
-    __slots__ = ("population", "signatures", "cohorts")
-
-    def __init__(self) -> None:
-        #: Insertion-ordered population, mirroring the seed loop's
-        #: ``list(running.values())`` (completion processing order and
-        #: downstream determinism depend on it).
-        self.population: List[RunningTask] = []
-        #: ``signatures[i] == population[i].signature()``, maintained
-        #: incrementally.
-        self.signatures: List[Tuple] = []
-        #: Rate-cohort key -> members.  The key is a task's signature
-        #: minus its context id (``sig[1:]``): ``(core_id, True)`` for
-        #: the overhead phase, ``(core_id, False, a_i, m_i)`` for work.
-        self.cohorts: Dict[Tuple, List[RunningTask]] = {}
-
-    def __len__(self) -> int:
-        return len(self.population)
-
-    def key(self) -> Tuple:
-        """The population's memoization key (its ordered signatures)."""
-        return tuple(self.signatures)
-
-    def add(self, rt: RunningTask) -> None:
-        """Admit a freshly dispatched task into its cohort."""
-        if rt.overhead_remaining > 0.0:
-            sig, cohort_key = rt._sig_overhead, rt._cohort_overhead
-        else:
-            sig, cohort_key = rt._sig_work, rt._cohort_work
-        self.population.append(rt)
-        self.signatures.append(sig)
-        members = self.cohorts.get(cohort_key)
-        if members is None:
-            self.cohorts[cohort_key] = [rt]
-        else:
-            members.append(rt)
-
-    def remove(self, rt: RunningTask) -> None:
-        """Drop a completed task from the population and its cohort."""
-        index = self.population.index(rt)
-        del self.population[index]
-        sig = self.signatures.pop(index)
-        cohort_key = sig[1:]
-        members = self.cohorts[cohort_key]
-        if len(members) == 1:
-            del self.cohorts[cohort_key]
-        else:
-            members.remove(rt)
-
-    def flip_to_work(self, rt: RunningTask) -> None:
-        """Move a task whose overhead phase just drained into its work
-        cohort (the one in-place transition a task ever makes)."""
-        index = self.population.index(rt)
-        old_key = self.signatures[index][1:]
-        self.signatures[index] = rt._sig_work
-        members = self.cohorts[old_key]
-        if len(members) == 1:
-            del self.cohorts[old_key]
-        else:
-            members.remove(rt)
-        new_key = rt._sig_work[1:]
-        target = self.cohorts.get(new_key)
-        if target is None:
-            self.cohorts[new_key] = [rt]
-        else:
-            target.append(rt)
 
 
 @dataclass(frozen=True)
@@ -325,9 +215,9 @@ class RateCalculator:
     ) -> RateSnapshot:
         """Memoized snapshot for a caller-maintained signature key.
 
-        The cohort-batched event loop keeps the population signature
-        current incrementally (:meth:`CohortTable.key`), skipping the
-        per-task rebuild :meth:`snapshot` performs.  ``key`` must equal
+        The simulator's default event loop keeps the population
+        signature current incrementally, skipping the per-task rebuild
+        :meth:`snapshot` performs.  ``key`` must equal
         ``tuple(rt.signature() for rt in running)``; both entry points
         share one memo, so mixing them is safe.
         """

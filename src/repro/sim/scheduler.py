@@ -89,17 +89,6 @@ class MtlGate:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def available(self) -> bool:
-        """Whether :meth:`try_acquire` would currently grant a token.
-
-        A failed ``try_acquire`` has no side effects, so dispatchers
-        may consult this first and skip the whole memory-dispatch
-        attempt while the gate is saturated (the cohort-batched loop
-        does, once per scan, instead of one failed acquire per idle
-        context)."""
-        return self._in_use < self._limit
-
     def set_limit(self, limit: int) -> None:
         if limit < 1:
             raise ConfigurationError(f"MTL limit must be >= 1, got {limit}")
@@ -203,8 +192,9 @@ class WorkQueue:
         Exactly equivalent to the unfused sequence (same checks, same
         order, token released on no other path), but the event loop
         pays one method call instead of four-plus per memory dispatch.
-        Callers that consult a ``blocks_context`` veto must keep using
-        the unfused path so the plugin sees every attempt.
+        A caller with a ``blocks_context`` veto consults it first, while
+        memory work is pending, and calls this only when the context is
+        not vetoed — the same call sequence the unfused path makes.
         """
         if not self._ready_memory:
             return None

@@ -17,18 +17,15 @@ The loop alternates two actions until the work queue drains:
    which may retune the MTL for subsequent dispatches.
 
 Two implementations of the loop exist, selected by the
-``cohort_batching`` constructor flag:
+``cohort_batching`` constructor flag (a historical name, kept for
+compatibility):
 
-* **Cohort-batched** (the default) — the population is grouped into
-  same-rate cohorts (:class:`~repro.sim.engine.CohortTable`): one
-  ``min`` over remaining work and one ``dt * speed`` product advance a
-  whole cohort, the signature memo key is maintained incrementally,
-  idle contexts are tracked in a sorted list instead of rescanned, and
-  MTL validation/plugin no-op hooks are skipped when provably inert.
-  Everything the batch computes is bitwise-equal to stepping tasks one
-  by one — ``min(r_i) / s == min(r_i / s)`` because float division is
-  weakly monotone, and cohort members share bitwise-equal rates by
-  construction — so results are bit-identical to the reference loop.
+* **Default** — one flat per-task loop: per-event costs live in
+  locals, idle contexts are tracked in a sorted list instead of
+  rescanned, the population's signature memo key is maintained
+  incrementally, and MTL validation/plugin no-op hooks are skipped when
+  provably inert.  It performs the reference loop's float operations
+  in the reference loop's order, so results are bit-identical.
 * **Reference** (``cohort_batching=False``) — the seed's per-task
   stepping, kept as the oracle for the equivalence tests
   (``tests/sim/test_cohort_advancement.py``) and for bisecting any
@@ -47,12 +44,7 @@ from typing import Dict, List, Optional
 from repro.core.plugin import ThrottlePolicyPlugin
 from repro.core.policies import FixedMtlPolicy
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.engine import (
-    _COMPLETION_EPSILON,
-    CohortTable,
-    RateCalculator,
-    RunningTask,
-)
+from repro.sim.engine import _COMPLETION_EPSILON, RateCalculator, RunningTask
 from repro.sim.events import MtlChange, TaskRecord
 from repro.sim.machine import Machine, i7_860
 from repro.sim.noise import NoiseModel, ZeroNoise
@@ -63,7 +55,7 @@ from repro.stream.task import Task
 
 __all__ = ["Simulator", "simulate"]
 
-#: ``TaskRecord.__new__``, hoisted for the batched loop's fast record
+#: ``TaskRecord.__new__``, hoisted for the default loop's fast record
 #: construction (see the comment at the construction site).
 _RECORD_NEW = TaskRecord.__new__
 
@@ -97,11 +89,12 @@ class Simulator:
             cache-friendly order the paper's runtime exhibits) or
             ``"memory-first"`` (keep the memory pipeline maximally
             full; exists for the scheduling-order ablation).
-        cohort_batching: Use the cohort-batched event loop (the
-            default).  ``False`` selects the per-task reference loop;
-            results are bit-identical either way (the equivalence
-            tests pin this), the flag exists so tests can compare the
-            two and any future divergence can be bisected.
+        cohort_batching: ``True`` (the default) runs the optimized
+            event loop, ``False`` the per-task reference loop; results
+            are bit-identical either way (the equivalence tests pin
+            this), the flag exists so tests can compare the two and
+            any future divergence can be bisected.  The name is kept
+            for compatibility.
     """
 
     _DISPATCH_PREFERENCES = ("compute-first", "memory-first")
@@ -159,7 +152,7 @@ class Simulator:
         mtl_changes: List[MtlChange] = [
             MtlChange(time=0.0, old_mtl=gate.limit, new_mtl=gate.limit, reason="initial")
         ]
-        loop = self._run_batched if self.cohort_batching else self._run_reference
+        loop = self._run_loop if self.cohort_batching else self._run_reference
         loop(
             graph, queue, policy, name, gate, contexts, records, mtl_changes,
             on_dispatch, blocks,
@@ -213,39 +206,28 @@ class Simulator:
                 return task
         return None
 
-    # -- the cohort-batched loop (default) -----------------------------
+    # -- the default loop ----------------------------------------------
 
-    def _run_batched(
+    def _run_loop(
         self, graph, queue, policy, name, gate, contexts, records,
         mtl_changes, on_dispatch, blocks,
     ) -> None:
         """The optimized event loop.
 
         One deliberately flat function: every per-event cost lives in a
-        local, dispatch and advance are inlined, and the population's
-        cohort structure decides per event between two advance paths —
-
-        * **per-task stepping** when every cohort is a singleton (one
-          hardware context per core, distinct demands): the batch
-          apparatus cannot save anything, so the loop degenerates to
-          the reference stepping minus its per-event overheads
-          (signature rebuilds, full context rescans, redundant MTL
-          validation, no-op plugin hooks);
-        * **cohort batching** otherwise: one ``min`` over remaining
-          work and one ``dt * speed`` product per cohort.
-          ``min(r_i) / s == min(r_i / s)`` bitwise for ``s > 0``
-          (division by a positive float is weakly monotone) and
-          members share bitwise-equal rates by construction, so both
-          paths produce bit-identical results.
-
-        The ``CohortTable`` slots are aliased as locals and mutated
-        inline (see its docstring for the bookkeeping contract).
+        local and dispatch and advance are inlined.  It steps the
+        population task by task like the reference loop, minus the
+        reference's per-event overheads (signature rebuilds, full
+        context rescans, redundant MTL validation, no-op plugin hooks).
         """
-        running: Dict[int, RunningTask] = {}
-        cohorts = CohortTable()
-        population = cohorts.population
-        signatures = cohorts.signatures
-        cohort_map = cohorts.cohorts
+        #: Running tasks in dispatch order, mirroring the reference
+        #: loop's ``list(running.values())`` (completion processing
+        #: order and downstream determinism depend on it).
+        population: List[RunningTask] = []
+        #: ``signatures[i] == population[i].signature()``, kept current
+        #: by dispatches, phase flips and completions: the snapshot memo
+        #: key is a ``tuple()`` of this list, not a per-task rebuild.
+        signatures: List[tuple] = []
         #: context_id -> position in the dispatch scan order.
         positions = {
             context.context_id: index for index, context in enumerate(contexts)
@@ -267,13 +249,8 @@ class Simulator:
         dispatch_memory = queue.try_dispatch_memory
         mark_complete = queue.mark_complete
         release = gate.release
-        try_memory = self._try_memory
         duration_factor = self.noise.duration_factor
         dispatch_overhead = self.noise.dispatch_overhead
-        # Exactly-ZeroNoise models return 1.0 / 0.0 unconditionally and
-        # hold no RNG, so skipping their calls drops no stream draws,
-        # and ``work_units * 1.0 == work_units`` bitwise.
-        zero_noise = type(self.noise) is ZeroNoise
         snapshot_keyed = self._rates.snapshot_keyed
         memory_first = self.dispatch_preference == "memory-first"
         context_ids = [context.context_id for context in contexts]
@@ -326,113 +303,49 @@ class Simulator:
 
             # -- dispatch ---------------------------------------------
             if idle and has_ready():
-                if blocks is None:
-                    # Task availability is context-independent (the
-                    # affinity scan only reorders a non-empty compute
-                    # queue) and the gate only saturates further during
-                    # a scan, so once one idle position comes up empty
-                    # every later one must too: successful dispatches
-                    # form a strict prefix of the idle list.
-                    taken = 0
-                    for position in idle:
-                        context_id = context_ids[position]
-                        if memory_first:
-                            task = dispatch_memory(gate, context_id)
-                            if task is None:
-                                task = pop_compute(context_id)
-                        else:
-                            task = pop_compute(context_id)
-                            if task is None:
-                                task = dispatch_memory(gate, context_id)
-                        if task is None:
+                # Task availability is context-independent (the
+                # affinity scan only reorders a non-empty compute
+                # queue) and the gate only saturates further during a
+                # scan, so once one idle position comes up empty every
+                # later one must too — unless a veto hook refuses
+                # individual contexts, in which case the scan goes on.
+                # The veto is consulted exactly where the reference
+                # loop consults it: before the gate, and only while
+                # memory work is pending.
+                for position in idle[:]:
+                    context_id = context_ids[position]
+                    task = None if memory_first else pop_compute(context_id)
+                    if task is None and not (
+                        blocks is not None
+                        and queue.pending_memory
+                        and blocks(context_id, now)
+                    ):
+                        task = dispatch_memory(gate, context_id)
+                    if task is None and memory_first:
+                        task = pop_compute(context_id)
+                    if task is None:
+                        if blocks is None:
                             break
-                        if zero_noise:
-                            rt = RunningTask(
-                                task, context_id, core_ids[position], now,
-                                task.work_units, 0.0, gate.limit,
-                                probing() if probing is not None else False,
-                            )
-                        else:
-                            rt = RunningTask(
-                                task, context_id, core_ids[position], now,
-                                task.work_units * duration_factor(),
-                                dispatch_overhead(), gate.limit,
-                                probing() if probing is not None else False,
-                            )
-                        running[context_id] = rt
-                        population.append(rt)
-                        if rt.overhead_remaining > 0.0:
-                            signatures.append(rt._sig_overhead)
-                            cohort_key = rt._cohort_overhead
-                        else:
-                            signatures.append(rt._sig_work)
-                            cohort_key = rt._cohort_work
-                        members = cohort_map.get(cohort_key)
-                        if members is None:
-                            cohort_map[cohort_key] = [rt]
-                        else:
-                            members.append(rt)
-                        taken += 1
-                        if on_dispatch is not None:
-                            on_dispatch(task, context_id, now)
-                        if not has_ready():
-                            break
-                    if taken:
-                        del idle[:taken]
-                else:
-                    # A blacklist plugin can veto individual contexts,
-                    # so dispatches are no longer a prefix — and the
-                    # veto hook must see the same per-context call
-                    # sequence the reference loop makes.
-                    taken_set = None
-                    for position in idle:
-                        context = contexts[position]
-                        context_id = context.context_id
-                        if memory_first:
-                            task = try_memory(
-                                queue, gate, context_id, now, blocks
-                            )
-                            if task is None:
-                                task = pop_compute(context_id)
-                        else:
-                            task = pop_compute(context_id)
-                            if task is None:
-                                task = try_memory(
-                                    queue, gate, context_id, now, blocks
-                                )
-                        if task is None:
-                            continue
-                        rt = RunningTask(
-                            task, context_id, context.core_id, now,
-                            task.work_units * duration_factor(),
-                            dispatch_overhead(), gate.limit,
-                            probing() if probing is not None else False,
-                        )
-                        running[context_id] = rt
-                        population.append(rt)
-                        if rt.overhead_remaining > 0.0:
-                            signatures.append(rt._sig_overhead)
-                            cohort_key = rt._cohort_overhead
-                        else:
-                            signatures.append(rt._sig_work)
-                            cohort_key = rt._cohort_work
-                        members = cohort_map.get(cohort_key)
-                        if members is None:
-                            cohort_map[cohort_key] = [rt]
-                        else:
-                            members.append(rt)
-                        if taken_set is None:
-                            taken_set = {position}
-                        else:
-                            taken_set.add(position)
-                        if on_dispatch is not None:
-                            on_dispatch(task, context_id, now)
-                        if not has_ready():
-                            break
-                    if taken_set is not None:
-                        idle[:] = [p for p in idle if p not in taken_set]
+                        continue
+                    rt = RunningTask(
+                        task, context_id, core_ids[position], now,
+                        task.work_units * duration_factor(),
+                        dispatch_overhead(), gate.limit,
+                        probing() if probing is not None else False,
+                    )
+                    population.append(rt)
+                    signatures.append(
+                        rt._sig_overhead
+                        if rt.overhead_remaining > 0.0
+                        else rt._sig_work
+                    )
+                    idle.remove(position)
+                    if on_dispatch is not None:
+                        on_dispatch(task, context_id, now)
+                    if not has_ready():
+                        break
 
-            if not running:
+            if not population:
                 raise self._no_progress(graph, queue)
 
             # -- advance ----------------------------------------------
@@ -440,137 +353,47 @@ class Simulator:
             speeds = snapshot.speeds
             cpu_rates = snapshot.cpu_rates
 
-            finished_indices = None
-            if len(cohort_map) == len(population):
-                # Every cohort is a singleton: step per task.
-                dt = inf
-                for rt in population:
-                    if rt.overhead_remaining > 0.0:
-                        step = rt.overhead_remaining / cpu_rates[rt.context_id]
+            dt = inf
+            for rt in population:
+                if rt.overhead_remaining > 0.0:
+                    step = rt.overhead_remaining / cpu_rates[rt.context_id]
+                else:
+                    speed = speeds[rt.context_id]
+                    if speed <= 0:
+                        raise SimulationError(
+                            f"task {rt.task.task_id!r} has non-positive speed"
+                        )
+                    step = rt.remaining_units / speed
+                if step < dt:
+                    dt = step
+            if not isfinite(dt) or dt < 0:
+                raise SimulationError(f"invalid time step {dt!r}")
+            now += dt
+
+            finished = None
+            for index, rt in enumerate(population):
+                if rt.overhead_remaining > 0.0:
+                    value = rt.overhead_remaining - dt * cpu_rates[rt.context_id]
+                    if value <= eps * (value if value > 1.0 else 1.0):
+                        # Overhead drained: the task enters its work
+                        # phase and its signature entry flips with it.
+                        rt.overhead_remaining = 0.0
+                        signatures[index] = rt._sig_work
                     else:
-                        speed = speeds[rt.context_id]
-                        if speed <= 0:
-                            raise SimulationError(
-                                f"task {rt.task.task_id!r} has "
-                                "non-positive speed"
-                            )
-                        step = rt.remaining_units / speed
-                    if step < dt:
-                        dt = step
-                if not isfinite(dt) or dt < 0:
-                    raise SimulationError(f"invalid time step {dt!r}")
-                now += dt
-                for index, rt in enumerate(population):
-                    if rt.overhead_remaining > 0.0:
-                        value = rt.overhead_remaining - dt * cpu_rates[
-                            rt.context_id
-                        ]
-                        if value <= eps * (value if value > 1.0 else 1.0):
-                            # Overhead drained: flip into the work
-                            # cohort (safe inline — this branch
-                            # iterates the population, not the map).
-                            rt.overhead_remaining = 0.0
-                            signatures[index] = rt._sig_work
-                            cohort_key = rt._cohort_overhead
-                            members = cohort_map[cohort_key]
-                            if len(members) == 1:
-                                del cohort_map[cohort_key]
-                            else:
-                                members.remove(rt)
-                            work_key = rt._cohort_work
-                            members = cohort_map.get(work_key)
-                            if members is None:
-                                cohort_map[work_key] = [rt]
-                            else:
-                                members.append(rt)
+                        rt.overhead_remaining = value
+                else:
+                    value = rt.remaining_units - dt * speeds[rt.context_id]
+                    rt.remaining_units = value
+                    if value <= rt.completion_threshold:
+                        if finished is None:
+                            finished = [index]
                         else:
-                            rt.overhead_remaining = value
-                    else:
-                        value = rt.remaining_units - dt * speeds[rt.context_id]
-                        rt.remaining_units = value
-                        if value <= rt.completion_threshold:
-                            if finished_indices is None:
-                                finished_indices = [index]
-                            else:
-                                finished_indices.append(index)
-            else:
-                # One step per cohort.
-                dt = inf
-                for cohort_key, members in cohort_map.items():
-                    lo = inf
-                    if cohort_key[1]:  # overhead cohort: pure CPU phase
-                        for rt in members:
-                            value = rt.overhead_remaining
-                            if value < lo:
-                                lo = value
-                        scale = cpu_rates[members[0].context_id]
-                    else:
-                        scale = speeds[members[0].context_id]
-                        if scale <= 0:
-                            self._raise_nonpositive_speed(population, speeds)
-                        for rt in members:
-                            value = rt.remaining_units
-                            if value < lo:
-                                lo = value
-                    step = lo / scale
-                    if step < dt:
-                        dt = step
-                if not isfinite(dt) or dt < 0:
-                    raise SimulationError(f"invalid time step {dt!r}")
+                            finished.append(index)
 
-                now += dt
-                finished = None
-                flipped = None
-                for cohort_key, members in cohort_map.items():
-                    if cohort_key[1]:
-                        # dt * rate computed once: every member
-                        # subtracts the identical product the per-task
-                        # loop would.
-                        delta = dt * cpu_rates[members[0].context_id]
-                        for rt in members:
-                            value = rt.overhead_remaining - delta
-                            rt.overhead_remaining = value
-                            if value <= eps * (value if value > 1.0 else 1.0):
-                                rt.overhead_remaining = 0.0
-                                if flipped is None:
-                                    flipped = [rt]
-                                else:
-                                    flipped.append(rt)
-                    else:
-                        delta = dt * speeds[members[0].context_id]
-                        for rt in members:
-                            value = rt.remaining_units - delta
-                            rt.remaining_units = value
-                            if value <= rt.completion_threshold:
-                                if finished is None:
-                                    finished = [rt]
-                                else:
-                                    finished.append(rt)
-
-                # Structural mutations only after the map iteration: a
-                # phase flip moves the task into its work cohort.
-                if flipped is not None:
-                    for rt in flipped:
-                        cohorts.flip_to_work(rt)
-                if finished is not None:
-                    # Completions must be processed in population order
-                    # — record order, dependent-release order, and
-                    # policy hooks all observe it — not cohort order.
-                    if len(finished) > 1:
-                        order = {id(rt) for rt in finished}
-                        finished_indices = [
-                            index
-                            for index, rt in enumerate(population)
-                            if id(rt) in order
-                        ]
-                    else:
-                        finished_indices = [population.index(finished[0])]
-
-            if finished_indices is not None:
-                completed_count += len(finished_indices)
-                for index in finished_indices:
+            if finished is not None:
+                completed_count += len(finished)
+                for index in finished:
                     rt = population[index]
-                    del running[rt.context_id]
                     insort(idle, positions[rt.context_id])
                     task = rt.task
                     if task.is_memory:
@@ -601,29 +424,9 @@ class Simulator:
                     if on_complete is not None:
                         on_complete(record, now)
                 # Structural removal, descending so indices stay valid.
-                for index in reversed(finished_indices):
-                    rt = population[index]
+                for index in reversed(finished):
                     del population[index]
                     del signatures[index]
-                    cohort_key = rt._cohort_work
-                    members = cohort_map[cohort_key]
-                    if len(members) == 1:
-                        del cohort_map[cohort_key]
-                    else:
-                        members.remove(rt)
-
-    @staticmethod
-    def _raise_nonpositive_speed(population, speeds) -> None:
-        """Raise the reference loop's error for the first offending
-        task in population order (cohort iteration order differs)."""
-        for rt in population:
-            if rt.overhead_remaining <= 0.0 and speeds[rt.context_id] <= 0:
-                raise SimulationError(
-                    f"task {rt.task.task_id!r} has non-positive speed"
-                )
-        raise SimulationError(
-            "non-positive cohort speed with no offending task"
-        )  # pragma: no cover - cohorts mirror the population exactly
 
     # -- the per-task reference loop -----------------------------------
 
@@ -633,8 +436,8 @@ class Simulator:
     ) -> None:
         """The seed's per-task event loop, byte-for-byte semantics.
 
-        The oracle the cohort-batched loop is tested against; see the
-        module docstring.
+        The oracle the default loop is tested against; see the module
+        docstring.
         """
         running: Dict[int, RunningTask] = {}
         now = 0.0

@@ -1,9 +1,9 @@
 """Known-bad: a list is mutated after capture into a signature slot."""
 
-__all__ = ["CohortTable"]
+__all__ = ["SignatureTable"]
 
 
-class CohortTable:
+class SignatureTable:
     __slots__ = ("_sig_parts", "count")
 
     def __init__(self, parts):

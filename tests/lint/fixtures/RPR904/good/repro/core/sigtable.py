@@ -1,9 +1,9 @@
 """Known-good: the signature slot freezes its input at the boundary."""
 
-__all__ = ["CohortTable"]
+__all__ = ["SignatureTable"]
 
 
-class CohortTable:
+class SignatureTable:
     __slots__ = ("_sig_parts", "count")
 
     def __init__(self, parts):

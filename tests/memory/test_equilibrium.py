@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelError
+from repro.memory import equilibrium
 from repro.memory.contention import LinearContentionModel
 from repro.memory.equilibrium import (
     EquilibriumSolver,
@@ -239,15 +240,16 @@ class TestEquilibriumSolver:
             EquilibriumSolver(linear_latency, max_entries=0)
 
 
-class TestWarmStart:
-    """Warm-started solves: exact canonical-projection reuse."""
+class TestSolvePath:
+    """A memo miss is exactly one cold :func:`effective_concurrency`
+    call; there is no second lookup between the memo and the solve."""
 
     def population(self, cpu: float):
         """Mixed population: fixed memory half, variable pure-CPU half.
 
-        Every ``cpu`` value yields a distinct full memo key; the
-        memory-demand projection — all that the fixed point depends
-        on — is identical across them.
+        Every ``cpu`` value yields a distinct memo key; the memory
+        demands — all that the fixed point depends on — are identical
+        across them.
         """
         return [
             pure_memory(),
@@ -255,47 +257,31 @@ class TestWarmStart:
             MemoryDemand(cpu_seconds_per_unit=cpu, requests_per_unit=0.0),
         ]
 
-    def test_warm_solve_is_float_for_float_identical_to_cold(self):
-        warm_solver = EquilibriumSolver(linear_latency)
-        warm_solver.solve(self.population(1e-9))  # cold; fills canonical
-        warmed = warm_solver.solve(self.population(2e-9))  # warm start
-
-        cold_solver = EquilibriumSolver(linear_latency)
-        cold = cold_solver.solve(self.population(2e-9))
-
-        # Bit-identity, not approx: a warm hit is a zero-distance
-        # reuse, the only distance at which reuse cannot perturb the
-        # engine's golden artifacts.
-        assert warmed == cold
-        assert warm_solver.warm_hits == 1
-        assert cold_solver.warm_hits == 0
-
-    def test_counters_and_cache_info(self):
+    def test_cache_info_reports_lookups_and_entries(self):
         solver = EquilibriumSolver(linear_latency)
-        stream = [self.population(cpu * 1e-9) for cpu in (1, 2, 3, 4)]
-        for demands in stream:
-            solver.solve(demands)
-        info = solver.cache_info()
-        assert info["misses"] == 4
-        assert info["cold_solves"] == 1
-        assert info["warm_hits"] == 3
-        assert info["warm_entries"] == 1
-        assert info["entries"] == 4
-        # Each canonical entry remembers its cold solve's iteration
-        # count; three warm hits saved exactly three times that.
-        assert info["iterations_saved"] % 3 == 0
-        assert info["iterations_saved"] > 0
-        # Re-solving a seen population is a plain memo hit, never a
-        # second warm start.
-        solver.solve(stream[0])
-        assert solver.cache_info()["warm_hits"] == 3
-        assert solver.cache_info()["hits"] == 1
+        for cpu in (1e-9, 2e-9, 1e-9):
+            solver.solve(self.population(cpu))
+        assert solver.cache_info() == {"hits": 1, "misses": 2, "entries": 2}
 
-    def test_different_memory_projection_solves_cold(self):
+    def test_each_miss_is_one_cold_solve(self, monkeypatch):
+        solved = []
+        cold = equilibrium.effective_concurrency
+
+        def counting(demands, latency_fn, **kwargs):
+            solved.append(len(demands))
+            return cold(demands, latency_fn, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "effective_concurrency", counting)
         solver = EquilibriumSolver(linear_latency)
-        solver.solve(self.population(1e-9))
-        solver.solve([pure_memory(), pure_memory()])  # different projection
-        info = solver.cache_info()
-        assert info["cold_solves"] == 2
-        assert info["warm_hits"] == 0
-        assert info["warm_entries"] == 2
+        for cpu in (1e-9, 2e-9, 1e-9, 3e-9):
+            solver.solve(self.population(cpu))
+        assert solved == [3, 3, 3]  # three misses; the hit solves nothing
+
+    def test_compute_only_differences_solve_to_identical_floats(self):
+        # Zero-request demands are filtered out before the first step,
+        # so populations that differ only in their miss-free tasks
+        # solve cold, each under its own key, to the same floats.
+        solver = EquilibriumSolver(linear_latency)
+        results = {solver.solve(self.population(cpu * 1e-9)) for cpu in (1, 2, 3, 4)}
+        assert len(results) == 1
+        assert solver.cache_info()["misses"] == 4

@@ -26,7 +26,6 @@ from repro.runtime.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     TelemetryWriter,
     cache_quarantine_event,
-    equilibrium_warm_event,
     fault_event,
     point_event,
     point_failure_event,
@@ -82,12 +81,6 @@ def emit_everything(tmp_path):
         )
     )
     writer.emit(
-        equilibrium_warm_event(
-            label="schema", warm_hits=3, cold_solves=1,
-            iterations_saved=108, warm_entries=1,
-        )
-    )
-    writer.emit(
         profile_event(
             label="schema", function="engine.py:1(snapshot)", rank=1,
             calls=10, cumulative_seconds=0.5, total_seconds=0.1,
@@ -140,10 +133,6 @@ class TestEmittedRecordsConform:
             ),
             "snapshot_cache": snapshot_cache_event(
                 cache="equilibrium", label="l", hits=3, misses=1, entries=1
-            ),
-            "equilibrium_warm": equilibrium_warm_event(
-                label="l", warm_hits=3, cold_solves=1,
-                iterations_saved=108, warm_entries=1,
             ),
             "profile": profile_event(
                 label="l", function="f.py:2(g)", rank=1, calls=4,

@@ -1,52 +1,27 @@
-"""Equivalence tests for the cohort-batched event loop.
+"""Equivalence tests for the simulator's default event loop.
 
-The simulator's default loop groups same-rate tasks into cohorts and
-advances them in bulk (``cohort_batching=True``); the seed's per-task
-loop survives as the reference (``cohort_batching=False``).  The
-optimization's contract is *bit-identity*: every record field, every
-MTL change, float for float, on every workload/policy/noise/dispatch
-combination — these tests pin it.  SMT machines matter here: on the
-plain i7-860 every context owns a core, so every cohort is a
-singleton and the loop takes its per-task fast path; with SMT the
-sibling contexts of a core genuinely share cohorts and the bulk
-advancement path runs.
+The default loop (``cohort_batching=True``) is an optimized per-task
+loop; the seed's per-task loop survives as the reference
+(``cohort_batching=False``).  The optimization's contract is
+*bit-identity*: every record field, every MTL change, float for float,
+on every workload/policy/noise/dispatch combination — these tests pin
+it.  SMT machines matter here: sibling contexts of a core share one
+execution rate, so phase flips and completions on one sibling change
+its neighbour's speed mid-task.
 """
 
 import pytest
 
 from repro.core.budget import ActivationBudgetPolicy
+from repro.core.plugin import ThrottlePolicyPlugin
 from repro.core.policies import OnlineExhaustivePolicy
 from repro.core.throttle import DynamicThrottlingPolicy
-from repro.memory.contention import nehalem_ddr3_contention
-from repro.memory.system import MemorySystem
-from repro.sim.cores import Processor
-from repro.sim.engine import CohortTable, RateCalculator
 from repro.sim.machine import i7_860
 from repro.sim.noise import noise_for_seed
 from repro.sim.scheduler import FixedMtlPolicy
 from repro.sim.simulator import Simulator
-from repro.sim.engine import RunningTask
 from repro.stream.program import StreamProgram, build_phase
-from repro.stream.task import compute_task, memory_task
 from repro.workloads.base import REFERENCE_SOLO_LATENCY
-
-
-def run_memory(context_id, core_id, requests=1000):
-    task = memory_task(f"m{context_id}", requests=requests)
-    return RunningTask(
-        task=task, context_id=context_id, core_id=core_id, start=0.0,
-        remaining_units=task.work_units, overhead_remaining=0.0,
-        mtl_at_dispatch=4,
-    )
-
-
-def run_compute(context_id, core_id, cpu_seconds=1e-3):
-    task = compute_task(f"c{context_id}", cpu_seconds=cpu_seconds)
-    return RunningTask(
-        task=task, context_id=context_id, core_id=core_id, start=0.0,
-        remaining_units=task.work_units, overhead_remaining=0.0,
-        mtl_at_dispatch=4,
-    )
 
 
 def synthetic(ratio: float, pairs: int = 12) -> StreamProgram:
@@ -58,7 +33,7 @@ def synthetic(ratio: float, pairs: int = 12) -> StreamProgram:
 
 
 def two_phase(pairs: int = 8) -> StreamProgram:
-    """Mixed ratios across phases: cohorts form, drain, and re-form."""
+    """Mixed ratios across phases: the population mix shifts mid-run."""
     t_m1 = 4096 * REFERENCE_SOLO_LATENCY
     return StreamProgram(
         "two-phase",
@@ -75,8 +50,8 @@ POLICIES = {
         context_count=n, window_pairs=4
     ),
     "online": lambda n: OnlineExhaustivePolicy(context_count=n, window_pairs=4),
-    # blocks_context veto: forces the batched loop off its fused
-    # memory-dispatch fast path onto the plugin-visible sequence.
+    # blocks_context veto: the default loop must consult it exactly
+    # where the reference loop does.
     "activation-budget": lambda n: ActivationBudgetPolicy(
         context_count=n, window_pairs=4, budget=1
     ),
@@ -141,45 +116,54 @@ class TestBatchedMatchesReference:
         assert_bit_identical(batched, reference)
 
 
-class TestCohortSpeedInvariant:
-    """The property batching rests on: cohort-mates share one rate."""
+class RecordingVeto(ThrottlePolicyPlugin):
+    """Static MTL plus a veto that refuses memory tokens to a fixed set
+    of contexts, logging every consultation."""
 
-    def make_calculator(self, smt=2):
-        return RateCalculator(
-            Processor(core_count=4, smt_ways=smt),
-            MemorySystem(contention=nehalem_ddr3_contention()),
-        )
+    def __init__(self, mtl, vetoed):
+        super().__init__("recording-veto")
+        self._mtl = mtl
+        self._vetoed = frozenset(vetoed)
+        self.consulted = []
 
-    @pytest.mark.parametrize("population_builder", [
-        # SMT siblings (contexts 0,1 on core 0) running equal work.
-        lambda: [run_memory(0, 0), run_memory(1, 0), run_compute(2, 1)],
-        lambda: [run_compute(0, 0), run_compute(1, 0), run_memory(2, 1)],
-        lambda: [
-            run_memory(0, 0), run_memory(1, 0),
-            run_compute(2, 1), run_compute(3, 1),
-            run_memory(4, 2),
-        ],
-    ])
-    def test_cohort_members_have_bitwise_equal_speeds(
-        self, population_builder
+    def current_mtl(self):
+        return self._mtl
+
+    def blocks_context(self, context_id, now):
+        self.consulted.append((context_id, now))
+        return context_id in self._vetoed
+
+
+class TestVetoDispatch:
+    """The default loop's single dispatch path under a veto hook: the
+    veto comes before the gate, and an empty pick moves the scan on."""
+
+    def run_both(self, preference, vetoed):
+        runs = []
+        for batching in (True, False):
+            policy = RecordingVeto(mtl=2, vetoed=vetoed)
+            simulator = Simulator(
+                i7_860(smt=2),
+                dispatch_preference=preference,
+                cohort_batching=batching,
+            )
+            runs.append((simulator.run(two_phase(), policy), policy.consulted))
+        return runs
+
+    @pytest.mark.parametrize("preference", ["compute-first", "memory-first"])
+    def test_veto_is_consulted_exactly_where_the_reference_consults_it(
+        self, preference
     ):
-        population = population_builder()
-        table = CohortTable()
-        for rt in population:
-            table.add(rt)
-        calculator = self.make_calculator()
-        snapshot = calculator.snapshot(population)
-        for members in table.cohorts.values():
-            speeds = {snapshot.speeds[rt.context_id] for rt in members}
-            cpu_rates = {snapshot.cpu_rates[rt.context_id] for rt in members}
-            assert len(speeds) == 1  # bitwise: set of floats collapses
-            assert len(cpu_rates) == 1
+        (ours, our_log), (reference, reference_log) = self.run_both(
+            preference, vetoed={0}
+        )
+        assert our_log == reference_log
+        assert_bit_identical(ours, reference)
 
-    def test_cohorts_group_only_same_core_same_signature(self):
-        # Same demand on different cores must NOT share a cohort: SMT
-        # sharing makes the rate a per-core quantity.
-        population = [run_memory(0, 0), run_memory(2, 1)]
-        table = CohortTable()
-        for rt in population:
-            table.add(rt)
-        assert len(table.cohorts) == 2
+    def test_vetoed_contexts_do_not_end_the_scan(self):
+        (result, _), _ = self.run_both("memory-first", vetoed={0, 1})
+        memory_contexts = {r.context_id for r in result.records if r.is_memory}
+        # The scan starts at the vetoed contexts every time, so memory
+        # work reaches the others only if an empty pick continues.
+        assert memory_contexts
+        assert not memory_contexts & {0, 1}

@@ -8,6 +8,8 @@ invariants and the physics' bounds, regardless of the parameters.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.budget import ActivationBudgetPolicy
+from repro.core.throttle import DynamicThrottlingPolicy
 from repro.sim.machine import i7_860
 from repro.sim.scheduler import FixedMtlPolicy
 from repro.sim.simulator import Simulator
@@ -47,12 +49,50 @@ def test_property_every_run_is_structurally_consistent(program, setup):
     result.verify_consistency()
 
 
+def make_policy(kind, machine, mtl):
+    if kind == "dynamic":
+        return DynamicThrottlingPolicy(
+            context_count=machine.context_count, window_pairs=4
+        )
+    if kind == "activation-budget":
+        # blocks_context veto: the dispatch path that may skip contexts.
+        return ActivationBudgetPolicy(
+            context_count=machine.context_count, window_pairs=4, budget=1
+        )
+    return FixedMtlPolicy(mtl)
+
+
 @settings(max_examples=40, deadline=None)
-@given(program=programs(), setup=machine_and_mtl())
-def test_property_mtl_gate_never_violated(program, setup):
+@given(
+    program=programs(),
+    setup=machine_and_mtl(),
+    policy_kind=st.sampled_from(["fixed", "dynamic", "activation-budget"]),
+    preference=st.sampled_from(["compute-first", "memory-first"]),
+    cohort_batching=st.booleans(),
+)
+def test_property_mtl_gate_never_violated(
+    program, setup, policy_kind, preference, cohort_batching
+):
     machine, mtl = setup
-    result = Simulator(machine).run(program, FixedMtlPolicy(mtl))
-    assert result.peak_memory_concurrency() <= mtl
+    simulator = Simulator(
+        machine,
+        dispatch_preference=preference,
+        cohort_batching=cohort_batching,
+    )
+    result = simulator.run(program, make_policy(policy_kind, machine, mtl))
+    if policy_kind == "fixed":
+        assert result.peak_memory_concurrency() <= mtl
+    # Adaptive policies move the limit, and lowering it never preempts,
+    # so check each memory dispatch against the limit it was granted
+    # under: the memory tasks in flight at its start, itself included.
+    memory = [r for r in result.records if r.is_memory]
+    for record in memory:
+        in_flight = 1 + sum(
+            1
+            for other in memory
+            if other is not record and other.start <= record.start < other.end
+        )
+        assert in_flight <= record.mtl_at_dispatch
 
 
 @settings(max_examples=40, deadline=None)

@@ -294,15 +294,12 @@ class TestPerfbench:
         baseline = tmp_path / "baseline.json"
         # An always-passing gate: any machine beats these floors.
         baseline.write_text(json.dumps({
-            "schema": 2,
+            "schema": 3,
             "seed": {"fig13_wall_seconds_per_point": 0.02,
                      "engine_events_per_sec": 10000.0,
-                     "equilibrium_mixed_solves_per_sec": 3601.0,
                      "fig14_point_wall_seconds": 0.006},
             "current": {"engine_events_per_sec": 1.0},
-            "floors": {"engine_events_per_sec": 1.0,
-                       "equilibrium_mixed_solves_per_sec": 1.0,
-                       "warm_start_hit_rate": 0.5},
+            "floors": {"engine_events_per_sec": 1.0},
         }))
         output = tmp_path / "bench.json"
         telemetry = tmp_path / "telemetry.jsonl"
@@ -317,7 +314,7 @@ class TestPerfbench:
         assert "profile (top by cumulative time):" in out
 
         report = json.loads(output.read_text())
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["quick"] is True
         for section in ("equilibrium", "engine", "fig13", "fig14"):
             assert section in report
@@ -326,18 +323,15 @@ class TestPerfbench:
                 assert stats["min"] <= stats["median"] <= stats["max"]
         assert report["engine"]["events_per_sec"] > 0
         assert report["equilibrium"]["pure_memoized_speedup"] > 1.0
-        # The schema-2 headline metrics --check enforces floors on.
-        assert report["equilibrium"]["mixed_solves_per_sec"] > 0
-        assert report["equilibrium"]["warm_start_hit_rate"] > 0.5
+        assert report["equilibrium"]["mixed_memoized_speedup"] > 1.0
         assert report["fig13"]["points"] == 16
         assert "fig13_wall_vs_seed" in report["speedups"]
-        assert "equilibrium_mixed_vs_seed" in report["speedups"]
+        assert "engine_events_per_sec_vs_seed" in report["speedups"]
         assert report["profile"]
 
         kinds = [json.loads(line)["event"]
                  for line in telemetry.read_text().splitlines()]
         assert kinds.count("snapshot_cache") == 2
-        assert kinds.count("equilibrium_warm") == 2
         assert "profile" in kinds
 
     def test_check_failure_exits_4(self, capsys, tmp_path):
@@ -357,11 +351,11 @@ class TestPerfbench:
     def test_floor_failure_exits_4(self, capsys, tmp_path):
         baseline = tmp_path / "baseline.json"
         # Passing current gate, impossible floor: isolates the
-        # schema-2 floors check.
+        # floors check.
         baseline.write_text(json.dumps({
-            "schema": 2,
+            "schema": 3,
             "current": {"engine_events_per_sec": 1.0},
-            "floors": {"equilibrium_mixed_solves_per_sec": 1e12},
+            "floors": {"engine_events_per_sec": 1e12},
         }))
         assert main([
             "perfbench", "--quick", "--output", str(tmp_path / "b.json"),
@@ -372,7 +366,7 @@ class TestPerfbench:
     def test_unknown_floor_metric_fails(self, capsys, tmp_path):
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({
-            "schema": 2,
+            "schema": 3,
             "current": {"engine_events_per_sec": 1.0},
             "floors": {"no_such_metric": 1.0},
         }))
