@@ -14,26 +14,30 @@ Layout:
   byte-identical merged output), suppression comments
   (``# repro: lint-ok RPR### -- reason``), and baseline filtering;
 * :mod:`repro.lint.graph` — the whole-program layer: per-file
-  :class:`~repro.lint.graph.summary.ModuleSummary` extraction and the
+  :class:`~repro.lint.graph.summary.ModuleSummary` extraction (one
+  scope walk shared by every per-file extractor), the
   :class:`~repro.lint.graph.builder.ProjectGraph` symbol table / call
   graph with deterministic reachability, which corpus-level rules
-  query;
+  query, and :mod:`~repro.lint.graph.dataflow`, the interprocedural
+  core (function table, call resolution, argument binding, SCC order,
+  fixpoint driver, witness search) both analyses below run on;
 * :mod:`repro.lint.effects` — per-function effect signatures
   (mutations, captures, escaping exception types) extracted per file
-  and closed over the call graph by an SCC fixpoint; the
-  plugin-contract, mutation-after-freeze, and exception-flow families
-  consume them via ``consume_effects``;
+  and closed over the call graph; the plugin-contract,
+  mutation-after-freeze, and exception-flow families consume them via
+  ``consume_effects``;
 * :mod:`repro.lint.dimflow` — per-function *unit* signatures
   (per-parameter/return dimensions under a small algebra of seconds,
-  bytes, counts, and derived rates) closed over the same graph by the
-  same SCC scheduling; the dimflow family (RPR810+) consumes them via
-  ``consume_units`` and ``--units-output`` serializes the table;
+  bytes, counts, and derived rates) closed over the same graph; the
+  dimflow family (RPR810+) consumes them via ``consume_units`` and
+  ``--units-output`` serializes the table;
 * :mod:`repro.lint.rules` — the rule registry.  Each rule is a class
   with a stable id (``RPR###``), a severity, and an ``autofixable``
   flag; rules are grouped into families (determinism, memo-safety,
   telemetry, executor hygiene, API hygiene, transitive determinism,
-  pool safety, dimensional consistency, plugin-contract,
-  mutation-after-freeze, exception-flow, dimflow);
+  pool safety, plugin-contract, mutation-after-freeze,
+  exception-flow, dimflow), and ids of folded rules stay accepted as
+  aliases (:data:`~repro.lint.engine.RULE_ALIASES`);
 * :mod:`repro.lint.reporters` — ``text``, ``json``, and ``sarif``
   renderers plus baseline read/write (fingerprints are
   whitespace-normalized, so baselines survive reformatting);
@@ -48,6 +52,7 @@ parity-tested against the registry, so it cannot drift).
 """
 
 from repro.lint.engine import (
+    RULE_ALIASES,
     FileContext,
     FileScan,
     Finding,
@@ -88,6 +93,7 @@ __all__ = [
     "META_RULES",
     "ModuleSummary",
     "ProjectGraph",
+    "RULE_ALIASES",
     "RULE_FAMILIES",
     "Rule",
     "Suppressions",

@@ -40,7 +40,11 @@ __all__ = ["LINT_CACHE_VERSION", "ScanCache", "cache_token"]
 #: rule-id list cannot express (new extraction fields, changed
 #: suppression semantics, FileScan shape).  Bumping orphans every old
 #: entry, which is exactly the point.
-LINT_CACHE_VERSION = 2  # v2: ModuleSummary grew per-function unit facts
+#: v3: one scope walk feeds every extractor — the summary's
+#: per-function effect records (``EffectCall.star``) and unit records
+#: (a ``<module>`` scope, ``UnitCallSite.star``, every check site) —
+#: and suppressions canonicalize folded rule ids.
+LINT_CACHE_VERSION = 3
 
 
 def cache_token(

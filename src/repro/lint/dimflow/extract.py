@@ -14,18 +14,20 @@ interprocedural pass will care about:
 * **attribute writes** (``self.attr = expr``, and ``obj.attr = expr``
   through a constructor-built local) record which class attribute got
   which unit (RPR812's evidence);
-* **check sites** record ``+``/``-``/comparison operand pairs where at
-  least one side is only resolvable interprocedurally (RPR813's
-  evidence — locally decidable mixes stay RPR801/802's), plus
-  augmented ``+=``/``-=`` stores, which the expression-local rules
-  never see;
+* **check sites** record every ``+``/``-``/comparison operand pair
+  and every augmented ``+=``/``-=`` store (RPR813's evidence, whether
+  the operands' units are locally evident or only resolvable through
+  the call graph);
 * **telemetry emit fields**: in a dict literal carrying an ``"event"``
   key, every unit-suffixed field name is recorded with its value's
   term (RPR814's evidence).
 
-Control flow is walked linearly (branch bodies in order, later
-bindings overriding earlier ones) — the same honest imprecision as the
-effect extractor, documented as a blind spot in the docs appendix.
+Every scope of the summary pass's walk is analysed, the module scope
+included, so module-level code, class bodies, decorators and default
+values are checked in the scope that evaluates them.  Control flow is
+walked linearly (branch bodies in order, later bindings overriding
+earlier ones) — the same honest imprecision as the effect extractor,
+documented as a blind spot in the docs appendix.
 Everything produced is a plain picklable record from
 :mod:`repro.lint.dimflow.model`; resolution against other files
 happens later, in :mod:`repro.lint.dimflow.fixpoint`.
@@ -48,6 +50,13 @@ from repro.lint.dimflow.model import (
     UnitFacts,
     UnitTerm,
 )
+from repro.lint.graph.summary import (
+    Scope,
+    class_slots,
+    dotted,
+    star_index,
+    target_names,
+)
 from repro.units import UNIT_CONSTANTS, UNIT_RETURNS
 
 __all__ = ["extract_units"]
@@ -66,35 +75,13 @@ _COMPARE_OPS = {
 }
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    chain: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        chain.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    chain.append(current.id)
-    return ".".join(reversed(chain))
-
-
-def _is_local(term: Optional[UnitTerm]) -> bool:
-    """Whether a term resolves without any interprocedural knowledge."""
-    if term is None:
-        return False
-    if term.kind == "known":
-        return True
-    if term.kind == "product":
-        return all(_is_local(factor) for factor, _ in term.factors)
-    return False
-
-
 def _known(unit: str) -> UnitTerm:
     return UnitTerm(kind="known", unit=unit)
 
 
 class _UnitAnalyzer:
-    """One flow-sensitive pass over one function body."""
+    """One flow-sensitive pass over one scope's body (a function, or
+    the module when ``node`` is the :class:`ast.Module`)."""
 
     def __init__(
         self,
@@ -107,11 +94,14 @@ class _UnitAnalyzer:
         self.qualname = qualname
         self.class_name = class_name
         self.bindings = bindings
-        args = node.args  # type: ignore[attr-defined]
-        self.params = tuple(
-            a.arg for a in list(args.posonlyargs) + list(args.args)
-        )
-        self.kwonly = tuple(a.arg for a in args.kwonlyargs)
+        args = getattr(node, "args", None)
+        self.params: Tuple[str, ...] = ()
+        self.kwonly: Tuple[str, ...] = ()
+        if args is not None:
+            self.params = tuple(
+                a.arg for a in list(args.posonlyargs) + list(args.args)
+            )
+            self.kwonly = tuple(a.arg for a in args.kwonlyargs)
         #: local name -> its current term (params start as references
         #: to their own future signature unit).
         self.env: Dict[str, UnitTerm] = {
@@ -127,8 +117,6 @@ class _UnitAnalyzer:
         self.attr_writes: List[AttrWrite] = []
         self.checks: List[CheckSite] = []
         self.emit_fields: List[EmitField] = []
-        #: nested defs to analyze as their own functions.
-        self.nested: List[Tuple[ast.AST, str, Optional[str]]] = []
         #: expression node id -> its term.  Each statement evaluates
         #: its value expression more than once (the generic scan plus
         #: the binding/return/check handler); memoizing keeps each
@@ -143,7 +131,7 @@ class _UnitAnalyzer:
             self._statement(statement)
         return UnitFacts(
             qualname=self.qualname,
-            lineno=self.node.lineno,  # type: ignore[attr-defined]
+            lineno=getattr(self.node, "lineno", 1),
             class_name=self.class_name,
             params=self.params,
             kwonly=self.kwonly,
@@ -242,7 +230,7 @@ class _UnitAnalyzer:
 
     def _call_term(self, node: ast.Call) -> Optional[UnitTerm]:
         canonical = self.bindings.resolve(node.func)
-        dotted = _dotted(node.func)
+        text = dotted(node.func)
         receiver_class = None
         if isinstance(node.func, ast.Attribute) and isinstance(
             node.func.value, ast.Name
@@ -260,23 +248,24 @@ class _UnitAnalyzer:
         index = len(self.calls)
         self.calls.append(
             UnitCallSite(
-                dotted=dotted,
+                dotted=text,
                 canonical=canonical,
                 receiver_class=receiver_class,
                 lineno=node.lineno,
                 args=arg_terms,
                 kwargs=kwarg_terms,
+                star=star_index(node),
             )
         )
         if (
-            dotted in _IDENTITY_CONVERSIONS
+            text in _IDENTITY_CONVERSIONS
             and canonical is None
             and len(arg_terms) == 1
         ):
             return arg_terms[0]
         known = UNIT_RETURNS.get(canonical or "")
-        if known is None and canonical is None and dotted is not None:
-            known = UNIT_RETURNS.get(dotted)
+        if known is None and canonical is None and text is not None:
+            known = UNIT_RETURNS.get(text)
         if known is not None:
             return _known(known)
         return UnitTerm(kind="call", index=index)
@@ -288,21 +277,9 @@ class _UnitAnalyzer:
         left: Optional[UnitTerm],
         right: Optional[UnitTerm],
     ) -> None:
-        """Record a check site RPR813 can judge after the fixpoint.
-
-        Sites where both sides are locally resolvable belong to the
-        expression-local rules (RPR801/802) — recording them here too
-        would double-report; sites where either side has no evidence
-        at all can never fire.  Augmented stores (op ``+=``/``-=``)
-        bypass the locality filter: no local rule sees them.
-        """
+        """Record a check site RPR813 can judge after the fixpoint
+        (a side with no evidence at all can never fire)."""
         if left is None or right is None:
-            return
-        if (
-            op not in ("+=", "-=")
-            and _is_local(left)
-            and _is_local(right)
-        ):
             return
         self.checks.append(
             CheckSite(
@@ -318,17 +295,25 @@ class _UnitAnalyzer:
 
     def _statement(self, node: ast.stmt) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.nested.append(
-                (node, f"{self.qualname}.{node.name}", self.class_name)
-            )
+            # Decorators and defaults run here; the body is its own scope.
+            for expr in node.decorator_list + node.args.defaults + [
+                default for default in node.args.kw_defaults if default
+            ]:
+                self._scan_expr(expr)
             self.env.pop(node.name, None)
             return
         if isinstance(node, ast.ClassDef):
+            # The body runs here too, but its names bind in the class
+            # namespace, not in this scope.
+            for expr in node.decorator_list + node.bases + [
+                keyword.value for keyword in node.keywords
+            ]:
+                self._scan_expr(expr)
+            env, ctor_locals = dict(self.env), dict(self.ctor_locals)
             for child in node.body:
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self.nested.append(
-                        (child, f"{self.qualname}.{child.name}", node.name)
-                    )
+                self._statement(child)
+            self.env, self.ctor_locals = env, ctor_locals
+            self.env.pop(node.name, None)
             return
         if isinstance(node, ast.Return):
             if node.value is not None and not (
@@ -370,7 +355,7 @@ class _UnitAnalyzer:
             return
         if isinstance(node, (ast.For, ast.AsyncFor)):
             self._scan_expr(node.iter)
-            for name in _target_names(node.target):
+            for name in target_names(node.target):
                 self.env.pop(name, None)
             for child in node.body + node.orelse:
                 self._statement(child)
@@ -442,7 +427,7 @@ class _UnitAnalyzer:
         else:
             self.env.pop(name, None)
         if isinstance(value, ast.Call):
-            canonical = self.bindings.resolve(value.func) or _dotted(
+            canonical = self.bindings.resolve(value.func) or dotted(
                 value.func
             )
             if canonical is not None:
@@ -538,8 +523,15 @@ class _UnitAnalyzer:
             elif isinstance(expr, ast.Dict):
                 self._emit_dict(expr)
         # One term pass over the outermost expression records each
-        # additive check and each call exactly once.
+        # additive check and each call exactly once; additions the pass
+        # does not reach (inside comprehensions, lambdas, subscripts,
+        # displays) are evaluated afterwards, so every one is checked.
         self.term_of(node)
+        for expr in ast.walk(node):
+            if isinstance(expr, ast.BinOp) and isinstance(
+                expr.op, (ast.Add, ast.Sub)
+            ):
+                self.term_of(expr)
 
     def _emit_dict(self, node: ast.Dict) -> None:
         event = None
@@ -572,33 +564,18 @@ class _UnitAnalyzer:
             )
 
 
-def _target_names(target: ast.expr) -> List[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: List[str] = []
-        for element in target.elts:
-            names.extend(_target_names(element))
-        return names
-    return []
-
-
-def _is_type_checking_test(node: ast.expr) -> bool:
-    return (isinstance(node, ast.Name) and node.id == "TYPE_CHECKING") or (
-        isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING"
-    )
-
-
 def _class_attrs(tree: ast.Module, bindings) -> List[ClassAttr]:
-    """Class-body attribute declarations of every top-level class."""
-    from repro.lint.dimflow import extract as _self  # for evaluator reuse
+    """Class-body attribute declarations of every top-level class.
 
-    del _self
+    Values are evaluated in an empty scope (constants and imported
+    unit names resolve; nothing else does), so an attribute's unit
+    never depends on where in the module its class is defined.
+    """
+    probe = _UnitAnalyzer(tree, "<class-body>", None, bindings)
     out: List[ClassAttr] = []
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
-        probe = _module_probe(bindings)
         for statement in node.body:
             target: Optional[ast.expr] = None
             value: Optional[ast.expr] = None
@@ -613,21 +590,11 @@ def _class_attrs(tree: ast.Module, bindings) -> List[ClassAttr]:
                 continue
             name = target.id
             if name.startswith("__") and name.endswith("__"):
-                if name == "__slots__" and isinstance(
-                    value, (ast.Tuple, ast.List, ast.Set)
-                ):
-                    for element in value.elts:
-                        if isinstance(element, ast.Constant) and isinstance(
-                            element.value, str
-                        ):
-                            out.append(
-                                ClassAttr(
-                                    class_name=node.name,
-                                    attr=element.value,
-                                    lineno=lineno,
-                                    term=None,
-                                )
-                            )
+                if name == "__slots__":
+                    out.extend(
+                        ClassAttr(node.name, slot, lineno, None)
+                        for slot in class_slots(node) or ()
+                    )
                 continue
             term = probe.term_of(value) if value is not None else None
             out.append(
@@ -641,56 +608,20 @@ def _class_attrs(tree: ast.Module, bindings) -> List[ClassAttr]:
     return out
 
 
-def _module_probe(bindings) -> "_UnitAnalyzer":
-    """A throwaway analyzer with an empty scope, for module/class-level
-    expressions (constants and imported unit names resolve; locals
-    don't exist)."""
-    shell = ast.parse("def _probe(): pass").body[0]
-    return _UnitAnalyzer(shell, "<class-body>", None, bindings)
+def extract_units(
+    tree: ast.Module, scopes: Sequence[Scope], bindings
+) -> ModuleUnits:
+    """Local unit facts of every scope (and class body) in one file.
 
-
-def extract_units(tree: ast.Module, bindings) -> ModuleUnits:
-    """Local unit facts of every function (and class body) in one file.
-
-    ``bindings`` is the file's fully-populated import map (the
-    ``_Bindings`` the summary pass built).  Qualnames match the
-    summary's scheme exactly, so each record joins its project-graph
-    node by ``namespace::qualname``.
+    ``scopes`` and ``bindings`` come from the summary pass over the
+    same file: its scope walk (qualnames join each record to its
+    project-graph node by ``namespace::qualname``) and its
+    fully-populated import map.
     """
-    out: List[UnitFacts] = []
-    pending: List[Tuple[ast.AST, str, Optional[str]]] = []
-
-    def walk_body(
-        body: Sequence[ast.stmt], class_stack: Tuple[str, ...]
-    ) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if class_stack:
-                    qualname = ".".join(class_stack) + "." + node.name
-                    class_name: Optional[str] = class_stack[-1]
-                else:
-                    qualname = node.name
-                    class_name = None
-                pending.append((node, qualname, class_name))
-            elif isinstance(node, ast.ClassDef):
-                walk_body(node.body, class_stack + (node.name,))
-            elif isinstance(node, ast.If) and _is_type_checking_test(
-                node.test
-            ):
-                walk_body(node.orelse, class_stack)
-            elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For,
-                                   ast.While)):
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, ast.stmt):
-                        walk_body([child], class_stack)
-
-    walk_body(tree.body, ())
-    while pending:
-        node, qualname, class_name = pending.pop(0)
-        analyzer = _UnitAnalyzer(node, qualname, class_name, bindings)
-        out.append(analyzer.run())
-        pending.extend(analyzer.nested)
     return ModuleUnits(
-        functions=tuple(out),
+        functions=tuple(
+            _UnitAnalyzer(node, qualname, class_name, bindings).run()
+            for node, qualname, class_name in scopes
+        ),
         class_attrs=tuple(_class_attrs(tree, bindings)),
     )

@@ -1,10 +1,12 @@
 """Interprocedural unit inference: SCC fixpoint over the call graph.
 
-:class:`UnitAnalysis` joins every file's local
-:class:`~repro.lint.dimflow.model.ModuleUnits` facts against the
-:class:`~repro.lint.graph.builder.ProjectGraph`, resolves each
-recorded call with the graph's own resolver, and computes one
-:class:`~repro.lint.dimflow.model.UnitSignature` per function:
+:class:`UnitAnalysis` runs on the shared interprocedural core
+(:class:`~repro.lint.graph.dataflow.Interprocedural`: function table,
+call resolution, argument binding, SCC order, fixpoint driver) and
+contributes only its lattice and transfer functions, computing one
+:class:`~repro.lint.dimflow.model.UnitSignature` per function from
+every file's local :class:`~repro.lint.dimflow.model.ModuleUnits`
+facts:
 
 * **declared** parameter units come from ``repro.units.UNIT_PARAMS``
   (which wins) or the ``_seconds``/``_bytes``/... name-suffix
@@ -18,13 +20,11 @@ recorded call with the graph's own resolver, and computes one
   soon as any site is unknown, ``⊤`` on conflict, and fixed by
   ``repro.units.UNIT_RETURNS`` when the function is declared there.
 
-Scheduling reuses the effect analysis's iterative Tarjan
-(:func:`repro.lint.effects.fixpoint._tarjan`): components come out
-callees-first, so each full sweep recomputes returns bottom-up and
-then pushes argument units top-down, repeating until nothing moves.
-Every slot climbs a finite three-tier lattice (unknown -> concrete ->
-``⊤``) monotonically, so the loop terminates; sorted iteration and
-commutative joins make the result independent of sweep order.
+Scheduling uses the core's driver in both directions: returns settle
+one SCC at a time callees first, then argument units are pushed one
+SCC at a time callers first, and the pair repeats until nothing
+moves.  Every slot climbs a finite three-tier lattice (unknown ->
+concrete -> ``⊤``) monotonically, so the loop terminates.
 
 Functions listed in ``repro.units.UNIT_POLYMORPHIC`` are exempt from
 all of it: their parameters accept any dimension, so sites neither pin
@@ -57,8 +57,8 @@ from repro.lint.dimflow.model import (
     UnitSignature,
     UnitTerm,
 )
-from repro.lint.effects.fixpoint import _tarjan
-from repro.lint.graph.summary import CallRef, ModuleSummary
+from repro.lint.graph.dataflow import Callees, Interprocedural
+from repro.lint.graph.summary import ModuleSummary
 from repro.units import UNIT_PARAMS, UNIT_POLYMORPHIC, UNIT_RETURNS
 
 __all__ = ["AttrEvidence", "UnitAnalysis"]
@@ -85,35 +85,39 @@ def _join(left: Optional[str], right: Optional[str]) -> Optional[str]:
     return TOP_UNIT
 
 
-#: Per-call resolution: ("fixed", unit) for UNIT_RETURNS-declared
-#: callables, ("poly",) for UNIT_POLYMORPHIC, ("callee", key, is_ctor)
-#: for a project function with facts, ("unknown",) otherwise.
-_CallInfo = Tuple
+#: Per-call resolution: the return unit ``UNIT_RETURNS`` fixes (if any)
+#: and the resolved callees that argument units flow into.
+_CallInfo = Tuple[Optional[str], Tuple[Tuple[str, Optional[str]], ...]]
 
 
-class UnitAnalysis:
+class UnitAnalysis(Interprocedural):
     """Unit signatures for every function in a linted corpus."""
 
     def __init__(self, graph, summaries: Sequence[ModuleSummary]) -> None:
-        self._graph = graph
-        self._facts: Dict[str, UnitFacts] = {}
-        self._namespace_of: Dict[str, str] = {}
-        self._module_units: List[Tuple[str, str, str, ModuleUnits]] = []
-        for summary in summaries:
-            namespace = summary.module or summary.path
-            units = summary.units
-            if units is None:
-                continue
-            self._module_units.append(
-                (namespace, summary.path, summary.layer, units)
+        super().__init__(
+            graph,
+            summaries,
+            lambda summary: summary.units.functions if summary.units else (),
+        )
+        self._module_units: List[Tuple[str, str, str, ModuleUnits]] = [
+            (
+                summary.module or summary.path,
+                summary.path,
+                summary.layer,
+                summary.units,
             )
-            for facts in units.functions:
-                key = f"{namespace}::{facts.qualname}"
-                if key not in self._facts:
-                    self._facts[key] = facts
-                    self._namespace_of[key] = namespace
-        self._call_info: Dict[str, Tuple[_CallInfo, ...]] = {}
-        self._build_call_info()
+            for summary in summaries
+            if summary.units is not None
+        ]
+        self._call_info: Dict[str, Tuple[_CallInfo, ...]] = {
+            key: tuple(
+                self._call_kind(call, targets)
+                for call, targets in zip(
+                    self._records[key].calls, self._callees[key]
+                )
+            )
+            for key in self._records
+        }
         self._params: Dict[str, Dict[str, str]] = {}
         self._returns: Dict[str, Optional[str]] = {}
         self._declared: Dict[str, Tuple[str, ...]] = {}
@@ -122,7 +126,12 @@ class UnitAnalysis:
         self._provenance: Dict[
             Tuple[str, str, str], Tuple[str, int, Optional[UnitTerm]]
         ] = {}
-        self._run_fixpoint()
+        for key in self.keys():
+            self._seed(key)
+        while self._solve(self._update_returns) | self._solve(
+            self._push_arguments, callers_first=True
+        ):
+            pass
         self._signatures: Dict[str, UnitSignature] = {
             key: UnitSignature(
                 key=key,
@@ -131,18 +140,15 @@ class UnitAnalysis:
                 returns=self._returns[key],
                 polymorphic=self._polymorphic[key],
             )
-            for key in self._facts
+            for key in self._records
         }
         self._attr_evidence: Dict[Tuple[str, str], List[AttrEvidence]] = {}
         self._collect_attr_evidence()
 
     # -- public queries ------------------------------------------------
 
-    def keys(self) -> List[str]:
-        return sorted(self._facts)
-
     def facts(self, key: str) -> Optional[UnitFacts]:
-        return self._facts.get(key)
+        return self._records.get(key)
 
     def signature(self, key: str) -> UnitSignature:
         found = self._signatures.get(key)
@@ -155,34 +161,19 @@ class UnitAnalysis:
         namespace, _, qualname = key.partition("::")
         return f"{namespace}.{qualname}"
 
-    def node_path(self, key: str) -> str:
-        node = self._graph.node(key)
-        return node.path if node is not None else ""
-
-    def node_layer(self, key: str) -> str:
-        node = self._graph.node(key)
-        return node.layer if node is not None else ""
-
-    def node_label(self, key: str) -> str:
-        """Human-readable name for ``key`` (call-path rendering)."""
-        return self._node_label(key)
-
-    def render_path(self, path: Tuple[str, ...]) -> str:
-        return self._graph.render_path(path)
-
     def call_edges(
         self, key: str
-    ) -> List[Tuple[UnitCallSite, Optional[str], bool]]:
-        """``(call, callee_key_or_None, is_ctor)`` per recorded call."""
-        facts = self._facts.get(key)
+    ) -> List[Tuple[UnitCallSite, Optional[str], Optional[str]]]:
+        """``(call, callee, constructor)`` per resolved callee of each
+        recorded call; ``(call, None, None)`` when units flow nowhere."""
+        facts = self._records.get(key)
         if facts is None:
             return []
-        out: List[Tuple[UnitCallSite, Optional[str], bool]] = []
-        for call, info in zip(facts.calls, self._call_info[key]):
-            if info[0] == "callee":
-                out.append((call, info[1], info[2]))
-            else:
-                out.append((call, None, False))
+        out: List[Tuple[UnitCallSite, Optional[str], Optional[str]]] = []
+        for call, (_, callees) in zip(facts.calls, self._call_info[key]):
+            out.extend((call, callee, ctor) for callee, ctor in callees)
+            if not callees:
+                out.append((call, None, None))
         return out
 
     def evaluate(self, key: str, term: Optional[UnitTerm]) -> Optional[str]:
@@ -212,33 +203,6 @@ class UnitAnalysis:
                 result = mul_units(result, pow_unit(unit, exponent))
             return result
         return None
-
-    def argument_bindings(
-        self, key: str, call: UnitCallSite, callee_key: str, is_ctor: bool
-    ) -> List[Tuple[str, Optional[UnitTerm]]]:
-        """``(callee_param, caller_arg_term)`` pairs for one call."""
-        callee = self._facts.get(callee_key)
-        if callee is None:
-            return []
-        params = list(callee.params)
-        offset = 0
-        if is_ctor:
-            offset = 1  # params[0] is the freshly constructed object
-        elif callee.class_name is not None and params and params[0] in (
-            "self",
-            "cls",
-        ):
-            first = (call.dotted or "").split(".")[0]
-            offset = 0 if first == callee.class_name else 1
-        out: List[Tuple[str, Optional[UnitTerm]]] = []
-        for index, term in enumerate(call.args):
-            position = index + offset
-            if position < len(params):
-                out.append((params[position], term))
-        for name, term in call.kwargs:
-            if name in callee.params or name in callee.kwonly:
-                out.append((name, term))
-        return out
 
     def flow_witness(
         self, key: str, term: Optional[UnitTerm], unit: str
@@ -278,7 +242,7 @@ class UnitAnalysis:
     def to_json(self) -> str:
         """The ``--units-output`` manifest (stable, sorted)."""
         functions: Dict[str, Dict] = {}
-        for key in sorted(self._facts):
+        for key in self.keys():
             signature = self._signatures[key]
             entry: Dict = {}
             if signature.polymorphic:
@@ -311,61 +275,41 @@ class UnitAnalysis:
         }
         return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
-    # -- construction --------------------------------------------------
+    # -- calls ---------------------------------------------------------
 
-    def _build_call_info(self) -> None:
-        for key in sorted(self._facts):
-            infos: List[_CallInfo] = []
-            for call in self._facts[key].calls:
-                infos.append(self._resolve_one(key, call))
-            self._call_info[key] = tuple(infos)
-
-    def _resolve_one(self, key: str, call: UnitCallSite):
+    def _call_kind(self, call: UnitCallSite, targets: Callees) -> _CallInfo:
+        """A ``UNIT_RETURNS``-declared callable returns its table unit
+        and a ``UNIT_POLYMORPHIC`` one accepts any unit, so neither
+        takes argument units; any other resolved callee does."""
         canonical = call.canonical or call.dotted or ""
         if canonical in UNIT_RETURNS:
-            return ("fixed", UNIT_RETURNS[canonical])
-        if canonical in UNIT_POLYMORPHIC:
-            return ("poly",)
-        ref = CallRef(
-            dotted=call.dotted,
-            canonical=call.canonical,
-            receiver_class=call.receiver_class,
-            lineno=call.lineno,
-        )
-        target = self._graph.resolve_call(key, ref)
-        if target is None:
-            return ("unknown",)
-        if isinstance(target, tuple):
-            namespace, cls = target
-            for ctor in ("__init__", "__post_init__"):
-                ctor_key = f"{namespace}::{cls.name}.{ctor}"
-                if ctor_key in self._facts:
-                    return ("callee", ctor_key, True)
-            return ("unknown",)
-        callee_canonical = self.canonical_name(target.key)
-        if callee_canonical in UNIT_RETURNS:
-            return ("fixed", UNIT_RETURNS[callee_canonical])
-        if callee_canonical in UNIT_POLYMORPHIC:
-            return ("poly",)
-        if target.key in self._facts:
-            return ("callee", target.key, False)
-        return ("unknown",)
+            return UNIT_RETURNS[canonical], ()
+        if canonical in UNIT_POLYMORPHIC or not targets:
+            return None, ()
+        (callee, ctor), *_ = targets
+        if ctor is None:
+            name = self.canonical_name(callee)
+            if name in UNIT_RETURNS:
+                return UNIT_RETURNS[name], ()
+            if name in UNIT_POLYMORPHIC:
+                return None, ()
+        return None, targets
 
     def _call_return(self, key: str, index: int) -> Optional[str]:
         infos = self._call_info.get(key, ())
         if index >= len(infos):
             return None
-        info = infos[index]
-        if info[0] == "fixed":
-            return info[1]
-        if info[0] == "callee":
-            return self._returns.get(info[1])
-        return None
+        fixed, callees = infos[index]
+        if fixed is not None:
+            return fixed
+        if len(callees) == 1 and callees[0][1] is None:
+            return self._returns.get(callees[0][0])
+        return None  # unknown callee, or a constructor (an instance)
 
     # -- fixpoint ------------------------------------------------------
 
     def _seed(self, key: str) -> None:
-        facts = self._facts[key]
+        facts = self._records[key]
         canonical = self.canonical_name(key)
         polymorphic = canonical in UNIT_POLYMORPHIC
         self._polymorphic[key] = polymorphic
@@ -388,12 +332,19 @@ class UnitAnalysis:
         else:
             self._returns[key] = None
 
+    def _update_returns(self, key: str) -> bool:
+        updated = self._compute_returns(key)
+        if updated == self._returns[key]:
+            return False
+        self._returns[key] = updated
+        return True
+
     def _compute_returns(self, key: str) -> Optional[str]:
         if key in self._fixed_returns:
             return self._fixed_returns[key]
         if self._polymorphic[key]:
             return None
-        facts = self._facts[key]
+        facts = self._records[key]
         if not facts.returns:
             return None
         concrete: Optional[str] = None
@@ -414,67 +365,32 @@ class UnitAnalysis:
 
     def _push_arguments(self, key: str) -> bool:
         changed = False
-        facts = self._facts[key]
-        for call, info in zip(facts.calls, self._call_info[key]):
-            if info[0] != "callee":
-                continue
-            callee_key, is_ctor = info[1], info[2]
-            if self._polymorphic[callee_key]:
-                continue
-            declared = self._declared[callee_key]
-            callee_params = self._params[callee_key]
-            for param, term in self.argument_bindings(
-                key, call, callee_key, is_ctor
-            ):
-                if param in declared:
-                    continue  # a contract — mismatches are findings
-                unit = self.evaluate(key, term)
-                if unit is None or unit in (SCALAR, TOP_UNIT):
+        facts = self._records[key]
+        for call, (_, callees) in zip(facts.calls, self._call_info[key]):
+            for callee_key, ctor in callees:
+                if self._polymorphic[callee_key]:
                     continue
-                joined = _join(callee_params.get(param), unit)
-                if joined != callee_params.get(param):
-                    callee_params[param] = joined  # type: ignore[assignment]
-                    changed = True
-                prov_key = (callee_key, param, unit)
-                entry = (key, call.lineno, term)
-                existing = self._provenance.get(prov_key)
-                if existing is None or (entry[0], entry[1]) < (
-                    existing[0],
-                    existing[1],
-                ):
-                    self._provenance[prov_key] = entry
+                declared = self._declared[callee_key]
+                callee_params = self._params[callee_key]
+                for param, term in self.bind(call, callee_key, ctor):
+                    if param in declared:
+                        continue  # a contract — mismatches are findings
+                    unit = self.evaluate(key, term)
+                    if unit is None or unit in (SCALAR, TOP_UNIT):
+                        continue
+                    joined = _join(callee_params.get(param), unit)
+                    if joined != callee_params.get(param):
+                        callee_params[param] = joined  # type: ignore[assignment]
+                        changed = True
+                    prov_key = (callee_key, param, unit)
+                    entry = (key, call.lineno, term)
+                    existing = self._provenance.get(prov_key)
+                    if existing is None or (entry[0], entry[1]) < (
+                        existing[0],
+                        existing[1],
+                    ):
+                        self._provenance[prov_key] = entry
         return changed
-
-    def _run_fixpoint(self) -> None:
-        keys = sorted(self._facts)
-        for key in keys:
-            self._seed(key)
-        adjacency = {
-            key: sorted(
-                {
-                    info[1]
-                    for info in self._call_info[key]
-                    if info[0] == "callee"
-                }
-            )
-            for key in keys
-        }
-        order = [
-            key
-            for component in _tarjan(keys, adjacency)
-            for key in component
-        ]
-        changed = True
-        while changed:
-            changed = False
-            for key in order:  # callees-first: returns settle bottom-up
-                updated = self._compute_returns(key)
-                if updated != self._returns[key]:
-                    self._returns[key] = updated
-                    changed = True
-            for key in reversed(order):  # callers-first: args flow down
-                if self._push_arguments(key):
-                    changed = True
 
     # -- attributes ----------------------------------------------------
 
@@ -529,8 +445,8 @@ class UnitAnalysis:
                             layer=layer,
                         ),
                     )
-        for key in sorted(self._facts):
-            facts = self._facts[key]
+        for key in self.keys():
+            facts = self._records[key]
             namespace = self._namespace_of[key]
             path = self.node_path(key)
             layer = self.node_layer(key)
@@ -561,7 +477,7 @@ class UnitAnalysis:
                         write.attr,
                         AttrEvidence(
                             unit=unit,
-                            label=self._node_label(key),
+                            label=self.node_label(key),
                             path=path,
                             lineno=write.lineno,
                             layer=layer,
@@ -569,9 +485,3 @@ class UnitAnalysis:
                     )
         for evidence in self._attr_evidence.values():
             evidence.sort(key=lambda e: (e.path, e.lineno, e.unit, e.label))
-
-    def _node_label(self, key: str) -> str:
-        node = self._graph.node(key)
-        if node is not None:
-            return node.label()
-        return key

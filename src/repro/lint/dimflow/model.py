@@ -32,7 +32,7 @@ removed, so terms keep quotients as negative exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "ReturnSite",
     "UnitCallSite",
     "UnitFacts",
-    "UnitProvenance",
     "UnitSignature",
     "UnitTerm",
 ]
@@ -79,7 +78,8 @@ class UnitTerm:
 
 @dataclass(frozen=True)
 class UnitCallSite:
-    """One call, annotated with the unit term of every argument."""
+    """One call, annotated with the unit term of every argument
+    (``star`` is the position of the first ``*args``, if any)."""
 
     dotted: Optional[str]
     canonical: Optional[str]
@@ -87,6 +87,7 @@ class UnitCallSite:
     lineno: int
     args: Tuple[Optional[UnitTerm], ...] = ()
     kwargs: Tuple[Tuple[str, Optional[UnitTerm]], ...] = ()
+    star: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -117,10 +118,8 @@ class AttrWrite:
 class CheckSite:
     """One additive or comparison site between two unit terms.
 
-    ``op`` is the operator's surface text (``+``, ``-``, ``<``, ...).
-    The interprocedural rule (RPR813) only judges sites where at least
-    one side was *not* locally resolvable — locally known-vs-known
-    mixes belong to RPR801/802.
+    ``op`` is the operator's surface text (``+``, ``-``, ``<``, ...,
+    ``+=``/``-=`` for augmented stores); RPR813 judges every site.
     """
 
     op: str
@@ -199,15 +198,3 @@ class UnitSignature:
             if param == name:
                 return unit
         return None
-
-
-@dataclass(frozen=True)
-class UnitProvenance:
-    """Why an inferred parameter carries its unit: one call site that
-    contributed it.  ``term`` is the argument's term in the *caller*'s
-    frame, so witnesses can keep walking toward a concrete origin."""
-
-    caller: str
-    lineno: int
-    unit: str
-    term: Optional[UnitTerm] = field(default=None, compare=False)

@@ -13,10 +13,11 @@ it raises (with the enclosing ``try`` context of every site), and the
 calls through which effects can propagate.
 
 The single-process whole-program phase then runs
-:class:`~repro.lint.effects.fixpoint.EffectAnalysis`: a fixpoint over
-the strongly-connected components of the call graph that folds callee
-effects into caller :class:`~repro.lint.effects.model.EffectSignature`
-records.  Unknown callees degrade honestly to ``⊤`` (recorded as the
+:class:`~repro.lint.effects.fixpoint.EffectAnalysis` on the shared
+interprocedural core (:mod:`repro.lint.graph.dataflow`): a fixpoint
+over the strongly-connected components of the call graph that folds
+callee effects into caller
+:class:`~repro.lint.effects.model.EffectSignature` records.  Unknown callees degrade honestly to ``⊤`` (recorded as the
 ``*_top`` flags, never as concrete facts), so every concrete entry in
 a signature is *provable* — the rules built on top report only those,
 under-approximating exactly the way the call graph itself does.

@@ -44,6 +44,7 @@ from repro.lint.effects.model import (
     ParamMutation,
     RaiseSite,
 )
+from repro.lint.graph.summary import Scope, dotted, star_index, target_names
 
 __all__ = ["MUTATING_METHODS", "extract_effects"]
 
@@ -142,8 +143,6 @@ class _FunctionAnalyzer:
         self.raises: List[RaiseSite] = []
         self.calls: List[EffectCall] = []
         self.capture_mutations: List[CaptureMutation] = []
-        #: nested defs / classes to analyze as their own functions.
-        self.nested: List[Tuple[ast.AST, str, Optional[str]]] = []
 
     # -- entry ---------------------------------------------------------
 
@@ -211,7 +210,7 @@ class _FunctionAnalyzer:
         else:
             self.captured.pop(name, None)
         if isinstance(value, ast.Call):
-            canonical = self.bindings.resolve(value.func) or _dotted(
+            canonical = self.bindings.resolve(value.func) or dotted(
                 value.func
             )
             if canonical is not None:
@@ -305,40 +304,27 @@ class _FunctionAnalyzer:
             return
         attr = target.attr
         if isinstance(value, ast.Name):
-            entry = self.alias.get(value.id)
-            if entry is not None and entry[1] == "" and entry[0] not in (
-                "self",
-                "cls",
-            ):
-                self.captures.append(
-                    ParamCapture(
-                        param=entry[0],
-                        lineno=lineno,
-                        via=entry[2],
-                        dest=f"self.{attr}",
-                    )
-                )
+            self._capture(value.id, lineno, f"self.{attr}")
             # Any bare local stored on self starts capture tracking —
             # mutating it later edits the stored object in place.
             self.captured.setdefault(
                 value.id, (attr, lineno, (value.id,))
             )
         elif isinstance(value, ast.Lambda):
-            free = _free_names(value)
-            for name in sorted(free):
-                entry = self.alias.get(name)
-                if entry is not None and entry[1] == "" and entry[0] not in (
-                    "self",
-                    "cls",
-                ):
-                    self.captures.append(
-                        ParamCapture(
-                            param=entry[0],
-                            lineno=lineno,
-                            via=entry[2],
-                            dest=f"self.{attr}",
-                        )
-                    )
+            for name in sorted(_free_names(value)):
+                self._capture(name, lineno, f"self.{attr}")
+
+    def _capture(self, name: str, lineno: int, dest: str) -> None:
+        """Record ``name`` stored into ``dest`` when it is a whole
+        parameter object (the receiver itself is never a capture)."""
+        entry = self.alias.get(name)
+        if entry is not None and entry[1] == "" and entry[0] not in (
+            "self",
+            "cls",
+        ):
+            self.captures.append(
+                ParamCapture(param=entry[0], lineno=lineno, via=entry[2], dest=dest)
+            )
 
     # -- statements ----------------------------------------------------
 
@@ -354,8 +340,7 @@ class _FunctionAnalyzer:
             self._nested_function(node)
             return
         if isinstance(node, ast.ClassDef):
-            self._nested_class(node)
-            return
+            return  # its methods are scopes of their own
         if isinstance(node, ast.Global):
             self.globals_declared.update(node.names)
             return
@@ -400,7 +385,7 @@ class _FunctionAnalyzer:
             return
         if isinstance(node, (ast.For, ast.AsyncFor)):
             self._scan_expr(node.iter, caught)
-            for name in _target_names(node.target):
+            for name in target_names(node.target):
                 self._drop(name)
             for child in node.body + node.orelse:
                 self._statement(child, caught, handler, handler_vars)
@@ -460,19 +445,7 @@ class _FunctionAnalyzer:
                 and base.value.id in ("self", "cls")
                 and isinstance(value, ast.Name)
             ):
-                entry = self.alias.get(value.id)
-                if entry is not None and entry[1] == "" and entry[0] not in (
-                    "self",
-                    "cls",
-                ):
-                    self.captures.append(
-                        ParamCapture(
-                            param=entry[0],
-                            lineno=lineno,
-                            via=entry[2],
-                            dest=f"self.{base.attr}[...]",
-                        )
-                    )
+                self._capture(value.id, lineno, f"self.{base.attr}[...]")
             return
         if isinstance(target, (ast.Tuple, ast.List)):
             values: Sequence[Optional[ast.expr]]
@@ -508,34 +481,12 @@ class _FunctionAnalyzer:
                 + list(node.args.kwonlyargs)  # type: ignore[attr-defined]
             )
         }
-        for name in sorted(_free_names(node) - shadowed):
-            entry = self.alias.get(name)
-            if entry is not None and entry[1] == "" and entry[0] not in (
-                "self",
-                "cls",
-            ):
-                self.captures.append(
-                    ParamCapture(
-                        param=entry[0],
-                        lineno=node.lineno,  # type: ignore[attr-defined]
-                        via=entry[2],
-                        dest=f"closure {node.name}",  # type: ignore[attr-defined]
-                    )
-                )
         name = node.name  # type: ignore[attr-defined]
+        for free in sorted(_free_names(node) - shadowed):
+            self._capture(
+                free, node.lineno, f"closure {name}"  # type: ignore[attr-defined]
+            )
         self._drop(name)
-        self.nested.append(
-            (node, f"{self.qualname}.{name}", self.class_name)
-        )
-
-    def _nested_class(self, node: ast.ClassDef) -> None:
-        # Methods of a function-local class get the enclosing
-        # function's qualname as prefix (mirroring the summary pass).
-        for child in node.body:
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.nested.append(
-                    (child, f"{self.qualname}.{child.name}", node.name)
-                )
 
     # -- raises and try context ----------------------------------------
 
@@ -549,7 +500,7 @@ class _FunctionAnalyzer:
         )
         names = []
         for type_node in nodes:
-            resolved = self.bindings.resolve(type_node) or _dotted(type_node)
+            resolved = self.bindings.resolve(type_node) or dotted(type_node)
             names.append(resolved if resolved is not None else TOP)
         return tuple(names)
 
@@ -601,7 +552,7 @@ class _FunctionAnalyzer:
             self._scan_expr(node.cause, caught)
         exc = node.exc
         if isinstance(exc, ast.Call):
-            type_name = self.bindings.resolve(exc.func) or _dotted(exc.func)
+            type_name = self.bindings.resolve(exc.func) or dotted(exc.func)
         elif isinstance(exc, ast.Name) and exc.id in handler_vars:
             for caught_type in handler_vars[exc.id]:
                 self.raises.append(
@@ -614,7 +565,7 @@ class _FunctionAnalyzer:
                 )
             return
         else:
-            type_name = self.bindings.resolve(exc) or _dotted(exc)
+            type_name = self.bindings.resolve(exc) or dotted(exc)
             # A bare name that is a local (alias/ctor result) is an
             # *instance*, not a class — unresolvable.
             if isinstance(exc, ast.Name) and (
@@ -673,18 +624,9 @@ class _FunctionAnalyzer:
             ):
                 for arg in node.args:
                     if isinstance(arg, ast.Name):
-                        entry = self.alias.get(arg.id)
-                        if entry is not None and entry[1] == "" and entry[
-                            0
-                        ] not in ("self", "cls"):
-                            self.captures.append(
-                                ParamCapture(
-                                    param=entry[0],
-                                    lineno=node.lineno,
-                                    via=entry[2],
-                                    dest=f"self.{base.attr}[...]",
-                                )
-                            )
+                        self._capture(
+                            arg.id, node.lineno, f"self.{base.attr}[...]"
+                        )
         args = tuple(
             (
                 (entry[0], entry[1])
@@ -707,28 +649,17 @@ class _FunctionAnalyzer:
         )
         self.calls.append(
             EffectCall(
-                dotted=_dotted(func),
+                dotted=dotted(func),
                 canonical=self.bindings.resolve(func),
                 receiver_class=receiver_class,
                 lineno=node.lineno,
                 caught=caught,
                 args=args,
                 kwargs=kwargs,
+                star=star_index(node),
                 receiver=receiver,
             )
         )
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    chain: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        chain.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    chain.append(current.id)
-    return ".".join(reversed(chain))
 
 
 def _free_names(node: ast.AST) -> Set[str]:
@@ -740,66 +671,20 @@ def _free_names(node: ast.AST) -> Set[str]:
     }
 
 
-def _target_names(target: ast.expr) -> List[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: List[str] = []
-        for element in target.elts:
-            names.extend(_target_names(element))
-        return names
-    return []
+def extract_effects(
+    scopes: Sequence[Scope], bindings
+) -> Tuple[FunctionEffects, ...]:
+    """Local effects of every function scope of one parsed file.
 
-
-def _is_type_checking_test(node: ast.expr) -> bool:
-    return (isinstance(node, ast.Name) and node.id == "TYPE_CHECKING") or (
-        isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING"
-    )
-
-
-def extract_effects(tree: ast.Module, bindings) -> Tuple[FunctionEffects, ...]:
-    """Local effects of every function in one parsed file.
-
-    ``bindings`` is the file's fully-populated import map (the
-    ``_Bindings`` the summary pass built), used to canonicalize
-    exception types and call targets.  Qualnames match the summary's
-    scheme exactly, so each record joins its
-    :class:`~repro.lint.graph.summary.FunctionSummary` (and project
-    graph node) by ``namespace::qualname``.
+    ``scopes`` and ``bindings`` come from the summary pass over the
+    same file: the scope walk (qualnames join each record to its
+    project-graph node by ``namespace::qualname``) and the fully
+    populated import map, used to canonicalize exception types and
+    call targets.  The module scope is skipped — it has no parameters
+    for an effect to reach.
     """
-    out: List[FunctionEffects] = []
-    pending: List[Tuple[ast.AST, str, Optional[str]]] = []
-
-    def walk_body(
-        body: Sequence[ast.stmt], class_stack: Tuple[str, ...]
-    ) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if class_stack:
-                    qualname = ".".join(class_stack) + "." + node.name
-                    class_name: Optional[str] = class_stack[-1]
-                else:
-                    qualname = node.name
-                    class_name = None
-                pending.append((node, qualname, class_name))
-            elif isinstance(node, ast.ClassDef):
-                walk_body(node.body, class_stack + (node.name,))
-            elif isinstance(node, ast.If) and _is_type_checking_test(
-                node.test
-            ):
-                walk_body(node.orelse, class_stack)
-            elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For,
-                                   ast.While)):
-                # Conditionally-defined module functions still exist
-                # at runtime; give them effects under the same names.
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, ast.stmt):
-                        walk_body([child], class_stack)
-
-    walk_body(tree.body, ())
-    while pending:
-        node, qualname, class_name = pending.pop(0)
-        analyzer = _FunctionAnalyzer(node, qualname, class_name, bindings)
-        out.append(analyzer.run())
-        pending.extend(analyzer.nested)
-    return out
+    return tuple(
+        _FunctionAnalyzer(node, qualname, class_name, bindings).run()
+        for node, qualname, class_name in scopes
+        if not isinstance(node, ast.Module)
+    )

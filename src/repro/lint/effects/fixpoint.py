@@ -1,13 +1,14 @@
 """Interprocedural effect propagation: SCC fixpoint over the call graph.
 
-:class:`EffectAnalysis` joins every file's local
-:class:`~repro.lint.effects.model.FunctionEffects` against the
-:class:`~repro.lint.graph.builder.ProjectGraph`, resolves each
-recorded call with the graph's own resolver, and folds callee effects
-into caller :class:`~repro.lint.effects.model.EffectSignature` records
-in reverse-topological SCC order (Tarjan, iterative); mutually
-recursive functions iterate to a fixpoint, which terminates because
-every signature component only grows within a finite universe.
+:class:`EffectAnalysis` runs on the shared interprocedural core
+(:class:`~repro.lint.graph.dataflow.Interprocedural`: function table,
+call resolution, argument binding, SCC order, fixpoint driver,
+witness search) and contributes only its lattice and transfer
+function: callee effects fold into caller
+:class:`~repro.lint.effects.model.EffectSignature` records one SCC at
+a time, callees first; mutually recursive functions iterate to a
+fixpoint, which terminates because every signature component only
+grows within a finite universe.
 
 Exception propagation is filtered per call site: a callee's raise is
 dropped when any enclosing ``try`` at the site provably catches it —
@@ -19,17 +20,17 @@ everything.  Both degradations push the analysis toward silence, never
 toward a false finding.
 
 The witness queries (:meth:`EffectAnalysis.raise_witness`,
-:meth:`EffectAnalysis.mutation_witness`, ...) reconstruct a
-deterministic shortest call path from a root to the local site that
-justifies a signature entry, so findings print the full offending
-chain.
+:meth:`EffectAnalysis.mutation_witness`,
+:meth:`EffectAnalysis.capture_witness`) reconstruct a deterministic
+shortest call path from a root to the local site that justifies a
+signature entry, so findings print the full offending chain.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.lint.effects.extract import CATCH_ALL
 from repro.lint.effects.model import (
     TOP,
     EffectCall,
@@ -38,12 +39,10 @@ from repro.lint.effects.model import (
     ParamCapture,
     ParamMutation,
 )
-from repro.lint.graph.summary import CallRef, ModuleSummary
+from repro.lint.graph.dataflow import Interprocedural
+from repro.lint.graph.summary import ModuleSummary
 
 __all__ = ["BUILTIN_EXCEPTION_PARENTS", "CATCH_ALL", "EffectAnalysis"]
-
-#: Bare ``except:`` marker (mirrors the extractor's sentinel).
-CATCH_ALL = "<any>"
 
 #: Child -> parent for the builtin exception hierarchy (the chains the
 #: catch filter can walk without importing anything).
@@ -103,35 +102,21 @@ BUILTIN_EXCEPTION_PARENTS: Dict[str, Optional[str]] = {
     "UnicodeEncodeError": "UnicodeError",
 }
 
-_AdjEntry = Tuple[EffectCall, Optional[str], bool]  # (call, callee, is_ctor)
-
 
 def _short(name: str) -> str:
     return name.rpartition(".")[2]
 
 
-class EffectAnalysis:
+class EffectAnalysis(Interprocedural):
     """Effect signatures for every function in a linted corpus."""
 
-    def __init__(
-        self, graph, summaries: Sequence[ModuleSummary]
-    ) -> None:
-        self._graph = graph
-        self._effects: Dict[str, FunctionEffects] = {}
-        self._namespace_of: Dict[str, str] = {}
-        for summary in summaries:
-            namespace = summary.module or summary.path
-            for fx in summary.effects:
-                key = f"{namespace}::{fx.qualname}"
-                if key not in self._effects:
-                    self._effects[key] = fx
-                    self._namespace_of[key] = namespace
+    def __init__(self, graph, summaries: Sequence[ModuleSummary]) -> None:
+        super().__init__(graph, summaries, lambda summary: summary.effects)
         self._hierarchy = graph.class_hierarchy()
         self._canon_cache: Dict[Tuple[str, str, str], str] = {}
-        self._adjacency: Dict[str, List[_AdjEntry]] = {}
-        self._build_adjacency()
-        self._signatures: Dict[str, EffectSignature] = {}
-        self._run_fixpoint()
+        self._locals = {key: self._local_signature(key) for key in self.keys()}
+        self._signatures: Dict[str, EffectSignature] = dict(self._locals)
+        self._solve(self._update)  # callees first, one SCC at a time
 
     # -- public queries ------------------------------------------------
 
@@ -145,10 +130,7 @@ class EffectAnalysis:
         )
 
     def function_effects(self, key: str) -> Optional[FunctionEffects]:
-        return self._effects.get(key)
-
-    def keys(self) -> List[str]:
-        return sorted(self._effects)
+        return self._records.get(key)
 
     def is_repro_error(self, exc: str) -> bool:
         """Whether ``exc`` is (or derives from) a ``repro.errors`` type."""
@@ -164,162 +146,86 @@ class EffectAnalysis:
     ) -> Optional[Tuple[Tuple[str, ...], str, int]]:
         """Shortest call path from ``root`` to an escaping raise of
         ``exc``: ``(path_keys, site_key, site_lineno)``."""
-        visited = {root}
-        queue = deque([(root, (root,))])
-        while queue:
-            key, path = queue.popleft()
-            namespace = self._namespace_of.get(key, "")
-            fx = self._effects.get(key)
-            if fx is not None:
-                for site in sorted(fx.raises, key=lambda s: s.lineno):
-                    found = self._canon_type(namespace, site.type, TOP)
-                    if found == exc and not self._is_caught(
-                        found, site.caught, namespace
-                    ):
-                        return (path, key, site.lineno)
-            for call, callee, _ in self._adjacency.get(key, ()):
-                if callee is None or callee in visited:
-                    continue
-                csig = self._signatures.get(callee)
-                if csig is None or exc not in csig.raises:
-                    continue
-                if self._is_caught(exc, call.caught, namespace):
-                    continue
-                visited.add(callee)
-                queue.append((callee, path + (callee,)))
-        return None
+
+        def hit(key: str, _) -> Optional[int]:
+            namespace = self._namespace_of[key]
+            raises = self._records[key].raises
+            for site in sorted(raises, key=lambda s: s.lineno):
+                found = self._canon_type(namespace, site.type, TOP)
+                if found == exc and not self._is_caught(
+                    found, site.caught, namespace
+                ):
+                    return site.lineno
+            return None
+
+        def step(key: str, _) -> Iterator[Tuple[str, str]]:
+            namespace = self._namespace_of[key]
+            for call, callee, _ctor in self._resolved_calls(key):
+                if exc in self._signatures[callee].raises and not (
+                    self._is_caught(exc, call.caught, namespace)
+                ):
+                    yield callee, exc
+
+        return self._witness(root, exc, hit, step)
 
     def mutation_witness(
         self, root: str, param: str
     ) -> Optional[Tuple[Tuple[str, ...], str, ParamMutation]]:
         """Shortest call path from ``root`` (tracking ``param`` through
         argument positions) to a local mutation of it."""
-        visited = {(root, param)}
-        queue = deque([(root, param, (root,))])
-        while queue:
-            key, name, path = queue.popleft()
-            fx = self._effects.get(key)
-            if fx is None:
-                continue
-            for mutation in sorted(fx.mutations, key=lambda m: m.lineno):
-                if mutation.param == name:
-                    return (path, key, mutation)
-            for call, callee, is_ctor in self._adjacency.get(key, ()):
-                if callee is None:
-                    continue
-                callee_fx = self._effects.get(callee)
-                if callee_fx is None:
-                    continue
-                mapping = self._param_mapping(call, callee_fx, is_ctor)
-                for callee_param, (src_param, _) in mapping.items():
-                    state = (callee, callee_param)
-                    if src_param == name and state not in visited:
-                        visited.add(state)
-                        queue.append(
-                            (callee, callee_param, path + (callee,))
-                        )
-        return None
+        return self._param_witness(
+            root, param, lambda fx: fx.mutations, whole_object=False
+        )
 
     def capture_witness(
         self, root: str, param: str
     ) -> Optional[Tuple[Tuple[str, ...], str, ParamCapture]]:
         """Like :meth:`mutation_witness`, for retained references."""
-        visited = {(root, param)}
-        queue = deque([(root, param, (root,))])
-        while queue:
-            key, name, path = queue.popleft()
-            fx = self._effects.get(key)
-            if fx is None:
-                continue
-            for capture in sorted(fx.captures, key=lambda c: c.lineno):
-                if capture.param == name:
-                    return (path, key, capture)
-            for call, callee, is_ctor in self._adjacency.get(key, ()):
-                if callee is None:
-                    continue
-                callee_fx = self._effects.get(callee)
-                if callee_fx is None:
-                    continue
-                mapping = self._param_mapping(call, callee_fx, is_ctor)
-                for callee_param, (src_param, src_field) in mapping.items():
-                    state = (callee, callee_param)
-                    if (
-                        src_param == name
-                        and src_field == ""
-                        and state not in visited
-                    ):
-                        visited.add(state)
-                        queue.append(
-                            (callee, callee_param, path + (callee,))
-                        )
-        return None
+        return self._param_witness(
+            root, param, lambda fx: fx.captures, whole_object=True
+        )
 
-    def global_write_witness(
-        self, root: str
-    ) -> Optional[Tuple[Tuple[str, ...], str, str, int]]:
-        """Shortest call path from ``root`` to a function that writes a
-        module global: ``(path, site_key, global_name, lineno)``."""
-        visited = {root}
-        queue = deque([(root, (root,))])
-        while queue:
-            key, path = queue.popleft()
-            writes = self._local_global_writes(key)
-            if writes:
-                name, lineno = min(writes, key=lambda w: (w[1], w[0]))
-                return (path, key, name, lineno)
-            for call, callee, _ in self._adjacency.get(key, ()):
-                if callee is None or callee in visited:
-                    continue
-                csig = self._signatures.get(callee)
-                if csig is None or not csig.global_writes:
-                    continue
-                visited.add(callee)
-                queue.append((callee, path + (callee,)))
-        return None
+    def _param_witness(self, root: str, param: str, sites_of, whole_object):
+        """Witness search tracking the object bound to ``param`` through
+        argument positions (only whole-object bindings for a capture)
+        to the first local site ``sites_of`` lists for it."""
 
-    def render_path(self, path: Tuple[str, ...]) -> str:
-        return self._graph.render_path(path)
+        def hit(key: str, name):
+            sites = sites_of(self._records[key])
+            for site in sorted(sites, key=lambda s: s.lineno):
+                if site.param == name:
+                    return site
+            return None
 
-    def node_path(self, key: str) -> str:
-        node = self._graph.node(key)
-        return node.path if node is not None else ""
+        def step(key: str, name) -> Iterator[Tuple[str, str]]:
+            for call, callee, ctor in self._resolved_calls(key):
+                for callee_param, (src_param, src_field) in self._mapping(
+                    call, callee, ctor
+                ).items():
+                    if src_param == name and not (whole_object and src_field):
+                        yield callee, callee_param
 
-    # -- construction --------------------------------------------------
+        return self._witness(root, param, hit, step)
 
-    def _build_adjacency(self) -> None:
-        for key in sorted(self._effects):
-            entries: List[_AdjEntry] = []
-            for call in self._effects[key].calls:
-                ref = CallRef(
-                    dotted=call.dotted,
-                    canonical=call.canonical,
-                    receiver_class=call.receiver_class,
-                    lineno=call.lineno,
-                )
-                target = self._graph.resolve_call(key, ref)
-                if target is None:
-                    entries.append((call, None, False))
-                elif isinstance(target, tuple):
-                    namespace, cls = target
-                    resolved_any = False
-                    for ctor in ("__init__", "__post_init__"):
-                        ctor_key = f"{namespace}::{cls.name}.{ctor}"
-                        if ctor_key in self._effects:
-                            entries.append((call, ctor_key, True))
-                            resolved_any = True
-                    if not resolved_any:
-                        # A class with no analyzable constructor is a
-                        # dataclass-style default __init__: no effects.
-                        continue
-                else:
-                    entries.append((call, target.key, False))
-            self._adjacency[key] = entries
+    # -- calls -----------------------------------------------------------
 
-    def _local_global_writes(self, key: str) -> Tuple[Tuple[str, int], ...]:
-        node = self._graph.node(key)
-        if node is None:
-            return ()
-        return tuple(node.summary.global_writes)
+    def _resolved_calls(
+        self, key: str
+    ) -> Iterator[Tuple[EffectCall, str, Optional[str]]]:
+        """``(call, callee, constructor)`` per resolved call target."""
+        for call, targets in zip(self._records[key].calls, self._callees[key]):
+            for callee, ctor in targets or ():
+                yield call, callee, ctor
+
+    def _mapping(
+        self, call: EffectCall, callee: str, ctor: Optional[str]
+    ) -> Dict[str, Tuple[str, str]]:
+        """Callee param name -> the caller ``(param, field)`` bound to it."""
+        return {
+            name: source
+            for name, source in self.bind(call, callee, ctor, call.receiver)
+            if source is not None
+        }
 
     # -- type canonicalization and catching ----------------------------
 
@@ -386,44 +292,9 @@ class EffectAnalysis:
 
     # -- fixpoint ------------------------------------------------------
 
-    def _param_mapping(
-        self, call: EffectCall, callee: FunctionEffects, is_ctor: bool
-    ) -> Dict[str, Tuple[str, str]]:
-        """Callee param name -> the caller ``(param, field)`` bound to it."""
-        mapping: Dict[str, Tuple[str, str]] = {}
-        params = list(callee.params)
-        offset = 0
-        if is_ctor:
-            offset = 1  # params[0] is the freshly constructed object
-        elif callee.class_name is not None and params and params[0] in (
-            "self",
-            "cls",
-        ):
-            first = (call.dotted or "").split(".")[0]
-            if first == callee.class_name:
-                offset = 0  # explicit Class.method(instance, ...)
-            else:
-                offset = 1
-                if call.receiver is not None:
-                    mapping[params[0]] = call.receiver
-        for index, source in enumerate(call.args):
-            if source is None:
-                continue
-            position = index + offset
-            if position < len(params):
-                mapping[params[position]] = source
-        for name, source in call.kwargs:
-            if source is None:
-                continue
-            if name in callee.params or name in callee.kwonly:
-                mapping[name] = source
-        return mapping
-
     def _local_signature(self, key: str) -> EffectSignature:
-        fx = self._effects[key]
+        fx = self._records[key]
         namespace = self._namespace_of[key]
-        mutates = {(m.param, m.field) for m in fx.mutations}
-        captures = {c.param for c in fx.captures}
         raises: Set[str] = set()
         raises_top = False
         for site in fx.raises:
@@ -436,156 +307,71 @@ class EffectAnalysis:
                 raises.add(found)
         return EffectSignature(
             key=key,
-            mutates=frozenset(mutates),
-            captures=frozenset(captures),
+            mutates=frozenset((m.param, m.field) for m in fx.mutations),
+            captures=frozenset(c.param for c in fx.captures),
             raises=frozenset(raises),
-            global_writes=frozenset(
-                name for name, _ in self._local_global_writes(key)
-            ),
             raises_top=raises_top,
         )
 
     def _propagate(self, key: str, local: EffectSignature) -> EffectSignature:
+        """The transfer function: ``local`` joined with what every
+        resolved callee does to the objects this call hands it."""
         namespace = self._namespace_of[key]
         mutates = set(local.mutates)
         captures = set(local.captures)
         raises = set(local.raises)
-        global_writes = set(local.global_writes)
         mutates_top = local.mutates_top
         captures_top = local.captures_top
         raises_top = local.raises_top
-        for call, callee, is_ctor in self._adjacency[key]:
-            passes_objects = (
-                call.receiver is not None
-                or any(source is not None for source in call.args)
-                or any(source is not None for _, source in call.kwargs)
-            )
-            csig = (
-                self._signatures.get(callee) if callee is not None else None
-            )
-            if csig is None:
+        for call, targets in zip(self._records[key].calls, self._callees[key]):
+            if targets is None:
                 # Unknown callee: honest ⊤ for anything handed to it.
-                if passes_objects:
+                if (
+                    call.receiver is not None
+                    or any(source is not None for source in call.args)
+                    or any(source is not None for _, source in call.kwargs)
+                ):
                     mutates_top = True
                     captures_top = True
                 if not self._is_caught(TOP, call.caught, namespace):
                     raises_top = True
                 continue
-            for exc in csig.raises:
-                if not self._is_caught(exc, call.caught, namespace):
-                    raises.add(exc)
-            if csig.raises_top and not self._is_caught(
-                TOP, call.caught, namespace
-            ):
-                raises_top = True
-            global_writes |= csig.global_writes
-            callee_fx = self._effects.get(callee)
-            if callee_fx is None:
-                continue
-            mapping = self._param_mapping(call, callee_fx, is_ctor)
-            if not mapping:
-                continue
-            for param, fieldname in csig.mutates:
-                source = mapping.get(param)
-                if source is None:
+            for callee, ctor in targets:
+                csig = self._signatures[callee]
+                for exc in csig.raises:
+                    if not self._is_caught(exc, call.caught, namespace):
+                        raises.add(exc)
+                if csig.raises_top and not self._is_caught(
+                    TOP, call.caught, namespace
+                ):
+                    raises_top = True
+                mapping = self._mapping(call, callee, ctor)
+                if not mapping:
                     continue
-                src_param, src_field = source
-                if src_field == "":
-                    mutates.add((src_param, fieldname))
-                else:
-                    mutates.add((src_param, src_field))
-            if csig.mutates_top:
-                mutates_top = True
-            for param in csig.captures:
-                source = mapping.get(param)
-                if source is not None and source[1] == "":
-                    captures.add(source[0])
-            if csig.captures_top:
-                captures_top = True
+                mutates_top = mutates_top or csig.mutates_top
+                captures_top = captures_top or csig.captures_top
+                for param, fieldname in csig.mutates:
+                    source = mapping.get(param)
+                    if source is not None:
+                        src_param, src_field = source
+                        mutates.add((src_param, src_field or fieldname))
+                for param in csig.captures:
+                    source = mapping.get(param)
+                    if source is not None and source[1] == "":
+                        captures.add(source[0])
         return EffectSignature(
             key=key,
             mutates=frozenset(mutates),
             captures=frozenset(captures),
             raises=frozenset(raises),
-            global_writes=frozenset(global_writes),
             mutates_top=mutates_top,
             captures_top=captures_top,
             raises_top=raises_top,
         )
 
-    def _run_fixpoint(self) -> None:
-        keys = sorted(self._effects)
-        adjacency = {
-            key: sorted(
-                {
-                    callee
-                    for _, callee, _ in self._adjacency[key]
-                    if callee is not None and callee in self._effects
-                }
-            )
-            for key in keys
-        }
-        locals_ = {key: self._local_signature(key) for key in keys}
-        for component in _tarjan(keys, adjacency):
-            for key in component:
-                self._signatures[key] = locals_[key]
-            changed = True
-            while changed:
-                changed = False
-                for key in sorted(component):
-                    updated = self._propagate(key, locals_[key])
-                    if updated != self._signatures[key]:
-                        self._signatures[key] = updated
-                        changed = True
-
-
-def _tarjan(
-    keys: Sequence[str], adjacency: Dict[str, List[str]]
-) -> List[List[str]]:
-    """Iterative Tarjan; components emitted callees-first (reverse
-    topological order of the condensation), deterministically."""
-    index_of: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    components: List[List[str]] = []
-    counter = 0
-    for start in keys:
-        if start in index_of:
-            continue
-        work: List[Tuple[str, int]] = [(start, 0)]
-        while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                index_of[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = adjacency.get(node, [])
-            while child_index < len(children):
-                child = children[child_index]
-                child_index += 1
-                if child not in index_of:
-                    work[-1] = (node, child_index)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[child])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index_of[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(component))
-            if work:
-                parent, _ = work[-1]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components
+    def _update(self, key: str) -> bool:
+        updated = self._propagate(key, self._locals[key])
+        if updated == self._signatures[key]:
+            return False
+        self._signatures[key] = updated
+        return True

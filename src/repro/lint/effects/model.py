@@ -128,7 +128,8 @@ class EffectCall:
     :class:`~repro.lint.graph.summary.CallRef` so the project graph
     can resolve the callee.  ``args``/``kwargs`` map each argument
     that is an alias of a caller parameter to ``(param, field)``;
-    ``receiver`` does the same for the method receiver.  ``caught``
+    ``receiver`` does the same for the method receiver.  ``star`` is
+    the position of the first ``*args`` argument, if any.  ``caught``
     is the enclosing-``try`` context, exactly as on
     :class:`RaiseSite`.
     """
@@ -140,6 +141,7 @@ class EffectCall:
     caught: Tuple[str, ...] = ()
     args: Tuple[Optional[Tuple[str, str]], ...] = ()
     kwargs: Tuple[Tuple[str, Optional[Tuple[str, str]]], ...] = ()
+    star: Optional[int] = None
     receiver: Optional[Tuple[str, str]] = None
 
 
@@ -184,8 +186,6 @@ class EffectSignature:
     captures: FrozenSet[str] = frozenset()
     #: Canonical exception type names that can escape this function.
     raises: FrozenSet[str] = frozenset()
-    #: Module-global names written, directly or transitively.
-    global_writes: FrozenSet[str] = frozenset()
     mutates_top: bool = False
     captures_top: bool = False
     raises_top: bool = False

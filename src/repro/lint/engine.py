@@ -30,7 +30,8 @@ itself a finding)::
     do_risky_thing()  # repro: lint-ok RPR403 -- ordering proven fixed here
 
 A suppression comment on its own line applies to the next line, so
-long statements stay readable.
+long statements stay readable.  A suppression naming a folded rule id
+(:data:`RULE_ALIASES`) silences the rule it was folded into.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "LintEngine",
     "LintReport",
     "POOL_BOUNDARY",
+    "RULE_ALIASES",
     "Suppressions",
     "iter_python_files",
     "layer_for_path",
@@ -62,6 +64,19 @@ __all__ = [
 #: Functions that execute inside ``--jobs`` worker processes (the
 #: pool-safety rules treat these as worker-reachable roots).
 POOL_BOUNDARY: Tuple[str, ...] = ("_scan_worker",)
+
+#: Folded rule id -> the rule that now owns its invariant.  Suppression
+#: comments, ``--rule`` and ``--explain`` accept either id.  Baselines
+#: do not: the surviving rules are corpus-level, and their fingerprints
+#: carry the call chain rather than the code line, so an entry written
+#: under the old id could never match — regenerate it instead.
+RULE_ALIASES: Dict[str, str] = {
+    "RPR101": "RPR601",
+    "RPR103": "RPR603",
+    "RPR104": "RPR604",
+    "RPR801": "RPR813",
+    "RPR802": "RPR813",
+}
 
 #: Directory names the recursive walker never descends into.  The lint
 #: fixtures corpus is excluded by name: its known-bad snippets exist to
@@ -195,7 +210,7 @@ class Suppressions:
             match = _SUPPRESSION_RE.search(text)
             if match is None:
                 continue
-            rule_id = match.group("id")
+            rule_id = RULE_ALIASES.get(match.group("id"), match.group("id"))
             reason = (match.group("reason") or "").strip()
             if rule_id not in known_ids:
                 self.errors.append(
@@ -379,7 +394,8 @@ class LintEngine:
             state between files).  Build them with
             :func:`repro.lint.rules.build_rules`.
         enabled: Optional restriction to a set of rule ids (the CLI's
-            ``--rule``); meta findings (RPR001/RPR002) obey it too.
+            ``--rule``; folded ids select their surviving rule); meta
+            findings (RPR001/RPR002) obey it too.
         root: Paths in findings are rendered relative to this
             directory when possible, for stable output across checkouts.
         baseline: Fingerprints of findings to drop (pre-existing debt
@@ -490,7 +506,8 @@ class LintEngine:
                     collected.append(finding)
 
         if self.enabled is not None:
-            collected = [f for f in collected if f.rule in self.enabled]
+            enabled = {RULE_ALIASES.get(rule, rule) for rule in self.enabled}
+            collected = [f for f in collected if f.rule in enabled]
         baselined = 0
         if self.baseline:
             kept = []

@@ -5,9 +5,11 @@ the family's one-line contract) comes from the live registry; the
 prose comes from ``docs/static_analysis.md``, located relative to this
 file so the command works from any working directory.  Doc sections
 are matched by their ``###`` headings, which name the rule ranges
-they cover (``### Determinism (RPR101–RPR104)``) — the docs-parity
-test keeps those headings honest, so ``--explain`` can never show the
-wrong section for an id that exists.
+they cover (``### Executor hygiene (RPR401–RPR403)``) — the
+docs-parity test keeps those headings honest, so ``--explain`` can
+never show the wrong section for an id that exists.  A folded rule id
+(:data:`~repro.lint.engine.RULE_ALIASES`) explains the rule it was
+folded into.
 """
 
 from __future__ import annotations
@@ -17,7 +19,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.lint.rules import RULE_FAMILIES, all_rule_ids, rule_catalogue
+from repro.lint.rules import (
+    RULE_ALIASES,
+    RULE_FAMILIES,
+    all_rule_ids,
+    rule_catalogue,
+)
 
 __all__ = ["doc_section_for", "explain_rule"]
 
@@ -81,20 +88,23 @@ def explain_rule(rule_id: str) -> str:
     entries: Dict[str, Dict[str, object]] = {
         str(entry["id"]): entry for entry in rule_catalogue()
     }
-    entry = entries.get(rule_id)
+    surviving = RULE_ALIASES.get(rule_id, rule_id)
+    entry = entries.get(surviving)
     if entry is None:
         raise ConfigurationError(
             f"unknown lint rule id {rule_id}; known: "
             + ", ".join(all_rule_ids())
         )
     family = str(entry["family"])
-    lines = [
-        f"{rule_id}: {entry['title']}",
+    lines = [f"{surviving}: {entry['title']}"]
+    if surviving != rule_id:
+        lines.append(f"({rule_id} was folded into {surviving})")
+    lines += [
         f"family: {family} — {RULE_FAMILIES.get(family, '')}",
         f"severity: {entry['severity']}",
         f"autofixable: {'yes' if entry['autofixable'] else 'no'}",
     ]
-    section = doc_section_for(rule_id)
+    section = doc_section_for(surviving)
     if section:
         lines.extend(["", section.rstrip()])
     else:

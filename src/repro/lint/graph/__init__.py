@@ -6,11 +6,15 @@ cross a process boundary):
 
 1. :func:`~repro.lint.graph.summary.extract_summary` reduces one
    parsed file to a :class:`~repro.lint.graph.summary.ModuleSummary`
-   of defs, classes, imports, calls, and sink usages;
+   of defs, classes, imports, calls, and sink usages — its scope walk
+   is the one every per-file extractor shares;
 2. :class:`~repro.lint.graph.builder.ProjectGraph` assembles the
    summaries into a project symbol table + resolved call graph with
    deterministic BFS reachability (shortest call paths, stable tie
    breaks).
+
+:class:`~repro.lint.graph.dataflow.Interprocedural` is the core both
+fixpoint analyses (effects, units) run on over that graph.
 
 Rules opt in via ``needs_graph`` and receive the shared instance —
 the graph is built once per lint run and cached on the engine.

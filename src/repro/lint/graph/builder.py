@@ -22,9 +22,11 @@ containers, attribute chains on unknown objects — degrades to an
 *unknown callee*: counted, serialized, and never guessed at, so the
 graph under-approximates rather than over-reports.  Constructor calls
 edge into ``__init__`` and ``__post_init__`` when the class defines
-them.  First-order callables passed as arguments (``pool.submit(fn,
-...)``, ``map(fn, xs)``) produce ``ref`` edges from the caller: the
-callee may invoke them, so reachability must assume it does.
+them — the one constructor rule, shared through :meth:`resolve_call`
+with both fixpoint analyses.  First-order callables passed as
+arguments (``pool.submit(fn, ...)``, ``map(fn, xs)``) produce ``ref``
+edges from the caller: the callee may invoke them, so reachability
+must assume it does.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lint.graph.summary import (
-    MODULE_SCOPE,
     ArgRef,
     CallRef,
     ClassSummary,
@@ -51,6 +52,8 @@ _POOL_CLASSES = ("ProcessPoolExecutor",)
 _POOL_METHODS = frozenset({"submit", "map"})
 #: Module-level tuple annotating extra worker entry points.
 _BOUNDARY_NAME = "POOL_BOUNDARY"
+#: Methods a constructor call runs, in order, when the class defines them.
+_CONSTRUCTORS = ("__init__", "__post_init__")
 
 
 @dataclass(frozen=True)
@@ -164,19 +167,22 @@ class ProjectGraph:
                         keys.add(node.key)
         return sorted(keys)
 
-    def resolve_call(self, node_key: str, call: CallRef):
-        """Public call resolution for effect propagation.
+    def resolve_call(
+        self, node_key: str, call
+    ) -> Optional[Tuple[Tuple[str, Optional[str]], ...]]:
+        """Callees of one call made inside ``node_key``.
 
-        Returns the target :class:`FunctionNode`, a ``(namespace,
-        ClassSummary)`` tuple for a constructor call, or ``None`` for
-        an unknown callee — exactly the contract of the internal
-        resolver the edge builder uses, so the effect fixpoint walks
-        the same graph the reachability rules do.
+        ``((key, None),)`` for a function or method; for a class, one
+        ``(key, constructor)`` pair per constructor it defines (``()``
+        when it defines none); ``None`` for an unknown callee.  ``call``
+        is any record carrying ``dotted``/``canonical``/
+        ``receiver_class``.  The edge builder uses the same rule, so
+        the fixpoint analyses walk the graph the reachability rules do.
         """
         node = self._nodes.get(node_key)
         if node is None:
             return None
-        return self._resolve_ref(node, call)
+        return self._callees(self._resolve_ref(node, call))
 
     def module_summaries(self) -> Dict[str, ModuleSummary]:
         """Namespace -> module summary (annotation discovery)."""
@@ -314,17 +320,24 @@ class ProjectGraph:
             for call in node.summary.calls:
                 self._resolve_call(node, call)
 
-    def _resolve_call(self, node: FunctionNode, call: CallRef) -> None:
-        target = self._resolve_ref(node, call)
+    def _callees(self, target) -> Optional[Tuple[Tuple[str, Optional[str]], ...]]:
         if isinstance(target, FunctionNode):
-            node.edges.append(Edge(to=target.key, lineno=call.lineno))
-        elif isinstance(target, tuple):  # a class: edge into construction
+            return ((target.key, None),)
+        if isinstance(target, tuple):  # a class: edges into construction
             namespace, cls = target
-            for ctor in ("__init__", "__post_init__"):
-                ctor_key = f"{namespace}::{cls.name}.{ctor}"
-                if ctor_key in self._nodes:
-                    node.edges.append(Edge(to=ctor_key, lineno=call.lineno))
-        elif target is None and call.canonical is None and call.dotted:
+            return tuple(
+                (f"{namespace}::{cls.name}.{ctor}", ctor)
+                for ctor in _CONSTRUCTORS
+                if f"{namespace}::{cls.name}.{ctor}" in self._nodes
+            )
+        return None
+
+    def _resolve_call(self, node: FunctionNode, call: CallRef) -> None:
+        callees = self._callees(self._resolve_ref(node, call))
+        if callees is not None:
+            for key, _ in callees:
+                node.edges.append(Edge(to=key, lineno=call.lineno))
+        elif call.canonical is None and call.dotted:
             # Neither an import nor a resolvable project symbol: the
             # honest answer is "unknown callee" (builtins land here
             # too; they have no edges to contribute either way).

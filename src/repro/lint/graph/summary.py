@@ -8,9 +8,15 @@ cheaply across the process-pool boundary, and the single-process graph
 phase assembles them into a project-wide symbol table afterwards.
 
 This module is deliberately a *leaf*: it imports only the standard
-library (plus the equally-leaf effect model in
-:mod:`repro.lint.effects.model`), so the engine, the rules, and the
-builder can all depend on it without cycles.
+library, so the engine, the rules, the builder, and the other per-file
+extractors can all depend on it without cycles.  The walk that builds
+a summary is the one scope walk every per-file extractor shares: it
+records each scope it enters as a :class:`Scope`, and
+:func:`extract_summary` hands those to the effect and unit extractors,
+which analyse exactly those scopes under exactly those qualnames.  The
+small AST helpers they all need (:func:`dotted`,
+:func:`is_type_checking_test`, :func:`target_names`,
+:func:`star_index`, :func:`class_slots`) live here once.
 
 What a summary records per function (``<module>`` stands for
 module-level statements, including class bodies):
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "ArgRef",
@@ -49,8 +55,14 @@ __all__ = [
     "FunctionSummary",
     "ModuleSummary",
     "MODULE_SCOPE",
+    "Scope",
+    "class_slots",
+    "dotted",
     "extract_summary",
+    "is_type_checking_test",
     "module_name_for_path",
+    "star_index",
+    "target_names",
 ]
 
 #: Qualname of the synthetic function holding module-level statements.
@@ -238,7 +250,8 @@ class _Bindings:
         return ".".join(reversed(chain))
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted(node: ast.AST) -> Optional[str]:
+    """Literal dotted text of a Name/Attribute chain (no import logic)."""
     chain: List[str] = []
     current = node
     while isinstance(current, ast.Attribute):
@@ -250,7 +263,7 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return ".".join(reversed(chain))
 
 
-def _class_slots(node: ast.ClassDef) -> Optional[Tuple[str, ...]]:
+def class_slots(node: ast.ClassDef) -> Optional[Tuple[str, ...]]:
     """String entries of a class's ``__slots__``, or ``None``."""
     for statement in node.body:
         targets: List[ast.expr] = []
@@ -272,10 +285,46 @@ def _class_slots(node: ast.ClassDef) -> Optional[Tuple[str, ...]]:
     return None
 
 
-def _is_type_checking_test(node: ast.expr) -> bool:
+def is_type_checking_test(node: ast.expr) -> bool:
+    """Whether an ``if`` test is ``TYPE_CHECKING`` (type-only code)."""
     return (isinstance(node, ast.Name) and node.id == "TYPE_CHECKING") or (
         isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING"
     )
+
+
+def target_names(target: ast.expr) -> List[str]:
+    """Names bound by an assignment or ``for`` target (tuples unpacked)."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        names: List[str] = []
+        for element in target.elts:
+            names.extend(target_names(element))
+        return names
+    return []
+
+
+def star_index(call: ast.Call) -> Optional[int]:
+    """Position of a call's first ``*args`` argument, if it has one."""
+    for index, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return index
+    return None
+
+
+class Scope(NamedTuple):
+    """One analysis scope: a function, or the module (``node`` is then
+    the :class:`ast.Module` and ``qualname`` is :data:`MODULE_SCOPE`).
+
+    ``class_name`` is set for methods only — a function nested inside a
+    method is not a method.  Every per-file extractor analyses exactly
+    these scopes, under exactly these names, so each record joins its
+    project-graph node by ``namespace::qualname``.
+    """
+
+    node: ast.AST
+    qualname: str
+    class_name: Optional[str]
 
 
 _ENV_READS = frozenset({"os.environ", "os.getenv", "os.environb"})
@@ -322,6 +371,9 @@ class _Extractor:
         self.string_tuples: List[Tuple[str, Tuple[str, ...]]] = []
         self.event_sites: List[Tuple[str, str, int]] = []
         self.defines_event_schemas = False
+        #: Every scope in entry order (module first, then each ``def``
+        #: before its body) — the walk the other extractors reuse.
+        self.scopes: List[Scope] = []
 
     # -- entry -----------------------------------------------------------
 
@@ -329,6 +381,7 @@ class _Extractor:
         module_scope = _Scope(
             qualname=MODULE_SCOPE, lineno=1, is_toplevel=False, class_name=None
         )
+        self.scopes.append(Scope(tree, MODULE_SCOPE, None))
         for node in tree.body:
             self._statement(node, module_scope, class_stack=())
         self.functions.append(module_scope.freeze())
@@ -344,7 +397,7 @@ class _Extractor:
         if isinstance(node, ast.ImportFrom):
             self.bindings.add_import_from(node)
             return
-        if isinstance(node, ast.If) and _is_type_checking_test(node.test):
+        if isinstance(node, ast.If) and is_type_checking_test(node.test):
             # Type-only blocks vanish at runtime: no imports, no edges.
             for orelse in node.orelse:
                 self._statement(orelse, scope, class_stack)
@@ -375,7 +428,7 @@ class _Extractor:
                 ):
                     canonical = self.bindings.resolve(
                         item.context_expr.func
-                    ) or _dotted(item.context_expr.func)
+                    ) or dotted(item.context_expr.func)
                     if canonical is not None:
                         scope.ctor_locals[item.optional_vars.id] = canonical
         for child in ast.iter_child_nodes(node):
@@ -410,6 +463,7 @@ class _Extractor:
             is_toplevel=not class_stack and parent.qualname == MODULE_SCOPE,
             class_name=class_stack[-1] if class_stack else None,
         )
+        self.scopes.append(Scope(node, qualname, scope.class_name))
         for default in getattr(node.args, "defaults", []) + getattr(
             node.args, "kw_defaults", []
         ):
@@ -432,7 +486,7 @@ class _Extractor:
         ]
         if not class_stack:
             bases = tuple(
-                self.bindings.resolve(base) or _dotted(base) or "<unknown>"
+                self.bindings.resolve(base) or dotted(base) or "<unknown>"
                 for base in node.bases
             )
             self.classes.append(
@@ -441,7 +495,7 @@ class _Extractor:
                     lineno=node.lineno,
                     bases=bases,
                     methods=tuple(methods),
-                    slots=_class_slots(node),
+                    slots=class_slots(node),
                 )
             )
         for child in node.body:
@@ -466,7 +520,7 @@ class _Extractor:
         if target.id == "EVENT_SCHEMAS":
             self.defines_event_schemas = True
         if isinstance(value, (ast.Name, ast.Attribute)):
-            alias = self.bindings.resolve(value) or _dotted(value)
+            alias = self.bindings.resolve(value) or dotted(value)
             if alias is not None:
                 self.aliases.append((target.id, alias))
         elif isinstance(value, (ast.Tuple, ast.List)) and value.elts:
@@ -499,7 +553,7 @@ class _Extractor:
             if target.id in scope.global_names:
                 scope.global_writes.append((target.id, node.lineno))
             if isinstance(value, ast.Call):
-                canonical = self.bindings.resolve(value.func) or _dotted(
+                canonical = self.bindings.resolve(value.func) or dotted(
                     value.func
                 )
                 if canonical is not None:
@@ -529,9 +583,9 @@ class _Extractor:
         return (n for n in ast.walk(node) if isinstance(n, ast.expr))
 
     def _call(self, node: ast.Call, scope: _Scope) -> None:
-        dotted = _dotted(node.func)
+        text = dotted(node.func)
         canonical = self.bindings.resolve(node.func)
-        if dotted == "hash" and canonical is None:
+        if text == "hash" and canonical is None:
             scope.hash_calls.append(node.lineno)
         receiver_class = None
         if (
@@ -539,18 +593,18 @@ class _Extractor:
             and isinstance(node.func.value, ast.Name)
         ):
             receiver_class = scope.ctor_locals.get(node.func.value.id)
-        if dotted is not None and dotted.rpartition(".")[2] == "emit":
+        if text is not None and text.rpartition(".")[2] == "emit":
             scope.emit_calls.append(node.lineno)
         if canonical is not None and canonical.rpartition(".")[2] == (
             "TelemetryWriter"
         ):
             scope.emit_calls.append(node.lineno)
-        elif canonical is None and dotted == "TelemetryWriter":
+        elif canonical is None and text == "TelemetryWriter":
             scope.emit_calls.append(node.lineno)
         args = tuple(self._arg_ref(arg) for arg in node.args)
         scope.calls.append(
             CallRef(
-                dotted=dotted,
+                dotted=text,
                 canonical=canonical,
                 receiver_class=receiver_class,
                 lineno=node.lineno,
@@ -560,8 +614,8 @@ class _Extractor:
         for keyword in node.keywords:
             if (
                 keyword.arg == "event"
-                and dotted is not None
-                and dotted.rpartition(".")[2] == "read_telemetry"
+                and text is not None
+                and text.rpartition(".")[2] == "read_telemetry"
                 and isinstance(keyword.value, ast.Constant)
                 and isinstance(keyword.value.value, str)
             ):
@@ -581,7 +635,7 @@ class _Extractor:
         if isinstance(node, ast.Attribute):
             return ArgRef(
                 kind="attribute",
-                dotted=_dotted(node),
+                dotted=dotted(node),
                 canonical=self.bindings.resolve(node),
             )
         if isinstance(node, ast.Call):
@@ -612,8 +666,8 @@ def extract_summary(
     bindings = _Bindings(module, is_package)
     extractor = _Extractor(bindings)
     extractor.run(tree)
-    # Imported lazily: the extractors reuse this module's fully
-    # populated bindings, so a top-level import here would be a cycle.
+    # Imported lazily: the extractors reuse this walk's scopes and its
+    # fully populated bindings, so a top-level import would be a cycle.
     from repro.lint.dimflow.extract import extract_units
     from repro.lint.effects.extract import extract_effects
 
@@ -629,6 +683,6 @@ def extract_summary(
         string_tuples=tuple(extractor.string_tuples),
         event_sites=tuple(extractor.event_sites),
         defines_event_schemas=extractor.defines_event_schemas,
-        effects=extract_effects(tree, bindings),
-        units=extract_units(tree, bindings),
+        effects=extract_effects(extractor.scopes, bindings),
+        units=extract_units(tree, extractor.scopes, bindings),
     )

@@ -3,8 +3,10 @@
 Every shipped rule is listed in :data:`RULE_CLASSES`; the two
 engine-emitted meta findings (unparseable file, malformed suppression)
 are described in :data:`META_RULES` so ``--list-rules``, ``--rule``
-filtering, and the docs-parity test cover them too.  The catalogue in
-``docs/static_analysis.md`` is compared against
+filtering, and the docs-parity test cover them too.  Ids of rules
+folded into another (:data:`~repro.lint.engine.RULE_ALIASES`) are
+accepted by ``--rule`` and resolve to the surviving rule.  The
+catalogue in ``docs/static_analysis.md`` is compared against
 :func:`rule_catalogue` by ``tests/lint/test_docs_parity.py``.
 """
 
@@ -13,19 +15,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
+from repro.lint.engine import RULE_ALIASES
 from repro.lint.rules.api import LayerImportRule, MissingAllRule
 from repro.lint.rules.base import Rule
-from repro.lint.rules.determinism import (
-    DETERMINISTIC_LAYERS,
-    BuiltinHashRule,
-    EnvironmentReadRule,
-    UnseededRandomRule,
-    WallClockRule,
-)
-from repro.lint.rules.dimensional import (
-    MixedUnitArithmeticRule,
-    MixedUnitComparisonRule,
-)
+from repro.lint.rules.determinism import DETERMINISTIC_LAYERS, UnseededRandomRule
 from repro.lint.rules.effects import (
     DeterministicBareExceptionRule,
     PolicyHookArgumentMutationRule,
@@ -57,13 +50,14 @@ from repro.lint.rules.unitflow import (
     ArgumentUnitMismatchRule,
     ConflictingAttributeUnitsRule,
     InconsistentReturnUnitsRule,
-    InferredUnitMixRule,
+    MixedUnitsRule,
     TelemetryFieldUnitRule,
 )
 
 __all__ = [
     "DETERMINISTIC_LAYERS",
     "META_RULES",
+    "RULE_ALIASES",
     "RULE_CLASSES",
     "RULE_FAMILIES",
     "Rule",
@@ -74,10 +68,7 @@ __all__ = [
 
 #: Every rule class, in id order.
 RULE_CLASSES: Tuple[type, ...] = (
-    WallClockRule,
     UnseededRandomRule,
-    EnvironmentReadRule,
-    BuiltinHashRule,
     FrozenMutationRule,
     MemoFieldMutationRule,
     UnregisteredEventRule,
@@ -94,8 +85,6 @@ RULE_CLASSES: Tuple[type, ...] = (
     NonPicklableSubmissionRule,
     WorkerGlobalMutationRule,
     WorkerTelemetryRule,
-    MixedUnitArithmeticRule,
-    MixedUnitComparisonRule,
     PolicyHookArgumentMutationRule,
     PolicyHookReferenceRetentionRule,
     PolicyHookGlobalWriteRule,
@@ -106,7 +95,7 @@ RULE_CLASSES: Tuple[type, ...] = (
     ArgumentUnitMismatchRule,
     InconsistentReturnUnitsRule,
     ConflictingAttributeUnitsRule,
-    InferredUnitMixRule,
+    MixedUnitsRule,
     TelemetryFieldUnitRule,
 )
 
@@ -119,18 +108,17 @@ META_RULES: Dict[str, Tuple[str, str, str, bool]] = {
 #: Family name -> one-line description (docs parity checks these too).
 RULE_FAMILIES: Dict[str, str] = {
     "engine": "findings the engine itself emits",
-    "determinism": "bit-identical replay of the model layers",
+    "determinism": "randomness is seeded, in every layer",
     "memo-safety": "memo keys stay immutable after construction",
     "telemetry": "EVENT_SCHEMAS and emit sites agree both ways",
     "executor-hygiene": "failure signals and float ordering survive",
     "api-hygiene": "explicit exports and one-way layering",
     "transitive-determinism": "no call path from the model layers to a sink",
     "pool-safety": "everything crossing the process pool pickles cleanly",
-    "dimensional": "seconds, bytes, and counts never mix silently",
     "plugin-contract": "policy hooks observe simulator state, never edit it",
     "mutation-after-freeze": "captured memo-signature objects stay frozen",
     "exception-flow": "only repro.errors types cross process boundaries",
-    "dimflow": "units survive the call graph: signatures, returns, emits",
+    "dimflow": "seconds, bytes, and counts never mix, across calls too",
 }
 
 
@@ -174,7 +162,8 @@ def build_rules(
 
     Args:
         only: Restrict to these rule ids (meta ids are accepted and
-            simply have no class to instantiate).  Unknown ids raise
+            simply have no class to instantiate; a folded id selects
+            the rule it was folded into).  Unknown ids raise
             :class:`~repro.errors.ConfigurationError`.
         telemetry_schemas: Override the registered event set the
             telemetry rules compare against (tests inject small fake
@@ -183,7 +172,7 @@ def build_rules(
     known = set(all_rule_ids())
     wanted: Optional[Set[str]] = None
     if only is not None:
-        wanted = set(only)
+        wanted = {RULE_ALIASES.get(rule_id, rule_id) for rule_id in only}
         unknown = sorted(wanted - known)
         if unknown:
             raise ConfigurationError(

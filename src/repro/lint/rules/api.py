@@ -15,6 +15,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import FileContext, Finding
+from repro.lint.graph.summary import is_type_checking_test
 from repro.lint.rules.base import Rule
 
 __all__ = ["MissingAllRule", "LayerImportRule"]
@@ -73,12 +74,6 @@ class MissingAllRule(Rule):
         )
 
 
-def _is_type_checking_test(node: ast.expr) -> bool:
-    return (isinstance(node, ast.Name) and node.id == "TYPE_CHECKING") or (
-        isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING"
-    )
-
-
 def _runtime_nodes(node: ast.AST) -> Iterator[ast.AST]:
     """Walk the tree, skipping ``if TYPE_CHECKING:`` bodies.
 
@@ -87,7 +82,7 @@ def _runtime_nodes(node: ast.AST) -> Iterator[ast.AST]:
     without importing it.
     """
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.If) and _is_type_checking_test(child.test):
+        if isinstance(child, ast.If) and is_type_checking_test(child.test):
             for orelse in child.orelse:
                 yield orelse
                 yield from _runtime_nodes(orelse)

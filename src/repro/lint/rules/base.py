@@ -19,23 +19,34 @@ the engine feeds them every file's picklable
 receive the assembled
 :class:`~repro.lint.graph.builder.ProjectGraph` through
 :meth:`Rule.consume_graph` (the graph is built once per run and
-shared).
+shared).  :class:`CorpusRule` holds the findings such a rule gathers
+until ``finalize``; :class:`ReachabilityRule` is the shared base of
+every "no call path from these roots reaches this sink" invariant.
 
-Rules that resolve names (``time.time``, ``np.random.rand``) share
+Per-file rules that resolve names (``np.random.rand``) use
 :class:`ImportMap`, which canonicalises call targets through the
-file's imports, so ``from time import time as now`` cannot dodge the
-wall-clock rule while a local variable that merely *shadows* ``time``
-does not false-positive.
+file's imports, so ``from random import random as draw`` cannot dodge
+the randomness rule while a local variable that merely *shadows*
+``random`` does not false-positive.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.lint.engine import FileContext, Finding
+from repro.lint.graph.summary import dotted as dotted_name
 
-__all__ = ["Rule", "ImportMap", "dotted_name", "call_name", "finding_at"]
+__all__ = [
+    "CorpusRule",
+    "ImportMap",
+    "ReachabilityRule",
+    "Rule",
+    "call_name",
+    "dotted_name",
+    "finding_at",
+]
 
 
 class Rule:
@@ -109,6 +120,63 @@ class Rule:
         )
 
 
+class CorpusRule(Rule):
+    """Base of corpus-level rules: findings gathered while the corpus
+    is consumed, reported (and cleared) by :meth:`finalize`."""
+
+    corpus_level = True
+
+    def __init__(self) -> None:
+        self._findings: List[Finding] = []
+
+    def finalize(self) -> Iterator[Finding]:
+        findings, self._findings = self._findings, []
+        return iter(findings)
+
+
+class ReachabilityRule(CorpusRule):
+    """Base of the roots -> reachable -> sinks rules.
+
+    Subclasses name the roots (:meth:`roots`) and the sink sites inside
+    one function (:meth:`sinks`); every sink in a function the project
+    call graph can reach from a root is one finding, anchored at the
+    sink, with the shortest call path printed (a sink inside a root is
+    the zero-length case) and carried as the finding's
+    ``source_line``, so baselines key on *which chain* reaches it.
+    """
+
+    needs_graph = True
+
+    def roots(self, graph) -> Iterable[str]:
+        """Node keys the invariant starts from."""
+        return ()
+
+    def sinks(self, node) -> Iterator[Tuple[int, str]]:
+        """``(lineno, description)`` for each sink inside ``node``."""
+        return iter(())
+
+    def message(self, detail: str, chain: str) -> str:
+        return f"{detail} is reachable via: {chain}"
+
+    def consume_graph(self, graph) -> None:
+        paths = graph.reachable_from(self.roots(graph))
+        for key in sorted(paths):
+            node = graph.node(key)
+            for line, detail in self.sinks(node):
+                chain = graph.render_path(paths[key])
+                self._findings.append(
+                    Finding(
+                        rule=self.id,
+                        severity=self.severity,
+                        path=node.path,
+                        line=line,
+                        col=0,
+                        message=self.message(detail, chain),
+                        source_line=chain,
+                    )
+                )
+
+
 def finding_at(
     rule: str,
     severity: str,
@@ -167,19 +235,6 @@ class ImportMap:
             return None
         chain.append(base)
         return ".".join(reversed(chain))
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """Literal dotted text of a Name/Attribute chain (no import logic)."""
-    chain: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        chain.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    chain.append(current.id)
-    return ".".join(reversed(chain))
 
 
 def call_name(node: ast.Call) -> Optional[str]:

@@ -1,14 +1,12 @@
-"""Determinism rules (RPR101–RPR104).
+"""Determinism rule (RPR102) and the deterministic-layer set.
 
 The simulator layers (``sim``, ``memory``, ``stream``, ``core``) must
-be pure functions of their inputs: the chaos-parity CI job diffs a
-fault-injected parallel sweep against the fault-free serial run
-byte-for-byte, and the memoization property tests assert cached ==
-cold float-for-float.  Any wall-clock read, global-RNG draw,
-environment read, or ``PYTHONHASHSEED``-dependent ``hash()`` in those
-layers is a latent parity break.  Wall-clock time is legitimate in
-``runtime`` (it measures real executions) — that layer is the
-allowlist.
+be pure functions of their inputs; :data:`DETERMINISTIC_LAYERS` names
+them for every rule that roots there (the transitive family,
+RPR601–RPR604, owns wall-clock, entropy, environment and ``hash()``
+sinks).  Unseeded randomness is checked syntactically in *every*
+layer, tests included: a test drawing from the global RNG replays no
+better than the model would.
 """
 
 from __future__ import annotations
@@ -19,33 +17,10 @@ from typing import Iterator
 from repro.lint.engine import FileContext, Finding
 from repro.lint.rules.base import ImportMap, Rule
 
-__all__ = [
-    "DETERMINISTIC_LAYERS",
-    "WallClockRule",
-    "UnseededRandomRule",
-    "EnvironmentReadRule",
-    "BuiltinHashRule",
-]
+__all__ = ["DETERMINISTIC_LAYERS", "UnseededRandomRule"]
 
 #: Layers whose outputs must be bit-reproducible.
 DETERMINISTIC_LAYERS = frozenset({"sim", "memory", "stream", "core"})
-
-_WALL_CLOCK = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
 
 #: ``random`` module functions that draw from the hidden global RNG.
 _GLOBAL_RANDOM = frozenset(
@@ -89,31 +64,6 @@ _GLOBAL_NP_RANDOM = frozenset(
         "uniform",
     }
 )
-
-
-class WallClockRule(Rule):
-    """RPR101: wall-clock reads inside the deterministic layers."""
-
-    id = "RPR101"
-    title = "wall-clock read in a deterministic layer"
-    family = "determinism"
-    severity = "error"
-    layers = DETERMINISTIC_LAYERS
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            canonical = imports.resolve(node.func)
-            if canonical in _WALL_CLOCK:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{canonical}() in layer {ctx.layer!r}: simulated time "
-                    "must come from the event loop, wall time only from "
-                    "runtime/ measurement code",
-                )
 
 
 class UnseededRandomRule(Rule):
@@ -164,60 +114,3 @@ class UnseededRandomRule(Rule):
                     "use numpy.random.default_rng(seed)"
                 )
         return None
-
-
-class EnvironmentReadRule(Rule):
-    """RPR103: environment reads inside the deterministic layers."""
-
-    id = "RPR103"
-    title = "environment read in a deterministic layer"
-    family = "determinism"
-    severity = "error"
-    layers = DETERMINISTIC_LAYERS
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            canonical = None
-            if isinstance(node, (ast.Attribute, ast.Name)):
-                canonical = imports.resolve(node)
-            if canonical in ("os.environ", "os.getenv", "os.environb"):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{canonical} read in layer {ctx.layer!r}: configuration "
-                    "must arrive through explicit parameters (the executor "
-                    "hashes them into cache keys; the environment is "
-                    "invisible to it)",
-                )
-
-
-class BuiltinHashRule(Rule):
-    """RPR104: built-in ``hash()`` inside the deterministic layers.
-
-    ``hash(str)`` changes per process under ``PYTHONHASHSEED``
-    randomisation, so any ordering or key derived from it differs
-    between the serial path and pool workers.  Stable content hashes
-    belong to :func:`repro.runtime.cache.stable_hash`.
-    """
-
-    id = "RPR104"
-    title = "PYTHONHASHSEED-dependent hash() in a deterministic layer"
-    family = "determinism"
-    severity = "error"
-    layers = DETERMINISTIC_LAYERS
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "hash"
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "built-in hash() is salted per process "
-                    "(PYTHONHASHSEED); use repro.runtime.cache.stable_hash "
-                    "or an explicit key function",
-                )

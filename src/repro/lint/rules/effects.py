@@ -2,7 +2,8 @@
 
 Three families built on the transitive
 :class:`~repro.lint.effects.fixpoint.EffectAnalysis` (rules that set
-``needs_effects``) or directly on the per-file
+``needs_effects``), on graph reachability (RPR903, like the pool-safety
+global-write rule), or directly on the per-file
 :class:`~repro.lint.effects.model.FunctionEffects` records (rules
 whose invariant is local to one function body):
 
@@ -38,10 +39,10 @@ the families report only provable violations.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from repro.lint.engine import Finding
-from repro.lint.rules.base import Rule
+from repro.lint.rules.base import CorpusRule, ReachabilityRule
 from repro.lint.rules.determinism import DETERMINISTIC_LAYERS
 from repro.lint.rules.memosafety import _REBUILD_METHODS, is_memo_key_slot
 
@@ -132,43 +133,42 @@ def _policy_surface(graph) -> Tuple[FrozenSet[str], List[Tuple[str, object]]]:
     return frozenset(hooks), policies
 
 
-class _PolicyContractRule(Rule):
-    """Shared discovery for RPR901–RPR903: walk every hook method of
-    every policy class and hand it to :meth:`_check_hook`."""
+def _policy_hooks(graph) -> Iterator[Tuple[str, object, object, str]]:
+    """``(key, node, class, hook)`` for every hook method every policy
+    class defines, outside the test and unknown layers."""
+    hooks, policies = _policy_surface(graph)
+    for namespace, cls in policies:
+        for hook in sorted(hooks):
+            key = f"{namespace}::{cls.name}.{hook}"
+            node = graph.node(key)
+            if node is not None and node.layer not in _SKIPPED_LAYERS:
+                yield key, node, cls, hook
 
-    corpus_level = True
+
+class _PolicyContractRule(CorpusRule):
+    """Shared discovery for RPR901–RPR902: hand every hook method of
+    every policy class to :meth:`_check_hook`."""
+
     needs_graph = True
     needs_effects = True
 
     def __init__(self) -> None:
-        self._findings: List[Finding] = []
+        super().__init__()
         self._graph = None
 
     def consume_graph(self, graph) -> None:
         self._graph = graph
 
     def consume_effects(self, analysis) -> None:
-        graph = self._graph
-        if graph is None:
+        if self._graph is None:
             return
-        hooks, policies = _policy_surface(graph)
-        for namespace, cls in policies:
-            for hook in sorted(hooks):
-                key = f"{namespace}::{cls.name}.{hook}"
-                node = graph.node(key)
-                if node is None or node.layer in _SKIPPED_LAYERS:
-                    continue
-                fx = analysis.function_effects(key)
-                if fx is None:
-                    continue
+        for key, node, cls, hook in _policy_hooks(self._graph):
+            fx = analysis.function_effects(key)
+            if fx is not None:
                 self._check_hook(analysis, key, node, cls, hook, fx)
 
     def _check_hook(self, analysis, key, node, cls, hook, fx) -> None:
         raise NotImplementedError
-
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
 
 
 class PolicyHookArgumentMutationRule(_PolicyContractRule):
@@ -264,53 +264,32 @@ class PolicyHookReferenceRetentionRule(_PolicyContractRule):
             )
 
 
-class PolicyHookGlobalWriteRule(_PolicyContractRule):
-    """RPR903: policy hook writes module globals."""
+class PolicyHookGlobalWriteRule(ReachabilityRule):
+    """RPR903: policy hook writes module globals (directly or through
+    anything it can reach)."""
 
     id = "RPR903"
     title = "policy hook writes module globals"
     family = "plugin-contract"
     severity = "error"
 
-    def _check_hook(self, analysis, key, node, cls, hook, fx) -> None:
-        writes = analysis.signature(key).global_writes
-        if not writes:
-            return
-        witness = analysis.global_write_witness(key)
-        if witness is None:
-            return
-        path_keys, site_key, name, lineno = witness
-        names = ", ".join(repr(w) for w in sorted(writes))
-        rendered = analysis.render_path(path_keys)
-        self._findings.append(
-            Finding(
-                rule=self.id,
-                severity=self.severity,
-                path=analysis.node_path(site_key) or node.path,
-                line=lineno,
-                col=0,
-                message=(
-                    f"policy hook {cls.name}.{hook}() writes module "
-                    f"global(s) {names}; policy state belongs on the "
-                    "instance (module globals survive across runs and "
-                    "break replay isolation) — call path: "
-                    f"{rendered}"
-                ),
-                source_line=(
-                    f"{cls.name}.{hook} writes global {name} via "
-                    f"{rendered}"
-                ),
-            )
+    def roots(self, graph) -> Iterable[str]:
+        return [key for key, _, _, _ in _policy_hooks(graph)]
+
+    def sinks(self, node) -> Iterator[Tuple[int, str]]:
+        for name, lineno in node.summary.global_writes:
+            yield lineno, f"module global {name!r}"
+
+    def message(self, detail: str, chain: str) -> str:
+        return (
+            f"{detail} is written by policy-hook code; policy state "
+            "belongs on the instance (module globals survive across runs "
+            f"and break replay isolation) — call path: {chain}"
         )
 
 
-class _MemoEffectRule(Rule):
+class _MemoEffectRule(CorpusRule):
     """Shared scoping for RPR904–RPR905: per-class protected slots."""
-
-    corpus_level = True
-
-    def __init__(self) -> None:
-        self._findings: List[Finding] = []
 
     def consume_summary(self, summary) -> None:
         if summary.layer in _SKIPPED_LAYERS:
@@ -328,10 +307,6 @@ class _MemoEffectRule(Rule):
 
     def _collect(self, summary, fx, protected: FrozenSet[str]) -> None:
         raise NotImplementedError
-
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
 
 
 class PostCaptureMutationRule(_MemoEffectRule):
@@ -424,19 +399,18 @@ class SignatureInteriorMutationRule(_MemoEffectRule):
             )
 
 
-class WorkerExceptionEscapeRule(Rule):
+class WorkerExceptionEscapeRule(CorpusRule):
     """RPR906: non-``repro.errors`` exception escapes a pool worker."""
 
     id = "RPR906"
     title = "builtin exception can escape a pool-worker entry"
     family = "exception-flow"
     severity = "error"
-    corpus_level = True
     needs_graph = True
     needs_effects = True
 
     def __init__(self) -> None:
-        self._findings: List[Finding] = []
+        super().__init__()
         self._graph = None
 
     def consume_graph(self, graph) -> None:
@@ -483,22 +457,14 @@ class WorkerExceptionEscapeRule(Rule):
                     )
                 )
 
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
 
-
-class DeterministicBareExceptionRule(Rule):
+class DeterministicBareExceptionRule(CorpusRule):
     """RPR907: deterministic layer raises bare ``Exception``."""
 
     id = "RPR907"
     title = "bare Exception raised in a deterministic layer"
     family = "exception-flow"
     severity = "error"
-    corpus_level = True
-
-    def __init__(self) -> None:
-        self._findings: List[Finding] = []
 
     def consume_summary(self, summary) -> None:
         if summary.layer not in DETERMINISTIC_LAYERS:
@@ -528,7 +494,3 @@ class DeterministicBareExceptionRule(Rule):
                         ),
                     )
                 )
-
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)

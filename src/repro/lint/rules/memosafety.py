@@ -12,9 +12,10 @@ the source.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Set
 
 from repro.lint.engine import FileContext, Finding
+from repro.lint.graph.summary import class_slots
 from repro.lint.rules.base import Rule, dotted_name
 
 __all__ = [
@@ -50,31 +51,6 @@ def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
             ):
                 return True
     return False
-
-
-def _slot_names(node: ast.ClassDef) -> Optional[Set[str]]:
-    """Names in the class's ``__slots__``, or None if it has none."""
-    for statement in node.body:
-        targets: List[ast.expr] = []
-        if isinstance(statement, ast.Assign):
-            targets = statement.targets
-            value = statement.value
-        elif isinstance(statement, ast.AnnAssign) and statement.value is not None:
-            targets = [statement.target]
-            value = statement.value
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == "__slots__":
-                names: Set[str] = set()
-                if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-                    for element in value.elts:
-                        if isinstance(element, ast.Constant) and isinstance(
-                            element.value, str
-                        ):
-                            names.add(element.value)
-                return names
-    return None
 
 
 def is_memo_key_slot(name: str) -> bool:
@@ -153,7 +129,7 @@ class MemoFieldMutationRule(Rule):
         for class_node in ast.walk(ctx.tree):
             if not isinstance(class_node, ast.ClassDef):
                 continue
-            slots = _slot_names(class_node)
+            slots = class_slots(class_node)
             if slots is None:
                 continue
             protected = {name for name in slots if is_memo_key_slot(name)}

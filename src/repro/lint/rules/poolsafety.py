@@ -20,10 +20,10 @@ finding: the family under-approximates rather than guesses.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from repro.lint.engine import Finding
-from repro.lint.rules.base import Rule
+from repro.lint.rules.base import CorpusRule, ReachabilityRule
 
 __all__ = [
     "NonPicklableSubmissionRule",
@@ -36,18 +36,14 @@ __all__ = [
 _SANCTIONED_MODULES = frozenset({"repro.runtime.telemetry"})
 
 
-class NonPicklableSubmissionRule(Rule):
+class NonPicklableSubmissionRule(CorpusRule):
     """RPR701: pool submission that cannot cross the process boundary."""
 
     id = "RPR701"
     title = "pool submission is not a top-level function"
     family = "pool-safety"
     severity = "error"
-    corpus_level = True
     needs_graph = True
-
-    def __init__(self) -> None:
-        self._findings: List[Finding] = []
 
     def consume_graph(self, graph) -> None:
         for site in graph.pool_call_sites():
@@ -96,46 +92,23 @@ class NonPicklableSubmissionRule(Rule):
             )
         )
 
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
 
+class _WorkerReachableRule(ReachabilityRule):
+    """Roots: every pool-worker entry point."""
 
-class _WorkerReachableRule(Rule):
-    """Shared machinery: walk everything reachable from worker entries."""
+    def roots(self, graph) -> Iterable[str]:
+        return graph.worker_entry_keys()
 
-    corpus_level = True
-    needs_graph = True
+    def sinks(self, node) -> Iterator[Tuple[int, str]]:
+        if node.namespace in _SANCTIONED_MODULES:
+            return iter(())
+        return self._violations(node)
 
-    def __init__(self) -> None:
-        self._findings: List[Finding] = []
-
-    def consume_graph(self, graph) -> None:
-        paths = graph.reachable_from(graph.worker_entry_keys())
-        for key in sorted(paths):
-            node = graph.node(key)
-            if node.namespace in _SANCTIONED_MODULES:
-                continue
-            for lineno, message in self._violations(node):
-                chain = graph.render_path(paths[key])
-                self._findings.append(
-                    Finding(
-                        rule=self.id,
-                        severity=self.severity,
-                        path=node.path,
-                        line=lineno,
-                        col=0,
-                        message=f"{message} (worker-reachable via: {chain})",
-                        source_line=chain,
-                    )
-                )
+    def message(self, detail: str, chain: str) -> str:
+        return f"{detail} (worker-reachable via: {chain})"
 
     def _violations(self, node) -> Iterator[Tuple[int, str]]:
         return iter(())
-
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
 
 
 class WorkerGlobalMutationRule(_WorkerReachableRule):

@@ -1,34 +1,32 @@
 """Transitive-determinism rules (RPR601–RPR604).
 
-The syntactic determinism rules (RPR101–RPR104) only see a sink when
-it sits *inside* a ``sim``/``memory``/``stream``/``core`` file.  A
-helper one hop away — a root-level utility module, a shared formatter
-— can read the wall clock on the model's behalf without tripping any
-of them.  These rules close that hole: every function in a
-deterministic layer is a reachability root, and any sink the project
-call graph can walk to from there is a finding, anchored at the sink
-with the full call path printed.
+The model layers (``sim``, ``memory``, ``stream``, ``core``) must be
+pure functions of their inputs: the chaos-parity CI job diffs a
+fault-injected parallel sweep against the fault-free serial run
+byte-for-byte, and the memoization property tests assert cached ==
+cold float-for-float.  Every function in a deterministic layer is a
+reachability root, and any wall-clock read, OS-entropy draw,
+environment read, or ``PYTHONHASHSEED``-dependent ``hash()`` the
+project call graph can walk to from there is a finding, anchored at
+the sink with the full call path printed.  A sink inside a
+deterministic-layer function is the zero-length path (the folded ids
+RPR101/RPR103/RPR104 are aliases of RPR601/RPR603/RPR604); a helper
+one hop away — a root-level utility module, a shared formatter — is
+the same finding with a longer path.
+Wall-clock time is legitimate in ``runtime`` (it measures real
+executions) because nothing in the model layers reaches it.
 
-Division of labour with RPR10x (one finding per sink, never two):
-
-* RPR601/603/604 skip sinks whose own file is in a deterministic
-  layer — those are RPR101/103/104's, syntactically;
-* RPR602 owns a disjoint sink set (OS entropy: ``os.urandom``,
-  ``uuid.uuid1/uuid4``, ``secrets.*``) that RPR102's global-RNG
-  tables never covered, so it fires wherever the sink lives.
-
-Findings carry the rendered shortest call path as their
-``source_line``, so baselines key on *which chain* reaches the sink
-and survive unrelated line shifts.
+Global-RNG randomness is RPR102's, syntactically and in every layer;
+RPR602 owns the disjoint OS-entropy sinks (``os.urandom``,
+``uuid.uuid1/uuid4``, ``secrets.*``) its tables never covered.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterable, Iterator, Tuple
 
-from repro.lint.engine import Finding
-from repro.lint.rules.base import Rule
-from repro.lint.rules.determinism import DETERMINISTIC_LAYERS, _WALL_CLOCK
+from repro.lint.rules.base import ReachabilityRule
+from repro.lint.rules.determinism import DETERMINISTIC_LAYERS
 
 __all__ = [
     "TransitiveWallClockRule",
@@ -36,6 +34,23 @@ __all__ = [
     "TransitiveEnvironmentRule",
     "TransitiveHashRule",
 ]
+
+_WALL_CLOCK = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
 
 #: OS-entropy sources (disjoint from RPR102's global-RNG tables).
 _OS_ENTROPY = frozenset(
@@ -54,64 +69,17 @@ _OS_ENTROPY = frozenset(
 )
 
 
-class _TransitiveRule(Rule):
-    """Shared reachability machinery for the RPR6xx family.
+class _TransitiveRule(ReachabilityRule):
+    """Roots: every function in a deterministic layer."""
 
-    Subclasses implement :meth:`_sinks` to name the sink sites inside
-    one reachable function; this base walks the graph and renders
-    paths.
-    """
+    family = "transitive-determinism"
+    severity = "error"
 
-    corpus_level = True
-    needs_graph = True
+    def roots(self, graph) -> Iterable[str]:
+        return [node.key for node in graph.nodes_in_layers(DETERMINISTIC_LAYERS)]
 
-    #: When False, sinks inside deterministic-layer files are skipped
-    #: (the syntactic RPR10x rule already owns them).
-    flag_inside_deterministic = False
-
-    def __init__(self) -> None:
-        self._findings: List[Finding] = []
-
-    def consume_graph(self, graph) -> None:
-        roots = [
-            node.key for node in graph.nodes_in_layers(DETERMINISTIC_LAYERS)
-        ]
-        paths = graph.reachable_from(roots)
-        seen: Dict[Tuple[str, int], bool] = {}
-        for key in sorted(paths):
-            node = graph.node(key)
-            if (
-                not self.flag_inside_deterministic
-                and node.layer in DETERMINISTIC_LAYERS
-            ):
-                continue
-            for line, detail in self._sinks(node):
-                if (node.path, line) in seen:
-                    continue
-                seen[(node.path, line)] = True
-                chain = graph.render_path(paths[key])
-                self._findings.append(
-                    Finding(
-                        rule=self.id,
-                        severity=self.severity,
-                        path=node.path,
-                        line=line,
-                        col=0,
-                        message=(
-                            f"{detail} is reachable from the deterministic "
-                            f"layers via: {chain}"
-                        ),
-                        source_line=chain,
-                    )
-                )
-
-    def _sinks(self, node) -> Iterator[Tuple[int, str]]:
-        """Yield ``(lineno, description)`` for each sink in ``node``."""
-        return iter(())
-
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
+    def message(self, detail: str, chain: str) -> str:
+        return f"{detail} is reachable from the deterministic layers via: {chain}"
 
 
 class TransitiveWallClockRule(_TransitiveRule):
@@ -119,10 +87,8 @@ class TransitiveWallClockRule(_TransitiveRule):
 
     id = "RPR601"
     title = "wall-clock reachable from a deterministic layer"
-    family = "transitive-determinism"
-    severity = "error"
 
-    def _sinks(self, node) -> Iterator[Tuple[int, str]]:
+    def sinks(self, node) -> Iterator[Tuple[int, str]]:
         for call in node.summary.calls:
             if call.canonical in _WALL_CLOCK:
                 yield call.lineno, f"{call.canonical}()"
@@ -133,13 +99,8 @@ class TransitiveEntropyRule(_TransitiveRule):
 
     id = "RPR602"
     title = "OS entropy reachable from a deterministic layer"
-    family = "transitive-determinism"
-    severity = "error"
-    # RPR102's tables do not cover OS entropy, so this rule owns these
-    # sinks everywhere — deterministic layers included.
-    flag_inside_deterministic = True
 
-    def _sinks(self, node) -> Iterator[Tuple[int, str]]:
+    def sinks(self, node) -> Iterator[Tuple[int, str]]:
         for call in node.summary.calls:
             if call.canonical in _OS_ENTROPY:
                 yield call.lineno, f"{call.canonical}()"
@@ -150,10 +111,8 @@ class TransitiveEnvironmentRule(_TransitiveRule):
 
     id = "RPR603"
     title = "environment read reachable from a deterministic layer"
-    family = "transitive-determinism"
-    severity = "error"
 
-    def _sinks(self, node) -> Iterator[Tuple[int, str]]:
+    def sinks(self, node) -> Iterator[Tuple[int, str]]:
         for lineno in node.summary.env_reads:
             yield lineno, "an os.environ/os.getenv read"
 
@@ -163,9 +122,7 @@ class TransitiveHashRule(_TransitiveRule):
 
     id = "RPR604"
     title = "built-in hash() reachable from a deterministic layer"
-    family = "transitive-determinism"
-    severity = "error"
 
-    def _sinks(self, node) -> Iterator[Tuple[int, str]]:
+    def sinks(self, node) -> Iterator[Tuple[int, str]]:
         for lineno in node.summary.hash_calls:
             yield lineno, "a built-in hash() call"

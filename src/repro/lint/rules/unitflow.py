@@ -1,12 +1,15 @@
-"""Interprocedural unit rules (RPR810–RPR814), the dimflow family.
+"""Unit rules (RPR810–RPR814), the dimflow family.
 
-The expression-local RPR801/802 stop at the call boundary: a
-``*_seconds`` value passed into a parameter named ``budget`` loses its
-unit at the call and every downstream mix-up goes dark.  This family
-consumes the :class:`~repro.lint.dimflow.fixpoint.UnitAnalysis`
-fixpoint — one unit signature per function, closed over the project
-call graph — and flags the mismatches only whole-program reasoning
-can see:
+The codebase carries several base dimensions (seconds, bytes, cycles,
+tasks, requests, ...) plus derived rates.  A latency accidentally
+added to a footprint type-checks — both are floats/ints — and produces
+a number that is silently wrong by nine orders of magnitude; and a
+``*_seconds`` value passed into a parameter named ``budget`` would
+lose its unit at the call if the check stopped at the call boundary.
+This family consumes the
+:class:`~repro.lint.dimflow.fixpoint.UnitAnalysis` fixpoint — one unit
+signature per function, closed over the project call graph, under the
+dimension algebra of :mod:`repro.lint.dimflow.algebra` — and flags:
 
 * **RPR810** — a resolved call binds an argument whose inferred unit
   disagrees with the callee parameter's *declared* unit (name suffix
@@ -17,38 +20,57 @@ can see:
   different branches;
 * **RPR812** — a class attribute accumulates conflicting units from
   different assignment sites (or its own name suffix);
-* **RPR813** — arithmetic/comparison between two inferred units the
-  local rules could not see (at least one side flows from a parameter
-  or a call), plus augmented ``+=``/``-=`` stores, which the
-  expression-local rules never visit;
+* **RPR813** — ``+``/``-``/comparison or augmented ``+=``/``-=``
+  between two different units, whether both are evident in the
+  expression (``latency_seconds + footprint_bytes``; the folded ids
+  RPR801/RPR802 are aliases of RPR813) or one flows in through a
+  parameter or a call;
 * **RPR814** — a telemetry emit field whose name carries a unit
   suffix but whose value's inferred unit disagrees.
 
 Every rule treats *unknown* (no evidence) and ``⊤`` (conflicting
 evidence) as silence, and dimensionless (literals, same-unit ratios)
 as compatible with everything — the family only speaks when two
-concrete dimensions provably disagree.  Scoped to the library layers,
-like RPR801/802.
+concrete dimensions provably disagree.  Scoped to the library layers
+— tests compare quantities against telemetry dicts and fixture
+scalars in ways the naming convention was never meant to govern.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.lint.dimflow.algebra import unit_of_name
-from repro.lint.dimflow.model import TOP_UNIT, UnitTerm
+from repro.lint.dimflow.model import TOP_UNIT
 from repro.lint.engine import Finding
-from repro.lint.rules.base import Rule
-from repro.lint.rules.dimensional import _SRC_LAYERS
+from repro.lint.graph.dataflow import bind_arguments
+from repro.lint.rules.base import CorpusRule
 from repro.units import UNIT_PARAMS, UNIT_RETURNS
 
 __all__ = [
     "ArgumentUnitMismatchRule",
     "InconsistentReturnUnitsRule",
     "ConflictingAttributeUnitsRule",
-    "InferredUnitMixRule",
+    "MixedUnitsRule",
     "TelemetryFieldUnitRule",
 ]
+
+
+#: Layers the naming convention governs (everything shipped under
+#: ``repro/``).
+_SRC_LAYERS = frozenset(
+    {
+        "analysis",
+        "core",
+        "lint",
+        "memory",
+        "root",
+        "runtime",
+        "sim",
+        "stream",
+        "workloads",
+    }
+)
 
 
 def _concrete(unit: Optional[str]) -> bool:
@@ -56,17 +78,13 @@ def _concrete(unit: Optional[str]) -> bool:
     return bool(unit) and unit != TOP_UNIT
 
 
-class _UnitFlowRule(Rule):
-    """Shared scaffolding: hold findings, filter to library layers."""
+class _UnitFlowRule(CorpusRule):
+    """Shared scaffolding: filter to library layers, emit findings."""
 
     family = "dimflow"
     severity = "error"
-    corpus_level = True
     needs_graph = True
     needs_units = True
-
-    def __init__(self) -> None:
-        self._findings: List[Finding] = []
 
     def consume_units(self, analysis) -> None:
         self._collect(analysis)
@@ -101,10 +119,6 @@ class _UnitFlowRule(Rule):
             )
         )
 
-    def finalize(self) -> Iterator[Finding]:
-        findings, self._findings = self._findings, []
-        return iter(findings)
-
 
 class ArgumentUnitMismatchRule(_UnitFlowRule):
     """RPR810: argument unit disagrees with the parameter's contract."""
@@ -115,79 +129,43 @@ class ArgumentUnitMismatchRule(_UnitFlowRule):
     def _collect(self, analysis) -> None:
         for key in self._src_keys(analysis):
             path = analysis.node_path(key)
-            for call, callee_key, is_ctor in analysis.call_edges(key):
-                if callee_key is not None:
-                    self._check_resolved(
-                        analysis, key, path, call, callee_key, is_ctor
-                    )
+            for call, callee, ctor in analysis.call_edges(key):
+                if callee is not None:
+                    signature = analysis.signature(callee)
+                    if signature.polymorphic:
+                        continue
+                    target = callee
+                    declared = {
+                        name: signature.param_unit(name)
+                        for name in signature.declared
+                    }
+                    bound = analysis.bind(call, callee, ctor)
                 else:
-                    self._check_table(analysis, key, path, call)
-
-    def _check_resolved(
-        self, analysis, key: str, path: str, call, callee_key: str, is_ctor
-    ) -> None:
-        signature = analysis.signature(callee_key)
-        if signature.polymorphic:
-            return
-        declared = set(signature.declared)
-        for param, term in analysis.argument_bindings(
-            key, call, callee_key, is_ctor
-        ):
-            if param not in declared:
-                continue
-            expected = signature.param_unit(param)
-            actual = analysis.evaluate(key, term)
-            if not (
-                _concrete(expected)
-                and _concrete(actual)
-                and actual != expected
-            ):
-                continue
-            witness = analysis.flow_witness(key, term, actual)
-            chain = analysis.render_path(witness + (callee_key,))
-            callee_label = analysis.node_label(callee_key)
-            self._emit(
-                path,
-                call.lineno,
-                f"parameter '{param}' of {callee_label} is declared "
-                f"{expected} but receives {actual} via: {chain}",
-                source_line=f"{param}:{chain}",
-            )
-
-    def _check_table(self, analysis, key: str, path: str, call) -> None:
-        """Calls into ``UNIT_PARAMS``-annotated callables the corpus
-        does not contain (the table lists leading parameters in
-        signature order, so positional binding aligns from index 0)."""
-        canonical = call.canonical or call.dotted or ""
-        table = UNIT_PARAMS.get(canonical)
-        if table is None:
-            return
-        order = list(table)
-        bindings: List[Tuple[str, Optional[UnitTerm]]] = []
-        for index, term in enumerate(call.args):
-            if index < len(order):
-                bindings.append((order[index], term))
-        for name, term in call.kwargs:
-            if name in table:
-                bindings.append((name, term))
-        for param, term in bindings:
-            expected = table[param]
-            actual = analysis.evaluate(key, term)
-            if not (
-                _concrete(expected)
-                and _concrete(actual)
-                and actual != expected
-            ):
-                continue
-            witness = analysis.flow_witness(key, term, actual)
-            chain = analysis.render_path(witness) + f" -> {canonical}"
-            self._emit(
-                path,
-                call.lineno,
-                f"parameter '{param}' of {canonical} is declared "
-                f"{expected} but receives {actual} via: {chain}",
-                source_line=f"{param}:{chain}",
-            )
+                    # A UNIT_PARAMS-declared callable the corpus does not
+                    # contain: the table lists its leading parameters in
+                    # signature order.
+                    target = call.canonical or call.dotted or ""
+                    declared = UNIT_PARAMS.get(target, {})
+                    bound = bind_arguments(call, tuple(declared))
+                for param, term in bound:
+                    expected = declared.get(param)
+                    actual = analysis.evaluate(key, term)
+                    if not (
+                        _concrete(expected)
+                        and _concrete(actual)
+                        and actual != expected
+                    ):
+                        continue
+                    witness = analysis.flow_witness(key, term, actual)
+                    chain = analysis.render_path(witness + (target,))
+                    self._emit(
+                        path,
+                        call.lineno,
+                        f"parameter '{param}' of {analysis.node_label(target)} "
+                        f"is declared {expected} but receives {actual} via: "
+                        f"{chain}",
+                        source_line=f"{param}:{chain}",
+                    )
 
 
 class InconsistentReturnUnitsRule(_UnitFlowRule):
@@ -261,17 +239,18 @@ class ConflictingAttributeUnitsRule(_UnitFlowRule):
             )
 
 
-class InferredUnitMixRule(_UnitFlowRule):
-    """RPR813: arithmetic/comparison mixes interprocedurally-inferred
-    units the local rules could not see."""
+class MixedUnitsRule(_UnitFlowRule):
+    """RPR813: arithmetic/comparison mixes two different units."""
 
     id = "RPR813"
-    title = "arithmetic/comparison mixes inferred units"
+    title = "arithmetic/comparison mixes incompatible units"
 
     def _collect(self, analysis) -> None:
+        # A polymorphic function's parameters evaluate to unknown, so
+        # only mixes evident in its own body can fire there.
         for key in self._src_keys(analysis):
             facts = analysis.facts(key)
-            if facts is None or analysis.signature(key).polymorphic:
+            if facts is None:
                 continue
             path = analysis.node_path(key)
             for check in facts.checks:
@@ -287,9 +266,10 @@ class InferredUnitMixRule(_UnitFlowRule):
                 self._emit(
                     path,
                     check.lineno,
-                    f"`{check.op}` between {left} and {right}{detail}; the "
-                    "local rules cannot see this mix — one operand's unit "
-                    "was inferred through the call graph",
+                    f"`{check.op}` between {left} and {right}{detail}: "
+                    "these operands carry different units; convert one "
+                    "side explicitly (see repro.units) or rename the "
+                    "variable if its suffix is wrong",
                     source_line=f"{check.op}:{left}:{right}",
                     col=check.col,
                 )

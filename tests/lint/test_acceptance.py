@@ -7,7 +7,8 @@ that no other rule false-positives on otherwise-clean code:
 
 * ``acceptance/wallclock_two_hops`` — a ``time.time()`` call two hops
   below ``sim/engine.py`` (engine -> flow helper -> clock helper, the
-  last two in the root layer where the per-file RPR101 does not look);
+  last two in the root layer, outside the deterministic layers whose
+  own functions are RPR601's zero-length roots);
 * ``acceptance/teardown_broadened`` — the ``runtime/parallel.py``
   pool-teardown kill loop with its ``except (OSError, ValueError)``
   narrowing deleted in favour of ``except Exception``;

@@ -174,3 +174,40 @@ class TestScanCacheCarriesUnitFacts:
         )  # every file served from cache
         assert render_text(cold) == render_text(warm)
         assert cold_engine.units.to_json() == warm_engine.units.to_json()
+
+
+MIXES = '''"""Unit mixes outside straight-line function code."""
+
+__all__ = ["Window", "pick", "later"]
+
+timeout_seconds = 2.0
+buffer_bytes = 4096
+slack = timeout_seconds + buffer_bytes
+
+
+class Window:
+    span = timeout_seconds - buffer_bytes
+
+
+def pick(delay_seconds=timeout_seconds + buffer_bytes):
+    return [size_bytes + delay_seconds for size_bytes in (1, 2)]
+
+
+def later(items, gap_seconds):
+    return sorted(items, key=lambda x_bytes: x_bytes + gap_seconds)
+'''
+
+
+class TestMixesInEveryScope:
+    """RPR813 checks module-level code, class bodies, default values,
+    comprehensions and lambdas — every place an expression runs."""
+
+    def test_each_mix_is_one_finding(self, tmp_path):
+        spine = tmp_path / "repro" / "memory"
+        spine.mkdir(parents=True)
+        (spine / "mixes.py").write_text(MIXES)
+        engine = LintEngine(
+            rules=build_rules(only=["RPR813"]), enabled={"RPR813"}, root=tmp_path
+        )
+        report = engine.run([tmp_path])
+        assert [f.line for f in report.findings] == [7, 11, 14, 15, 19]

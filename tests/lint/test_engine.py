@@ -36,7 +36,7 @@ class TestLayerDetection:
             (P("src/repro/memory/system.py"), "memory"),
             (P("src/repro/units.py"), "root"),
             (P("tests/sim/test_engine.py"), "tests"),
-            (P("tests/lint/fixtures/RPR101/bad/repro/sim/x.py"), "sim"),
+            (P("tests/lint/fixtures/RPR601/bad/repro/sim/x.py"), "sim"),
             (P("somewhere/else.py"), "unknown"),
         ],
     )

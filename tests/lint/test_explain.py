@@ -35,10 +35,10 @@ class TestExplainDetails:
         assert titles["RPR906"] in text
 
     def test_range_headings_cover_interior_ids(self):
-        # RPR102 is named by no heading directly — only the range
-        # RPR101–RPR104 covers it.
-        section = doc_section_for("RPR102")
-        assert "Determinism" in section.splitlines()[0]
+        # RPR402 is named by no heading directly — only the range
+        # RPR401–RPR403 covers it.
+        section = doc_section_for("RPR402")
+        assert "Executor hygiene" in section.splitlines()[0]
 
     def test_missing_section_degrades_not_fails(self):
         assert doc_section_for("RPR901", docs_text="# no sections here\n") == ""
