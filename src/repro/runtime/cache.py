@@ -6,19 +6,44 @@ simulator is deterministic given those (see
 :mod:`repro.sim.simulator`), so the result of a point can be addressed
 by a stable hash of its description.  :func:`stable_hash` canonicalises
 the description to JSON (sorted keys, ``repr``-exact floats) and
-SHA-256 hashes it; :class:`ResultCache` maps such keys to JSON payloads
-under a two-level directory fan-out (``ab/abcdef....json``) to keep
-directories small on large sweeps.
+SHA-256 hashes it.
 
-Writes are atomic (temp file + :func:`os.replace`) so a parallel sweep
-whose workers race to store the same key never leaves a torn file.  A
-corrupt entry — torn write from a killed run, manual edit, wrong
-schema version — is **quarantined**: renamed to ``*.corrupt`` next to
-its slot (never silently overwritten, so the evidence survives for
-forensics), counted in :class:`CacheStats`, reported through the
-optional telemetry writer as a ``cache_quarantine`` event, and
-reported to the caller as a miss so the point simply re-runs and
-re-verifies the slot with a fresh store.
+:class:`ResultCache` keeps its entries in append-only bucket files, one
+per two-hex-digit key prefix (``<directory>/3f.log`` holds every key
+starting ``3f``, so at most 256 files), one line per record::
+
+    <key> {"key": ..., "point": ..., "result": ..., "schema": 2}
+    <key> {"quarantined": "<reason>"}
+
+A key lives in exactly one bucket, and its newest line — the last one
+written — is the one that counts.  Every instance, in every process,
+appends through an ``O_APPEND`` open of the bucket, one whole line per
+``os.write`` (continued only if the kernel takes part of it; the same
+rule as :class:`~repro.runtime.telemetry.TelemetryWriter`), so
+concurrent writers never tear each other's lines.  A lookup reads the
+key's bucket and takes the key's last complete line; a partial
+trailing line (a writer killed mid-write, or one still writing) is
+never served.  Should a later line be appended behind one cut short
+by a killed writer, the two read as one corrupt line of the first
+key, quarantined like any other, and the second entry is recomputed.
+Only the sweep parent reads or writes: pool workers never touch the
+cache.
+
+There is no in-memory index and no file handle outlives a call, so
+stores made by other instances and processes are visible to the next
+lookup, and memory does not grow with the cache.  A lookup reads one
+bucket, about 1/256 of the cache, and a fresh directory gets at most
+256 new files however many entries it holds (file creation, not an
+append, is what costs; see ``docs/performance.md``).
+
+A corrupt line — invalid JSON, not a result object, wrong or missing
+schema version — is **quarantined**: counted in :class:`CacheStats`,
+reported through the optional telemetry writer as a
+``cache_quarantine`` event naming the bucket that holds it, and
+reported to the caller as a miss so the point simply re-runs.  The
+quarantine record appended for the key turns later lookups into plain
+misses, in this process and in later ones, until the key is
+re-stored.  Lines are never rewritten, so the evidence stays.
 """
 
 from __future__ import annotations
@@ -27,7 +52,7 @@ import hashlib
 import json
 import os
 import pathlib
-import tempfile
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
@@ -39,6 +64,16 @@ __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "ResultCache", "stable_hash"]
 #: Bump to invalidate every existing cache entry when the simulator's
 #: observable behaviour changes (the version participates in the key).
 CACHE_SCHEMA_VERSION = 2
+
+_KEY = re.compile(r"[0-9a-f]{8,}")
+#: Bucket files: one per two-hex-digit key prefix.
+_BUCKET_GLOB = "[0-9a-f][0-9a-f].log"
+#: Every quarantine record starts with this (``json.dumps`` of a
+#: one-key dict), so a lookup recognises one without parsing it.
+_QUARANTINED = b'{"quarantined": '
+#: What the ``corrupt`` fault appends as a key's payload: a record cut
+#: off mid-write.
+_TRUNCATED = '{"schema": '
 
 
 def _canonical(value: Any) -> Any:
@@ -70,6 +105,11 @@ def stable_hash(description: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _check_key(key: str) -> None:
+    if not _KEY.fullmatch(key):
+        raise ConfigurationError(f"malformed cache key {key!r}")
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store/quarantine counters for one cache lifetime."""
@@ -94,7 +134,7 @@ class ResultCache:
     """On-disk JSON store keyed by content address.
 
     Attributes:
-        directory: Cache root; created on first store.
+        directory: Cache root; created on first write.
         stats: Lookup counters, reset per instance (the *process's*
             view of the cache, not the directory's lifetime history).
         telemetry: Optional JSON-lines sink; quarantines emit one
@@ -108,98 +148,64 @@ class ResultCache:
     def __post_init__(self) -> None:
         self.directory = pathlib.Path(self.directory)
 
-    def path_for(self, key: str) -> pathlib.Path:
-        """The on-disk slot of ``key`` (whether or not it exists)."""
-        if len(key) < 8 or not all(c in "0123456789abcdef" for c in key):
-            raise ConfigurationError(f"malformed cache key {key!r}")
-        return pathlib.Path(self.directory) / key[:2] / f"{key}.json"
-
-    def _quarantine(self, key: str, path: pathlib.Path, reason: str) -> None:
-        """Isolate a corrupt entry as ``*.corrupt`` and count it."""
-        self.stats.quarantined += 1
-        target = path.with_name(path.name + ".corrupt")
-        try:
-            os.replace(path, target)
-        except OSError:
-            # Last resort: an entry we can neither rename nor trust
-            # must not keep poisoning lookups.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                cache_quarantine_event(key=key, path=str(target), reason=reason)
-            )
-
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Return the stored payload for ``key``, or ``None`` on miss.
 
-        A corrupt entry (torn write from a killed run, manual edit,
-        wrong schema version) is quarantined — renamed to
-        ``*.corrupt``, counted, telemetered — and reported as a miss
-        so the point simply re-runs and re-verifies the slot.
+        A corrupt newest line for ``key`` is quarantined — counted,
+        telemetered, marked by an appended quarantine record — and
+        reported as a miss so the point simply re-runs and re-stores.
         """
-        path = self.path_for(key)
+        _check_key(key)
+        bucket = self._bucket(key)
         try:
-            payload = json.loads(path.read_text())
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except json.JSONDecodeError:
-            self.stats.misses += 1
-            self._quarantine(key, path, "not valid JSON (torn or truncated write)")
-            return None
+            text = _newest_payload(_read(bucket), key)
         except OSError:
+            text = None  # nothing stored under this prefix
+        if text is None or text.startswith(_QUARANTINED):
             self.stats.misses += 1
             return None
-        if not isinstance(payload, dict) or "result" not in payload:
-            self.stats.misses += 1
-            self._quarantine(key, path, "payload is not a result object")
-            return None
-        if payload.get("schema") != CACHE_SCHEMA_VERSION:
-            self.stats.misses += 1
-            self._quarantine(
-                key,
-                path,
-                f"schema version {payload.get('schema')!r} != "
-                f"{CACHE_SCHEMA_VERSION}",
-            )
-            return None
-        self.stats.hits += 1
-        return payload["result"]
+        try:
+            payload = json.loads(text)
+        except ValueError:
+            reason = "not valid JSON (torn or truncated write)"
+        else:
+            if not isinstance(payload, dict) or "result" not in payload:
+                reason = "payload is not a result object"
+            elif payload.get("schema") != CACHE_SCHEMA_VERSION:
+                reason = (
+                    f"schema version {payload.get('schema')!r} != "
+                    f"{CACHE_SCHEMA_VERSION}"
+                )
+            else:
+                self.stats.hits += 1
+                return payload["result"]
+        self.stats.misses += 1
+        self._quarantine(key, bucket, reason)
+        return None
 
     def put(self, key: str, result: Dict[str, Any], point: Optional[Dict[str, Any]] = None) -> None:
-        """Atomically store ``result`` (and optionally the point spec
-        that produced it, for debuggability) under ``key``."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        """Append ``result`` (and optionally the point spec that
+        produced it, for debuggability) as the newest line of ``key``."""
+        _check_key(key)
         payload = {"schema": CACHE_SCHEMA_VERSION, "key": key, "result": result}
         if point is not None:
             payload["point"] = point
-        handle = tempfile.NamedTemporaryFile(
-            mode="w", dir=path.parent, suffix=".tmp", delete=False
-        )
-        try:
-            with handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(handle.name, path)
-        except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        self._append(key, json.dumps(payload, sort_keys=True))
         self.stats.stores += 1
 
+    def append_truncated(self, key: str) -> None:
+        """Fault injection: append a record for ``key`` cut off
+        mid-write, which the next lookup of ``key`` must quarantine."""
+        _check_key(key)
+        self._append(key, _TRUNCATED)
+
     def clear(self) -> int:
-        """Delete every entry (quarantined ones included); returns how
-        many were removed."""
+        """Delete every bucket (quarantine records and evidence
+        included) and any entry files of the older one-file-per-entry
+        layout; returns how many files were removed."""
         root = pathlib.Path(self.directory)
         removed = 0
-        if not root.exists():
-            return 0
-        for pattern in ("*/*.json", "*/*.json.corrupt"):
+        for pattern in (_BUCKET_GLOB, "*/*.json", "*/*.json.corrupt", "*/*.tmp"):
             for entry in root.glob(pattern):
                 try:
                     entry.unlink()
@@ -207,3 +213,53 @@ class ResultCache:
                 except OSError:
                     pass
         return removed
+
+    def _bucket(self, key: str) -> pathlib.Path:
+        return pathlib.Path(self.directory) / f"{key[:2]}.log"
+
+    def _append(self, key: str, text: str) -> None:
+        """Append one whole line to ``key``'s bucket."""
+        bucket = self._bucket(key)
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+        try:
+            fd = os.open(bucket, flags, 0o644)
+        except FileNotFoundError:
+            bucket.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(bucket, flags, 0o644)
+        try:
+            data = f"{key} {text}\n".encode()
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+
+    def _quarantine(self, key: str, bucket: pathlib.Path, reason: str) -> None:
+        """Count a corrupt line and mark ``key`` with a quarantine
+        record, so later lookups are plain misses until a re-store."""
+        self.stats.quarantined += 1
+        try:
+            self._append(key, json.dumps({"quarantined": reason}))
+        except OSError:
+            pass  # unmarked: the next lookup quarantines it again
+        if self.telemetry is not None:
+            self.telemetry.emit(
+                cache_quarantine_event(key=key, path=str(bucket), reason=reason)
+            )
+
+
+def _read(bucket: pathlib.Path) -> bytes:
+    fd = os.open(bucket, os.O_RDONLY)
+    try:
+        return os.read(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+
+
+def _newest_payload(data: bytes, key: str) -> Optional[bytes]:
+    """The payload on the last complete line of ``key`` in ``data``."""
+    end = data.rfind(b"\n")  # a partial trailing line is never read
+    head = key.encode() + b" "
+    start = data.rfind(b"\n" + head, 0, end) + 1
+    if end < 0 or not data.startswith(head, start, end):
+        return None
+    return data[start + len(head):data.index(b"\n", start)]

@@ -145,6 +145,11 @@ POOL_BOUNDARY: Tuple[str, ...] = ("_pool_run_point",)
 #: failure — OOM killer, container teardown — must surface, not loop).
 _MAX_UNATTRIBUTED_POOL_BREAKS = 3
 
+#: Points in flight per pool worker without a timeout: enough queued
+#: work that no worker idles between completions, few enough that each
+#: ``wait`` scans O(jobs) futures.
+_INFLIGHT_PER_WORKER = 4
+
 
 def _require(spec: Mapping[str, Any], key: str, what: str) -> Any:
     if key not in spec:
@@ -507,8 +512,6 @@ class SweepExecutor:
             ``point_failure`` record per point (in input order), live
             ``fault``/``retry``/``cache_quarantine`` records as they
             happen, and one trailing ``sweep`` summary.
-        max_inflight: Upper bound on points submitted to the pool at
-            once; bounds parent-side memory on very large sweeps.
         timeout: Per-point wall-clock budget in seconds.  In pool mode
             a point exceeding it is abandoned and retried; ``None``
             disables.  An in-process point cannot be preempted, so at
@@ -532,7 +535,6 @@ class SweepExecutor:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         telemetry: Optional[TelemetryWriter] = None,
-        max_inflight: int = 256,
         timeout: Optional[float] = None,
         retries: int = 2,
         backoff_base: float = 0.0,
@@ -540,10 +542,6 @@ class SweepExecutor:
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if max_inflight < 1:
-            raise ConfigurationError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
         if timeout is not None and timeout <= 0:
             raise ConfigurationError(f"timeout must be > 0, got {timeout}")
         if retries < 0:
@@ -555,7 +553,6 @@ class SweepExecutor:
         self.jobs = jobs
         self.cache = cache
         self.telemetry = telemetry
-        self.max_inflight = max_inflight
         self.timeout = timeout
         self.retries = retries
         self.backoff_base = backoff_base
@@ -761,10 +758,11 @@ class SweepExecutor:
                 # a slow worker burns its budget (and its attempts)
                 # without ever starting.
                 limit = (
-                    self.max_inflight
+                    _INFLIGHT_PER_WORKER * capacity
                     if self.timeout is None
-                    else min(self.max_inflight, capacity)
+                    else capacity
                 )
+                broken = False
                 while queue and len(inflight) < limit:
                     # Backing-off points must not block eligible ones
                     # queued behind them: submit the first *eligible*
@@ -780,32 +778,39 @@ class SweepExecutor:
                     if slot is None:
                         break
                     index = queue[slot]
-                    del queue[slot]
-                    not_before.pop(index, None)
                     fault = (
                         self.fault_plan.decide(keys[index], attempts[index])
                         if self.fault_plan is not None
                         else None
                     )
-                    if fault is not None:
-                        self._note_fault(
-                            keys[index], points[index].label, fault,
-                            attempts[index], counts,
-                        )
                     hang = (
                         self.fault_plan.hang_seconds
                         if self.fault_plan is not None
                         else 0.0
                     )
-                    future = pool.submit(
-                        _pool_run_point, points[index], fault, hang
-                    )
+                    try:
+                        future = pool.submit(
+                            _pool_run_point, points[index], fault, hang
+                        )
+                    except BrokenProcessPool:
+                        # A worker died since the last wait.  This
+                        # point stays queued; the points in flight are
+                        # failing with the pool and are handled below.
+                        broken = True
+                        break
+                    del queue[slot]
+                    not_before.pop(index, None)
+                    if fault is not None:
+                        self._note_fault(
+                            keys[index], points[index].label, fault,
+                            attempts[index], counts,
+                        )
                     predicted[future] = fault
                     inflight[future] = index
                     if self.timeout is not None:
                         deadlines[future] = time.monotonic() + self.timeout
 
-                if not inflight:
+                if not inflight and not broken:
                     # The submit scan found nothing eligible, so every
                     # queued point is backing off; sleep until the
                     # earliest becomes eligible and resume.
@@ -818,12 +823,13 @@ class SweepExecutor:
                     wait_timeout = (
                         max(0.0, min(deadlines.values()) - time.monotonic()) + 0.01
                     )
-                done, _ = wait(
-                    set(inflight), timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
+                done = set()
+                if inflight:
+                    done, _ = wait(
+                        set(inflight), timeout=wait_timeout,
+                        return_when=FIRST_COMPLETED,
+                    )
 
-                broken = False
                 crash_predicted_inflight = any(
                     predicted.get(f) == FAULT_CRASH for f in inflight
                 )
@@ -928,10 +934,7 @@ class SweepExecutor:
             return
         self.cache.put(key, result.to_dict(), point=point.describe())
         if self.fault_plan is not None and self.fault_plan.corrupts(key):
-            try:
-                self.cache.path_for(key).write_text('{"schema": ')
-            except OSError:
-                return
+            self.cache.append_truncated(key)
             self._note_fault(key, point.label, FAULT_CORRUPT, 0, counts)
 
     def _note_fault(

@@ -28,8 +28,8 @@ consume directly.  Ten event kinds exist:
 
 ``cache_quarantine``
     One record per corrupt cache entry quarantined by
-    :class:`~repro.runtime.cache.ResultCache` (renamed to
-    ``*.corrupt``, never silently overwritten).
+    :class:`~repro.runtime.cache.ResultCache` (marked by an appended
+    quarantine record; the corrupt line itself is never rewritten).
 
 ``policy_stat``
     One record per registered policy-plugin counter per successful
@@ -68,7 +68,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import pathlib
+import weakref
 from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
 
 from repro.errors import MeasurementError
@@ -465,15 +467,23 @@ def validate_record(record: Any) -> None:
 class TelemetryWriter:
     """Append-only JSON-lines sink.
 
-    Accepts a filesystem path (opened lazily in append mode, so several
-    sweeps can share one log) or any writable text stream (tests pass a
-    :class:`io.StringIO`).  Each :meth:`emit` writes exactly one line
-    and flushes, so a crashed run still leaves a readable prefix.
+    Accepts a filesystem path or any writable text stream (tests pass a
+    :class:`io.StringIO`).  A path is opened in append mode on the
+    first :meth:`emit` and the handle is kept for the writer's
+    lifetime (closed when the writer is collected), so several sweeps
+    — and several writers, such as repeated CLI runs — can share one
+    log.  Each :meth:`emit` writes exactly one whole line in one
+    unbuffered ``os.write`` (repeated until every byte is out, should
+    the kernel accept only part of it), so a crashed run still leaves a
+    readable prefix and concurrent writers never tear each other's
+    lines — the same rule :class:`~repro.runtime.cache.ResultCache`
+    appends by.
     """
 
     def __init__(self, sink: Union[str, pathlib.Path, TextIO]) -> None:
         self._path: Optional[pathlib.Path] = None
         self._stream: Optional[TextIO] = None
+        self._fd = -1
         if isinstance(sink, (str, pathlib.Path)):
             self._path = pathlib.Path(sink)
         else:
@@ -481,14 +491,20 @@ class TelemetryWriter:
 
     def emit(self, record: Dict[str, Any]) -> None:
         """Write one record as a single JSON line."""
-        line = json.dumps(record, sort_keys=True)
+        line = json.dumps(record, sort_keys=True) + "\n"
         if self._path is not None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            with self._path.open("a") as handle:
-                handle.write(line + "\n")
+            if self._fd < 0:
+                self._path.parent.mkdir(parents=True, exist_ok=True)
+                self._fd = os.open(
+                    self._path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+                )
+                weakref.finalize(self, os.close, self._fd)
+            data = line.encode()
+            while data:
+                data = data[os.write(self._fd, data):]
         else:
             assert self._stream is not None
-            self._stream.write(line + "\n")
+            self._stream.write(line)
             if not isinstance(self._stream, io.StringIO):
                 self._stream.flush()
 

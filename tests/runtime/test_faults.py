@@ -13,7 +13,10 @@ tests replay exactly, including their fault telemetry.
 """
 
 import io
+import itertools
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -62,6 +65,10 @@ HANG_PLAN = FaultPlan(seed=0, hang_rate=0.5, hang_seconds=5.0)
 #: several times with innocent points in flight each round (see the
 #: fixture guard in the stale-deadline regression test).
 REPEATED_HANG_PLAN = FaultPlan(seed=0, hang_rate=0.7, hang_seconds=5.0)
+
+
+#: The payload the ``corrupt`` fault appends after a store.
+TRUNCATED = '{"schema": '
 
 
 def rows(results):
@@ -273,6 +280,21 @@ class TestChaosConvergence:
         ).run(POINTS)
         assert rows(chaos) == fault_free
 
+    def test_pool_broken_before_submit_recovers(self, fault_free, monkeypatch):
+        # A worker can die between a wait and the next submit, so the
+        # submit itself raises BrokenProcessPool: the point must stay
+        # queued and the pool be respawned, not the sweep abort.
+        real_submit = ProcessPoolExecutor.submit
+        calls = itertools.count()
+
+        def submit_breaking_once(pool, *args, **kwargs):
+            if next(calls) == 3:
+                raise BrokenProcessPool("a worker died since the last wait")
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_breaking_once)
+        assert rows(SweepExecutor(jobs=2).run(POINTS)) == fault_free
+
     def test_serial_chaos_telemetry_replays_identically(self):
         def chaos_log():
             sink = io.StringIO()
@@ -337,20 +359,29 @@ class TestCorruptionChaos:
             telemetry=TelemetryWriter(sink),
         )
         cold = executor.run(POINTS)
-        # Every stored entry was truncated after the store ...
-        assert len(list(tmp_path.glob("*/*.json"))) == len(POINTS)
+        # Every store was followed by a truncated record of its key ...
+        newest = dict(
+            line.split(" ", 1)
+            for bucket in sorted(tmp_path.glob("*.log"))
+            for line in bucket.read_text().splitlines()
+        )
+        assert newest == {key: TRUNCATED for key in KEYS}
         warm = executor.run(POINTS)
         # ... so the warm run quarantines them all, re-runs, and still
         # produces identical rows.
         assert rows(warm) == rows(cold)
         assert cache.stats.quarantined == len(POINTS)
-        assert len(list(tmp_path.glob("*/*.json.corrupt"))) == len(POINTS)
         quarantines = read_telemetry(
             io.StringIO(sink.getvalue()), event="cache_quarantine"
         )
-        assert len(quarantines) == len(POINTS)
+        assert sorted(record["key"] for record in quarantines) == sorted(KEYS)
         for record in quarantines:
             validate_record(record)
+            # The evidence stays in the bucket the event names: the one
+            # for the key's two-hex-digit prefix.
+            bucket = tmp_path / f"{record['key'][:2]}.log"
+            assert record["path"] == str(bucket)
+            assert f"{record['key']} {TRUNCATED}" in bucket.read_text().splitlines()
 
     def test_run_leaves_caller_owned_cache_unmutated(self, tmp_path):
         # The executor routes quarantine events into its own telemetry

@@ -1,13 +1,23 @@
 """Tests for the parallel sweep executor, result cache, and telemetry."""
 
+import gc
 import io
 import json
+import multiprocessing
+import os
+import re
+import warnings
 
 import pytest
 
 from repro.core import offline_exhaustive_search
 from repro.errors import ConfigurationError, MeasurementError
-from repro.runtime.cache import CacheStats, ResultCache, stable_hash
+from repro.runtime.cache import (
+    CACHE_SCHEMA_VERSION,
+    CacheStats,
+    ResultCache,
+    stable_hash,
+)
 from repro.runtime.experiment import compare_policies, compare_policies_grid
 from repro.runtime.parallel import (
     PointResult,
@@ -48,6 +58,22 @@ class TestStableHash:
             stable_hash({"bad": object()})
 
 
+def _store_many(directory, proc, count):
+    """Store ``count`` entries from a separate process."""
+    cache = ResultCache(directory)
+    for n in range(count):
+        cache.put(stable_hash({"proc": proc, "n": n}), {"proc": proc, "n": n})
+
+
+def _append_line(directory, key, text):
+    """Append raw ``<key> <text>`` to the bucket that holds ``key``, as
+    a manual edit or a damaged disk would."""
+    bucket = directory / f"{key[:2]}.log"
+    with bucket.open("a") as handle:
+        handle.write(f"{key} {text}")
+    return bucket
+
+
 class TestResultCache:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -61,10 +87,15 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = stable_hash({"p": 2})
         cache.put(key, {"makespan": 2.0})
-        path = tmp_path / key[:2] / f"{key}.json"
-        path.write_text("{torn write")
+        cache.append_truncated(key)
         assert cache.get(key) is None
-        assert not path.exists()
+        # The quarantine record removes the entry from every later
+        # view: plain misses, here and in a fresh process's cache.
+        assert cache.get(key) is None
+        assert cache.stats == CacheStats(misses=2, stores=1, quarantined=1)
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(key) is None
+        assert fresh.stats == CacheStats(misses=1)
 
     @pytest.mark.parametrize(
         "content, reason",
@@ -88,30 +119,33 @@ class TestResultCache:
         ],
     )
     def test_corrupt_entry_is_quarantined(self, tmp_path, content, reason):
+        key = stable_hash({"p": 3})
+        ResultCache(tmp_path).put(key, {"makespan": 3.0})
+        bucket = _append_line(tmp_path, key, f"{content}\n")
         sink = io.StringIO()
         cache = ResultCache(tmp_path, telemetry=TelemetryWriter(sink))
-        key = stable_hash({"p": 3})
-        cache.put(key, {"makespan": 3.0})
-        path = cache.path_for(key)
-        path.write_text(content)
 
         assert cache.get(key) is None
-        # Evidence preserved, slot freed, counted, telemetered.
-        corrupt = path.with_name(path.name + ".corrupt")
-        assert not path.exists()
-        assert corrupt.read_text() == content
+        # Counted, telemetered with the file holding the evidence, and
+        # the evidence is never rewritten.
         assert cache.stats.quarantined == 1
         (record,) = read_telemetry(io.StringIO(sink.getvalue()))
         assert record["event"] == "cache_quarantine"
         assert record["key"] == key
-        assert record["path"] == str(corrupt)
+        assert record["path"] == str(bucket)
         assert reason in record["reason"]
+        assert f"{key} {content}\n" in bucket.read_text()
+        # The slot is freed: later lookups are plain misses.
+        assert cache.get(key) is None
+        assert ResultCache(tmp_path).get(key) is None
+        assert cache.stats.quarantined == 1
 
-        # The slot re-verifies: a fresh store round-trips again and the
-        # quarantined evidence is untouched.
+        # The slot re-verifies: a fresh store round-trips again, in
+        # this cache and a fresh one, and the evidence is untouched.
         cache.put(key, {"makespan": 3.0})
         assert cache.get(key) == {"makespan": 3.0}
-        assert corrupt.exists()
+        assert ResultCache(tmp_path).get(key) == {"makespan": 3.0}
+        assert f"{key} {content}\n" in bucket.read_text()
 
     def test_healthy_entries_never_quarantine(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -129,11 +163,140 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         for n in range(3):
             cache.put(stable_hash({"p": n}), {"n": n})
-        bad = cache.path_for(stable_hash({"p": 0}))
-        bad.write_text("{torn")
+        cache.append_truncated(stable_hash({"p": 0}))
         assert cache.get(stable_hash({"p": 0})) is None  # quarantines
-        assert cache.clear() == 3  # 2 healthy + 1 .corrupt
+        # Entry files of the older one-file-per-entry layout go too.
+        legacy = tmp_path / "ab"
+        legacy.mkdir()
+        (legacy / f"ab{stable_hash({'p': 1})[2:]}.json").write_text("{}")
+        (legacy / f"ab{stable_hash({'p': 2})[2:]}.json.corrupt").write_text("{")
+        buckets = {stable_hash({"p": n})[:2] for n in range(3)}
+        assert cache.clear() == len(buckets) + 2  # + 2 legacy files
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
         assert cache.get(stable_hash({"p": 1})) is None
+        cache.put(stable_hash({"p": 1}), {"n": 1})
+        assert ResultCache(tmp_path).get(stable_hash({"p": 1})) == {"n": 1}
+
+    def test_partial_trailing_line_is_never_served(self, tmp_path):
+        healthy, torn = stable_hash({"p": 5}), stable_hash({"p": 6})
+
+        def record(n):
+            return json.dumps(
+                {"schema": CACHE_SCHEMA_VERSION, "key": torn, "result": {"n": n}}
+            )
+
+        ResultCache(tmp_path).put(healthy, {"n": 5})
+        bucket = _append_line(tmp_path, torn, record(6))
+        cache = ResultCache(tmp_path)
+        assert cache.get(torn) is None
+        assert cache.get(healthy) == {"n": 5}
+        # Once the writer finishes the line, the next lookup serves it.
+        with bucket.open("a") as handle:
+            handle.write("\n")
+        assert cache.get(torn) == {"n": 6}
+        # A newer line still being written leaves the last whole one.
+        _append_line(tmp_path, torn, record(7))
+        assert cache.get(torn) == {"n": 6}
+        with bucket.open("a") as handle:
+            handle.write("\n")
+        assert cache.get(torn) == {"n": 7}
+        assert cache.stats.quarantined == 0
+
+    def test_line_appended_behind_a_torn_one_is_recomputed(self, tmp_path):
+        torn = stable_hash({"p": 12})
+        glued = next(
+            key for key in (stable_hash({"q": n}) for n in range(10_000))
+            if key[:2] == torn[:2]
+        )
+        _append_line(tmp_path, torn, '{"schema": ')  # a writer killed mid-line
+        cache = ResultCache(tmp_path)
+        cache.put(glued, {"n": 1})
+        # The two read as one corrupt line of the torn key ...
+        assert cache.get(torn) is None
+        assert cache.stats.quarantined == 1
+        # ... and the glued entry is a plain miss until it is re-stored.
+        assert cache.get(glued) is None
+        cache.put(glued, {"n": 1})
+        assert cache.get(glued) == {"n": 1}
+        assert cache.stats.quarantined == 1
+
+    def test_sees_stores_made_by_another_instance_after_first_lookup(self, tmp_path):
+        a, b = ResultCache(tmp_path), ResultCache(tmp_path)
+        first, second = stable_hash({"p": 7}), stable_hash({"p": 8})
+        assert b.get(first) is None  # before any bucket exists
+        a.put(first, {"n": 7})
+        assert b.get(first) == {"n": 7}
+        a.put(second, {"n": 8})
+        assert b.get(second) == {"n": 8}
+        assert b.stats == CacheStats(hits=2, misses=1)
+
+    def test_short_writes_still_append_whole_lines(self, tmp_path, monkeypatch):
+        # The kernel may accept only part of a write; the rest must
+        # follow before the next line starts.
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+        entries = {stable_hash({"p": n}): {"n": n} for n in range(3)}
+        writer = ResultCache(tmp_path)
+        for key, result in entries.items():
+            writer.put(key, result)
+        monkeypatch.undo()
+        reader = ResultCache(tmp_path)
+        assert {key: reader.get(key) for key in entries} == entries
+
+    def test_restore_serves_the_last_line_written(self, tmp_path):
+        key = stable_hash({"p": 10})
+        cache = ResultCache(tmp_path)
+        cache.put(key, {"n": 1})
+        assert cache.get(key) == {"n": 1}
+        cache.put(key, {"n": 2})  # over a key this instance has indexed
+        assert cache.get(key) == {"n": 2}
+        assert ResultCache(tmp_path).get(key) == {"n": 2}
+
+    def test_restore_after_another_instances_quarantine_is_served(self, tmp_path):
+        key = stable_hash({"p": 11})
+        a, b = ResultCache(tmp_path), ResultCache(tmp_path)
+        a.put(key, {"n": 11})
+        b.append_truncated(key)
+        assert b.get(key) is None  # b quarantines the truncated line
+        a.put(key, {"n": 11})  # a's re-store comes after b's record
+        assert ResultCache(tmp_path).get(key) == {"n": 11}
+        assert b.get(key) == {"n": 11}
+        assert b.stats.quarantined == 1
+
+    def test_concurrent_writer_processes_leave_every_entry_intact(self, tmp_path):
+        context = multiprocessing.get_context("spawn")
+        writers = [
+            context.Process(target=_store_many, args=(tmp_path, proc, 500))
+            for proc in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        assert all(
+            re.fullmatch(r"[0-9a-f]{2}\.log", p.name) for p in tmp_path.iterdir()
+        )
+        reader = ResultCache(tmp_path)
+        for proc in range(2):
+            for n in range(500):
+                key = stable_hash({"proc": proc, "n": n})
+                assert reader.get(key) == {"proc": proc, "n": n}
+        assert reader.stats == CacheStats(hits=1000)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="lists open fds via /proc"
+    )
+    def test_no_file_handle_outlives_a_call(self, tmp_path):
+        before = sorted(os.listdir("/proc/self/fd"))
+        cache = ResultCache(tmp_path)
+        key = stable_hash({"p": 9})
+        cache.put(key, {"n": 9})
+        cache.append_truncated(key)
+        assert cache.get(key) is None  # quarantines
+        cache.put(key, {"n": 9})
+        assert cache.get(key) == {"n": 9}
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 class TestSpecBuilders:
@@ -188,6 +351,59 @@ class TestSweepPoint:
         result = run_point(SweepPoint(workload=SYNTH, policy={"kind": "offline"}))
         payload = json.loads(json.dumps(result.to_dict()))
         assert PointResult.from_dict(payload) == result
+
+
+class TestGoldenCacheKeys:
+    """Keys pinned as literal digests: a change to the key scheme (or
+    to ``CACHE_SCHEMA_VERSION``) must be deliberate, since it orphans
+    every stored entry."""
+
+    POINTS = {
+        "synthetic-llc": SweepPoint(
+            workload={
+                "kind": "synthetic", "ratio": 0.5, "footprint_bytes": 2 << 20,
+                "pairs": 24, "llc": {"capacity_bytes": 8 << 20, "sharers": 4},
+            },
+            policy={"kind": "static", "mtl": 2},
+        ),
+        "registry-dynamic": SweepPoint(
+            workload={"kind": "registry", "name": "dft"},
+            machine={"preset": "i7_860", "channels": 2, "smt": 2},
+            policy={"kind": "dynamic"},
+        ),
+        "offline": SweepPoint(
+            workload={"kind": "synthetic", "ratio": 1.0, "pairs": 16},
+            policy={"kind": "offline"},
+        ),
+        "ratio-int": SweepPoint(workload={"kind": "synthetic", "ratio": 2, "pairs": 16}),
+        "ratio-float": SweepPoint(
+            workload={"kind": "synthetic", "ratio": 2.0, "pairs": 16}
+        ),
+        "seed-7": SweepPoint(
+            workload={"kind": "synthetic", "ratio": 2.0, "pairs": 16}, seed=7
+        ),
+        "power7": SweepPoint(
+            workload={"kind": "synthetic", "ratio": 0.25, "pairs": 32},
+            machine={"preset": "power7", "smt": 4, "channels": 8},
+            policy={"kind": "static", "mtl": 16},
+        ),
+    }
+    KEYS = {
+        "synthetic-llc": "b32f1dafe1692a6f2441d808d7cee32941220eb6ecf25c71e5e9560199c9214d",
+        "registry-dynamic": "0ad74d6caf97b4d214cca654b62b795b0cca72ca49fa37f1062216deca9bea80",
+        "offline": "abecdc99620af579229dfbbc7c25aa396c5ad37626ee45ebf321b14a8b803d04",
+        "ratio-int": "a4e5dda201690bb37777c8f90c5432c9c6a3afc15120766e6c9087377b9a12f4",
+        "ratio-float": "684fa44b7457c9cd96bbb95459e0c019e4e575df16a247352c139753c96e2bd2",
+        "seed-7": "c113fc0e563f9e46cd6819397000d9f3c625402fb3853d3ab854c651bb82e4bb",
+        "power7": "1f19c783a9aaa396926daf3457698a7d7f9be2d3c9596fc2b12393908610b4a6",
+    }
+
+    def test_schema_version_is_pinned(self):
+        assert CACHE_SCHEMA_VERSION == 2
+
+    @pytest.mark.parametrize("name", sorted(KEYS))
+    def test_key_is_pinned(self, name):
+        assert point_key(self.POINTS[name]) == self.KEYS[name]
 
 
 class TestRunPoint:
@@ -267,6 +483,40 @@ class TestSweepExecutor:
         (summary,) = read_telemetry(io.StringIO(sink.getvalue()), event="sweep")
         assert summary["points"] == 2
 
+    def test_pool_workers_never_touch_cache_or_telemetry(self, tmp_path, monkeypatch):
+        # Workers fork from this process, so they inherit the recording
+        # wrappers: a cache or telemetry call in a worker logs its pid.
+        callers = tmp_path / "callers"
+
+        def recorded(method):
+            def wrapper(self, *args, **kwargs):
+                with callers.open("a") as log:
+                    log.write(f"{os.getpid()}\n")
+                return method(self, *args, **kwargs)
+
+            return wrapper
+
+        for owner, name in (
+            (ResultCache, "get"), (ResultCache, "put"), (TelemetryWriter, "emit")
+        ):
+            monkeypatch.setattr(owner, name, recorded(getattr(owner, name)))
+        results = SweepExecutor(
+            jobs=3,
+            cache=ResultCache(tmp_path / "cache"),
+            telemetry=TelemetryWriter(tmp_path / "log.jsonl"),
+        ).run(self.POINTS)
+        assert {r.selected_mtl for r in results} == {1, 2, 4}
+        assert set(callers.read_text().split()) == {str(os.getpid())}
+        # One line per point, each stored once, by the parent.
+        stored = [
+            line.split(" ", 1)[0]
+            for bucket in (tmp_path / "cache").glob("*.log")
+            for line in bucket.read_text().splitlines()
+        ]
+        assert sorted(stored) == sorted(
+            point_key(point) for point in self.POINTS
+        )
+
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
             SweepExecutor(jobs=0)
@@ -280,6 +530,44 @@ class TestTelemetryIO:
         writer.emit({"event": "sweep", "n": 2})
         assert len(read_telemetry(path)) == 2
         assert [r["n"] for r in read_telemetry(path, event="sweep")] == [2]
+
+    def test_writers_sharing_a_log_write_whole_lines_in_order(self, tmp_path):
+        # Repeated CLI runs append to one log; records larger than any
+        # I/O buffer must still land as whole lines.
+        path = tmp_path / "shared.jsonl"
+        writers = [TelemetryWriter(path), TelemetryWriter(path)]
+        for n in range(200):
+            for number, writer in enumerate(writers):
+                writer.emit({"writer": number, "n": n, "pad": "x" * (n * 100)})
+        lines = path.read_text().split("\n")
+        assert lines.pop() == ""
+        records = [json.loads(line) for line in lines]
+        for number in range(2):
+            mine = [r for r in records if r["writer"] == number]
+            assert [r["n"] for r in mine] == list(range(200))
+            assert all(len(r["pad"]) == r["n"] * 100 for r in mine)
+
+    def test_short_writes_still_emit_whole_lines(self, tmp_path, monkeypatch):
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+        path = tmp_path / "log.jsonl"
+        writer = TelemetryWriter(path)
+        records = [{"event": "point", "n": n} for n in range(3)]
+        for record in records:
+            writer.emit(record)
+        monkeypatch.undo()
+        assert read_telemetry(path) == records
+
+    def test_dropping_a_writer_closes_its_handle(self, tmp_path):
+        writer = TelemetryWriter(tmp_path / "log.jsonl")
+        writer.emit({"event": "point"})
+        fd = writer._fd
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            del writer
+            gc.collect()
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "log.jsonl"
