@@ -63,16 +63,11 @@ def offline_exhaustive_search(
     target = machine if machine is not None else i7_860()
     by_mtl: Dict[int, SimulationResult] = {}
     if noise_factory is None:
-        # Noise-free runs share one simulator and one pre-built task
-        # graph: tasks are frozen and the work queue is rebuilt per
-        # run, so results are unchanged, while the rate calculator's
+        # Noise-free runs share one simulator, so the rate calculator's
         # snapshot memo stays warm across the whole MTL range.
         simulator = Simulator(target)
-        graph = program.to_task_graph()
         for mtl in range(1, target.context_count + 1):
-            by_mtl[mtl] = simulator.run_graph(
-                graph, FixedMtlPolicy(mtl), program.name
-            )
+            by_mtl[mtl] = simulator.run(program, FixedMtlPolicy(mtl))
     else:
         for mtl in range(1, target.context_count + 1):
             simulator = Simulator(target, noise=noise_factory())

@@ -127,6 +127,7 @@ __all__ = [
     "SweepExecutor",
     "point_key",
     "run_point",
+    "forget_last_workload",
     "build_workload_from_spec",
     "build_machine_from_spec",
     "build_policy_from_spec",
@@ -137,8 +138,16 @@ __all__ = [
 #: pool-safety lint rules (RPR7xx) treat every function listed here —
 #: and everything reachable from it — as worker-side code that must
 #: pickle cleanly, never mutate module globals, and never emit
-#: telemetry directly.
+#: telemetry directly.  The one module state worker code may keep is a
+#: per-process memo of a pure function (:data:`_LAST_WORKLOAD`):
+#: losing it, or its differing between processes, cannot change a
+#: result.
 POOL_BOUNDARY: Tuple[str, ...] = ("_pool_run_point",)
+
+#: The last workload :func:`run_point` built in this process, as
+#: ``{stable_hash(spec): program}`` — at most one entry, so memory
+#: stays at one program however many distinct workloads a sweep has.
+_LAST_WORKLOAD: Dict[str, StreamProgram] = {}
 
 #: Consecutive pool breaks with no injected crash in flight tolerated
 #: before the executor gives up (a real, repeating environment
@@ -265,7 +274,7 @@ def build_policy_from_spec(
 
 
 def _frozen(value: Any) -> Any:
-    """Deep-freeze a spec so :class:`SweepPoint` stays hashab-free but
+    """Deep-freeze a spec so :class:`SweepPoint` stays unhashable but
     immutable in spirit: nested dicts/lists become plain copies the
     point owns (callers mutating their spec after building points must
     not retroactively change them)."""
@@ -410,6 +419,26 @@ class PointResult:
         )
 
 
+def forget_last_workload() -> None:
+    """Drop the workload :func:`run_point` remembers, so the next point
+    builds its own (for timing a point cold)."""
+    _LAST_WORKLOAD.clear()
+
+
+def _workload(spec: Dict[str, Any]) -> StreamProgram:
+    """``build_workload_from_spec(spec)``, reusing the program built for
+    the previous point when ``spec`` has the same canonical form."""
+    key = stable_hash(spec)
+    program = _LAST_WORKLOAD.get(key)
+    if program is None:
+        # Forget first: a failing build leaves nothing remembered, and
+        # the old program is released before the new one is built.
+        _LAST_WORKLOAD.clear()
+        program = build_workload_from_spec(spec)
+        _LAST_WORKLOAD[key] = program
+    return program
+
+
 def run_point(point: SweepPoint) -> PointResult:
     """Execute one sweep point in the current process.
 
@@ -420,8 +449,16 @@ def run_point(point: SweepPoint) -> PointResult:
     spec.  Noise comes from :func:`repro.sim.noise.noise_for_seed`,
     constructed *here* — RNG state is never pickled across process
     boundaries.
+
+    The workload is the one piece reused across points: when a point's
+    workload spec has the same :func:`~repro.runtime.cache.stable_hash`
+    as the previous point run in this process, its program — and the
+    task graph the program keeps (:meth:`StreamProgram.to_task_graph`)
+    — is reused rather than rebuilt.  A program is a pure function of
+    its spec and is only read by a run, so the reuse never changes a
+    result; machines, policies, noise and simulators stay per point.
     """
-    program = build_workload_from_spec(point.workload)
+    program = _workload(point.workload)
     machine = build_machine_from_spec(point.machine)
     policy_kind = _require(point.policy, "kind", "policy")
 

@@ -22,6 +22,10 @@ for how to read it):
 * **fig14** — wall-clock of one Figure 14 point (``dft`` under the
   dynamic policy).
 
+The engine and fig14 sections repeat one point, so each rep first
+forgets the workload :func:`~repro.runtime.parallel.run_point`
+remembers: every rep builds its program, as the seed numbers did.
+
 Every section repeats its unit of work and reports the **median** rep
 (robust to one slow rep on a noisy shared machine, where a mean is
 not), persisting the full rep spread — ``{median, min, max}`` per
@@ -57,9 +61,11 @@ from repro.memory.equilibrium import (
     effective_concurrency,
 )
 from repro.runtime.parallel import (
+    PointResult,
     SweepExecutor,
     SweepPoint,
     build_workload_from_spec,
+    forget_last_workload,
     run_point,
 )
 from repro.runtime.telemetry import (
@@ -120,6 +126,14 @@ def _fig13_point(ratio: float) -> SweepPoint:
         policy={"kind": "offline"},
         label=f"perfbench/fig13/r={ratio:.2f}",
     )
+
+
+def _cold_run_point(point: SweepPoint) -> PointResult:
+    """:func:`run_point` with no workload remembered, so the point
+    builds its workload, as the runs behind the baseline's ``seed``
+    numbers did."""
+    forget_last_workload()
+    return run_point(point)
 
 
 def _rep_seconds(fn: Callable[[], Any], reps: int) -> List[float]:
@@ -216,21 +230,25 @@ def _bench_equilibrium(quick: bool) -> Dict[str, Any]:
 
 
 def _bench_engine(quick: bool) -> Dict[str, Any]:
-    """End-to-end events/sec of one fig13 point, plus cache hit rates."""
+    """End-to-end events/sec of one fig13 point, plus cache hit rates.
+
+    Every rep runs the point cold: the workload :func:`run_point`
+    remembers is forgotten first, so each rep builds the program and
+    its task graph, as the seed numbers it is compared with did.
+    """
     point = _fig13_point(1.0)
     reps = 5 if quick else 20
-    events_per_rep = run_point(point).sim_events  # deterministic per point
-    rep_walls = _rep_seconds(lambda: run_point(point), reps)
+    events_per_rep = _cold_run_point(point).sim_events  # deterministic per point
+    rep_walls = _rep_seconds(lambda: _cold_run_point(point), reps)
     rep_rates = [events_per_rep / wall for wall in rep_walls]
 
     # Direct run of the same workload for cache-effectiveness stats
     # (run_point hides its simulator, so instrument one explicitly).
     machine = i7_860()
     program = build_workload_from_spec(dict(point.workload))
-    graph = program.to_task_graph()
     simulator = Simulator(machine)
     for mtl in range(1, machine.context_count + 1):
-        simulator.run_graph(graph, FixedMtlPolicy(mtl), program.name)
+        simulator.run(program, FixedMtlPolicy(mtl))
     snapshot_stats = simulator.rate_calculator.cache_info()
     eq_stats = machine.memory.equilibrium_cache_info()
 
@@ -277,15 +295,19 @@ def _bench_fig13(quick: bool) -> Dict[str, Any]:
 
 
 def _bench_fig14(quick: bool) -> Dict[str, Any]:
-    """Wall-clock of one fig14 point: dft under the dynamic policy."""
+    """Wall-clock of one fig14 point: dft under the dynamic policy.
+
+    Every rep runs the point cold (see :func:`_bench_engine`), so the
+    build the seed numbers include is in every rep.
+    """
     point = SweepPoint(
         workload={"kind": "registry", "name": "dft"},
         policy={"kind": "dynamic"},
         label="perfbench/fig14/dft-dynamic",
     )
     reps = 10 if quick else 50
-    events = run_point(point).sim_events
-    rep_walls = _rep_seconds(lambda: run_point(point), reps)
+    events = _cold_run_point(point).sim_events
+    rep_walls = _rep_seconds(lambda: _cold_run_point(point), reps)
     return {
         "reps": reps,
         "wall_seconds_per_point": statistics.median(rep_walls),

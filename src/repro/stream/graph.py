@@ -50,9 +50,10 @@ class TaskGraph:
 
         self._order = self._topological_order()
         # Completion handling asks for dependents once per task per
-        # run, and one graph is reused across many runs (the offline
-        # search sweeps every MTL over the same graph) — so resolve
-        # the id lists to task lists once, up front.
+        # run, and one graph is reused across many runs (a program
+        # keeps its graph: the offline search sweeps every MTL over
+        # it, and consecutive sweep points of one workload share it) —
+        # so resolve the id lists to task lists once, up front.
         self._dependent_tasks: Dict[str, List[Task]] = {
             tid: [self._tasks[t] for t in ids]
             for tid, ids in self._dependents.items()

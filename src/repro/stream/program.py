@@ -13,8 +13,8 @@ sections behave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, WorkloadError
 from repro.stream.graph import TaskGraph
@@ -77,6 +77,7 @@ class StreamProgram:
             raise ConfigurationError(f"program {name!r} has no phases")
         self.name = name
         self.phases: Tuple[ProgramPhase, ...] = tuple(phases)
+        self._task_graph: Optional[TaskGraph] = None
 
     @property
     def total_pairs(self) -> int:
@@ -86,33 +87,36 @@ class StreamProgram:
         return [pair for phase in self.phases for pair in phase.pairs]
 
     def to_task_graph(self) -> TaskGraph:
-        """Flatten into a validated task graph with phase barriers.
+        """The program's validated task graph, with phase barriers.
 
         The barrier is encoded by making every memory task of phase
         ``i+1`` depend on every compute task of phase ``i``; this is
         exactly the join semantics of consecutive parallel sections.
+        Compute tasks and the first phase's memory tasks (no barrier
+        before them) enter the graph as the program's own
+        :class:`Task` objects.
+
+        The graph is built on the first call, and every later call
+        returns that same object: the phases are frozen dataclasses, so
+        the graph cannot go stale.  It is shared by every run of this
+        program (each run builds its own work queue over it) and is
+        read-only.
         """
-        tasks: List[Task] = []
-        previous_compute_ids: Tuple[str, ...] = ()
-        for phase in self.phases:
-            current_compute_ids: List[str] = []
-            for pair in phase.pairs:
-                barrier_deps = tuple(previous_compute_ids) + pair.memory.depends_on
-                gated_memory = Task(
-                    task_id=pair.memory.task_id,
-                    kind=pair.memory.kind,
-                    cpu_seconds=pair.memory.cpu_seconds,
-                    memory_requests=pair.memory.memory_requests,
-                    footprint_bytes=pair.memory.footprint_bytes,
-                    pair_index=pair.memory.pair_index,
-                    phase_index=pair.memory.phase_index,
-                    depends_on=barrier_deps,
-                )
-                tasks.append(gated_memory)
-                tasks.append(pair.compute)
-                current_compute_ids.append(pair.compute.task_id)
-            previous_compute_ids = tuple(current_compute_ids)
-        return TaskGraph(tasks)
+        if self._task_graph is None:
+            tasks: List[Task] = []
+            barrier: Tuple[str, ...] = ()
+            for phase in self.phases:
+                for pair in phase.pairs:
+                    memory = pair.memory
+                    if barrier:
+                        memory = replace(
+                            memory, depends_on=barrier + memory.depends_on
+                        )
+                    tasks.append(memory)
+                    tasks.append(pair.compute)
+                barrier = tuple(pair.compute.task_id for pair in phase.pairs)
+            self._task_graph = TaskGraph(tasks)
+        return self._task_graph
 
 
 def build_phase(

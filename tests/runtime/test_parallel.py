@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 from repro.core import offline_exhaustive_search
-from repro.errors import ConfigurationError, MeasurementError
+from repro.errors import ConfigurationError, MeasurementError, WorkloadError
 from repro.runtime.cache import (
     CACHE_SCHEMA_VERSION,
     CacheStats,
@@ -19,6 +19,7 @@ from repro.runtime.cache import (
     stable_hash,
 )
 from repro.runtime.experiment import compare_policies, compare_policies_grid
+from repro.runtime import parallel
 from repro.runtime.parallel import (
     PointResult,
     SweepExecutor,
@@ -26,6 +27,7 @@ from repro.runtime.parallel import (
     build_machine_from_spec,
     build_policy_from_spec,
     build_workload_from_spec,
+    forget_last_workload,
     point_key,
     run_point,
 )
@@ -432,6 +434,101 @@ class TestRunPoint:
         assert run_point(point).makespan == run_point(point).makespan
         unseeded = run_point(SweepPoint(workload=SYNTH))
         assert run_point(point).makespan != unseeded.makespan
+
+
+def _cold(point):
+    """The point's result with no workload remembered."""
+    forget_last_workload()
+    return run_point(point).to_dict()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Forget any remembered workload, then record the spec of every
+    build :func:`run_point` makes."""
+    forget_last_workload()
+    specs = []
+    original = parallel.build_workload_from_spec
+
+    def recording(spec):
+        specs.append(json.dumps(spec, sort_keys=True))
+        return original(spec)
+
+    monkeypatch.setattr(parallel, "build_workload_from_spec", recording)
+    yield specs
+    forget_last_workload()
+
+
+class TestWorkloadReuse:
+    A = {"kind": "synthetic", "ratio": 1.0, "pairs": 16}
+    B = {"kind": "synthetic", "ratio": 0.25, "pairs": 16}
+    C = {"kind": "registry", "name": "dft"}
+
+    def test_reuse_never_changes_a_result(self, builds):
+        a_int = dict(self.A, ratio=1)
+        points = [
+            SweepPoint(workload=self.A, policy={"kind": "static", "mtl": 2}),
+            SweepPoint(workload=self.A, policy={"kind": "dynamic"}, seed=3),
+            SweepPoint(workload=self.B, policy={"kind": "mise"}, seed=5),
+            SweepPoint(workload=self.A, policy={"kind": "offline"}, seed=7),
+            SweepPoint(workload=a_int, policy={"kind": "offline"}),
+        ]
+        remembered = [run_point(point).to_dict() for point in points]
+        # A, B, A, and A with an int ratio (a different canonical form).
+        built = len(builds)
+        assert remembered == [_cold(point) for point in points]
+        assert built == 4
+
+    def test_int_after_float_spec_is_still_validated(self, builds):
+        run_point(SweepPoint(workload={"kind": "synthetic", "ratio": 1.0, "pairs": 16}))
+        with pytest.raises(ConfigurationError, match="'pairs'"):
+            run_point(
+                SweepPoint(workload={"kind": "synthetic", "ratio": 1.0, "pairs": 16.0})
+            )
+
+    def test_failing_spec_is_never_remembered(self, builds):
+        bad = SweepPoint(workload={"kind": "synthetic", "ratio": -1.0, "pairs": 16})
+        run_point(SweepPoint(workload=self.A))
+        for _ in range(2):
+            with pytest.raises(WorkloadError):
+                run_point(bad)
+        run_point(SweepPoint(workload=self.A))
+        assert len(builds) == 4
+
+    def test_non_json_spec_is_rejected(self, builds):
+        point = SweepPoint(workload=dict(self.A, note=object()))
+        with pytest.raises(ConfigurationError, match="JSON"):
+            run_point(point)
+        assert builds == []
+
+    def test_one_build_per_run_of_equal_specs(self, builds):
+        specs = [self.A, self.A, self.C, self.C, self.C, self.A, dict(self.A)]
+        points = [
+            SweepPoint(workload=spec, policy={"kind": "static", "mtl": mtl})
+            for spec, mtl in zip(specs, (1, 2, 4, 1, 2, 4, 1))
+        ]
+        SweepExecutor(jobs=1).run(points)
+        assert builds == [
+            json.dumps(spec, sort_keys=True) for spec in (self.A, self.C, self.A)
+        ]
+
+    def test_repeated_spec_grid_rows_match_across_jobs(self):
+        grid = dict(
+            workloads={"a": self.A, "b": self.B, "c": self.C},
+            machines=[
+                {"preset": "i7_860", "smt": 2},
+                {"preset": "i7_860", "channels": 2},
+            ],
+            policies={
+                "static-2": {"kind": "static", "mtl": 2},
+                "dynamic": {"kind": "dynamic"},
+                "qos": {"kind": "qos"},
+            },
+        )
+        serial = run_suite_grid(**grid, executor=SweepExecutor(jobs=1))
+        pooled = run_suite_grid(**grid, executor=SweepExecutor(jobs=2))
+        assert pooled.rows == serial.rows
+        assert len(serial.rows) == 18
 
 
 class TestSweepExecutor:
