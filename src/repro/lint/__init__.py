@@ -14,13 +14,14 @@ Layout:
   byte-identical merged output), suppression comments
   (``# repro: lint-ok RPR### -- reason``), and baseline filtering;
 * :mod:`repro.lint.graph` — the whole-program layer: per-file
-  :class:`~repro.lint.graph.summary.ModuleSummary` extraction (one
-  scope walk shared by every per-file extractor), the
+  :class:`~repro.lint.graph.summary.ModuleSummary` extraction (the
+  one per-file walk, one call record per call), the
   :class:`~repro.lint.graph.builder.ProjectGraph` symbol table / call
   graph with deterministic reachability, which corpus-level rules
   query, and :mod:`~repro.lint.graph.dataflow`, the interprocedural
-  core (function table, call resolution, argument binding, SCC order,
-  fixpoint driver, witness search) both analyses below run on;
+  core (function table, the graph's resolved calls, argument binding,
+  SCC order, fixpoint driver, witness search) both analyses below run
+  on;
 * :mod:`repro.lint.effects` — per-function effect signatures
   (mutations, captures, escaping exception types) extracted per file
   and closed over the call graph; the plugin-contract,

@@ -40,11 +40,10 @@ __all__ = ["LINT_CACHE_VERSION", "ScanCache", "cache_token"]
 #: rule-id list cannot express (new extraction fields, changed
 #: suppression semantics, FileScan shape).  Bumping orphans every old
 #: entry, which is exactly the point.
-#: v3: one scope walk feeds every extractor — the summary's
-#: per-function effect records (``EffectCall.star``) and unit records
-#: (a ``<module>`` scope, ``UnitCallSite.star``, every check site) —
-#: and suppressions canonicalize folded rule ids.
-LINT_CACHE_VERSION = 3
+#: v4: one per-file walk — one ``CallRef`` per call carries the
+#: argument aliases and unit terms, and each function summary carries
+#: its effect and unit facts; imports are bound up front.
+LINT_CACHE_VERSION = 4
 
 
 def cache_token(

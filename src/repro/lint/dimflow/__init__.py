@@ -6,9 +6,11 @@ Three modules, mirroring the effects package's split:
   unit strings, multiplication/division, the naming convention);
 * :mod:`repro.lint.dimflow.model` — picklable local facts and the
   post-fixpoint :class:`~repro.lint.dimflow.model.UnitSignature`;
-* :mod:`repro.lint.dimflow.extract` / :mod:`~repro.lint.dimflow.fixpoint`
-  — the per-file extraction (runs in ``--jobs`` workers) and the
-  whole-program SCC fixpoint (runs once, in-process).
+* :mod:`repro.lint.dimflow.fixpoint` — the whole-program SCC
+  fixpoint (runs once, in-process).
+
+The local unit facts are extracted by the one per-file walk,
+:mod:`repro.lint.graph.extract` (runs in ``--jobs`` workers).
 """
 
 from repro.lint.dimflow.algebra import (
@@ -20,7 +22,6 @@ from repro.lint.dimflow.algebra import (
     render_unit,
     unit_of_name,
 )
-from repro.lint.dimflow.extract import extract_units
 from repro.lint.dimflow.fixpoint import AttrEvidence, UnitAnalysis
 from repro.lint.dimflow.model import (
     TOP_UNIT,
@@ -28,9 +29,7 @@ from repro.lint.dimflow.model import (
     CheckSite,
     ClassAttr,
     EmitField,
-    ModuleUnits,
     ReturnSite,
-    UnitCallSite,
     UnitFacts,
     UnitSignature,
     UnitTerm,
@@ -44,15 +43,12 @@ __all__ = [
     "CheckSite",
     "ClassAttr",
     "EmitField",
-    "ModuleUnits",
     "ReturnSite",
     "UnitAnalysis",
-    "UnitCallSite",
     "UnitFacts",
     "UnitSignature",
     "UnitTerm",
     "div_units",
-    "extract_units",
     "mul_units",
     "parse_unit",
     "pow_unit",

@@ -2,11 +2,12 @@
 
 :class:`UnitAnalysis` runs on the shared interprocedural core
 (:class:`~repro.lint.graph.dataflow.Interprocedural`: function table,
-call resolution, argument binding, SCC order, fixpoint driver) and
-contributes only its lattice and transfer functions, computing one
-:class:`~repro.lint.dimflow.model.UnitSignature` per function from
-every file's local :class:`~repro.lint.dimflow.model.ModuleUnits`
-facts:
+the graph's resolved calls, argument binding, SCC order, fixpoint
+driver) and contributes only its lattice and transfer functions,
+computing one :class:`~repro.lint.dimflow.model.UnitSignature` per
+function from every scope's local
+:class:`~repro.lint.dimflow.model.UnitFacts`, the argument terms on
+its calls, and every file's class-body attribute units:
 
 * **declared** parameter units come from ``repro.units.UNIT_PARAMS``
   (which wins) or the ``_seconds``/``_bytes``/... name-suffix
@@ -51,14 +52,13 @@ from repro.lint.dimflow.algebra import (
 )
 from repro.lint.dimflow.model import (
     TOP_UNIT,
-    ModuleUnits,
-    UnitCallSite,
+    ClassAttr,
     UnitFacts,
     UnitSignature,
     UnitTerm,
 )
 from repro.lint.graph.dataflow import Callees, Interprocedural
-from repro.lint.graph.summary import ModuleSummary
+from repro.lint.graph.summary import CallRef, ModuleSummary
 from repro.units import UNIT_PARAMS, UNIT_POLYMORPHIC, UNIT_RETURNS
 
 __all__ = ["AttrEvidence", "UnitAnalysis"]
@@ -94,27 +94,20 @@ class UnitAnalysis(Interprocedural):
     """Unit signatures for every function in a linted corpus."""
 
     def __init__(self, graph, summaries: Sequence[ModuleSummary]) -> None:
-        super().__init__(
-            graph,
-            summaries,
-            lambda summary: summary.units.functions if summary.units else (),
-        )
-        self._module_units: List[Tuple[str, str, str, ModuleUnits]] = [
+        super().__init__(graph, lambda function: function.units)
+        self._class_attrs: List[Tuple[str, str, str, Tuple[ClassAttr, ...]]] = [
             (
                 summary.module or summary.path,
                 summary.path,
                 summary.layer,
-                summary.units,
+                summary.class_attrs,
             )
             for summary in summaries
-            if summary.units is not None
         ]
         self._call_info: Dict[str, Tuple[_CallInfo, ...]] = {
             key: tuple(
                 self._call_kind(call, targets)
-                for call, targets in zip(
-                    self._records[key].calls, self._callees[key]
-                )
+                for call, targets in self.calls(key)
             )
             for key in self._records
         }
@@ -163,14 +156,14 @@ class UnitAnalysis(Interprocedural):
 
     def call_edges(
         self, key: str
-    ) -> List[Tuple[UnitCallSite, Optional[str], Optional[str]]]:
+    ) -> List[Tuple[CallRef, Optional[str], Optional[str]]]:
         """``(call, callee, constructor)`` per resolved callee of each
         recorded call; ``(call, None, None)`` when units flow nowhere."""
-        facts = self._records.get(key)
-        if facts is None:
+        if key not in self._records:
             return []
-        out: List[Tuple[UnitCallSite, Optional[str], Optional[str]]] = []
-        for call, (_, callees) in zip(facts.calls, self._call_info[key]):
+        out: List[Tuple[CallRef, Optional[str], Optional[str]]] = []
+        calls = self._nodes[key].summary.calls
+        for call, (_, callees) in zip(calls, self._call_info[key]):
             out.extend((call, callee, ctor) for callee, ctor in callees)
             if not callees:
                 out.append((call, None, None))
@@ -277,7 +270,7 @@ class UnitAnalysis(Interprocedural):
 
     # -- calls ---------------------------------------------------------
 
-    def _call_kind(self, call: UnitCallSite, targets: Callees) -> _CallInfo:
+    def _call_kind(self, call: CallRef, targets: Callees) -> _CallInfo:
         """A ``UNIT_RETURNS``-declared callable returns its table unit
         and a ``UNIT_POLYMORPHIC`` one accepts any unit, so neither
         takes argument units; any other resolved callee does."""
@@ -297,8 +290,8 @@ class UnitAnalysis(Interprocedural):
 
     def _call_return(self, key: str, index: int) -> Optional[str]:
         infos = self._call_info.get(key, ())
-        if index >= len(infos):
-            return None
+        if not 0 <= index < len(infos):
+            return None  # a class-body probe's call, or no such call
         fixed, callees = infos[index]
         if fixed is not None:
             return fixed
@@ -309,7 +302,7 @@ class UnitAnalysis(Interprocedural):
     # -- fixpoint ------------------------------------------------------
 
     def _seed(self, key: str) -> None:
-        facts = self._records[key]
+        function = self._nodes[key].summary
         canonical = self.canonical_name(key)
         polymorphic = canonical in UNIT_POLYMORPHIC
         self._polymorphic[key] = polymorphic
@@ -317,7 +310,7 @@ class UnitAnalysis(Interprocedural):
         params: Dict[str, str] = {}
         declared: List[str] = []
         if not polymorphic:
-            for name in facts.params + facts.kwonly:
+            for name in function.params + function.kwonly:
                 if name in ("self", "cls"):
                     continue
                 unit = declared_table.get(name) or unit_of_name(name)
@@ -365,16 +358,17 @@ class UnitAnalysis(Interprocedural):
 
     def _push_arguments(self, key: str) -> bool:
         changed = False
-        facts = self._records[key]
-        for call, (_, callees) in zip(facts.calls, self._call_info[key]):
+        calls = self._nodes[key].summary.calls
+        for call, (_, callees) in zip(calls, self._call_info[key]):
             for callee_key, ctor in callees:
                 if self._polymorphic[callee_key]:
                     continue
                 declared = self._declared[callee_key]
                 callee_params = self._params[callee_key]
-                for param, term in self.bind(call, callee_key, ctor):
+                for param, arg in self.bind(call, callee_key, ctor):
                     if param in declared:
                         continue  # a contract — mismatches are findings
+                    term = arg.unit
                     unit = self.evaluate(key, term)
                     if unit is None or unit in (SCALAR, TOP_UNIT):
                         continue
@@ -410,8 +404,8 @@ class UnitAnalysis(Interprocedural):
                 evidence
             )
 
-        for namespace, path, layer, units in self._module_units:
-            for record in units.class_attrs:
+        for namespace, path, layer, class_attrs in self._class_attrs:
+            for record in class_attrs:
                 canonical = self._canonical_class(
                     namespace, record.class_name
                 )
@@ -447,7 +441,7 @@ class UnitAnalysis(Interprocedural):
                     )
         for key in self.keys():
             facts = self._records[key]
-            namespace = self._namespace_of[key]
+            namespace = self._nodes[key].namespace
             path = self.node_path(key)
             layer = self.node_layer(key)
             for write in facts.attr_writes:

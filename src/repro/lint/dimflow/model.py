@@ -7,9 +7,11 @@ processes and ship its results across the pool boundary on the file's
 
 Two layers of record:
 
-* :class:`ModuleUnits` / :class:`UnitFacts` — the *local* unit facts
-  of one file: per-function return/argument/attribute/check sites,
-  each carrying a symbolic :class:`UnitTerm`;
+* :class:`UnitFacts` / :class:`ClassAttr` — the *local* unit facts
+  of one file: per-scope return/attribute/check/emit sites and
+  class-body attribute declarations, each carrying a symbolic
+  :class:`UnitTerm` (argument terms ride on the scope's one call
+  record, :class:`~repro.lint.graph.summary.CallRef`);
 * :class:`UnitSignature` — the *transitive* per-function summary after
   the SCC fixpoint of
   :class:`~repro.lint.dimflow.fixpoint.UnitAnalysis`: one lattice
@@ -41,9 +43,7 @@ __all__ = [
     "CheckSite",
     "ClassAttr",
     "EmitField",
-    "ModuleUnits",
     "ReturnSite",
-    "UnitCallSite",
     "UnitFacts",
     "UnitSignature",
     "UnitTerm",
@@ -62,7 +62,8 @@ class UnitTerm:
     ``kind`` selects the payload: ``"known"`` (``unit`` is a canonical
     dimension string, ``""`` = dimensionless), ``"param"`` (``name``
     is a parameter of the enclosing function), ``"call"`` (``index``
-    into the enclosing :attr:`UnitFacts.calls`), or ``"product"``
+    into the enclosing scope's
+    :attr:`~repro.lint.graph.summary.FunctionSummary.calls`), or ``"product"``
     (``factors`` are ``(term, exponent)`` pairs — a quotient is an
     exponent of ``-1``).  An expression with *no* unit evidence is
     represented as ``None`` wherever ``Optional[UnitTerm]`` appears,
@@ -74,20 +75,6 @@ class UnitTerm:
     name: str = ""
     index: int = -1
     factors: Tuple[Tuple["UnitTerm", int], ...] = ()
-
-
-@dataclass(frozen=True)
-class UnitCallSite:
-    """One call, annotated with the unit term of every argument
-    (``star`` is the position of the first ``*args``, if any)."""
-
-    dotted: Optional[str]
-    canonical: Optional[str]
-    receiver_class: Optional[str]
-    lineno: int
-    args: Tuple[Optional[UnitTerm], ...] = ()
-    kwargs: Tuple[Tuple[str, Optional[UnitTerm]], ...] = ()
-    star: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -141,15 +128,10 @@ class EmitField:
 
 @dataclass(frozen=True)
 class UnitFacts:
-    """Local unit facts of one function body."""
+    """Local unit facts of one scope; its parameters and calls are on
+    the enclosing :class:`~repro.lint.graph.summary.FunctionSummary`."""
 
-    qualname: str
-    lineno: int
-    class_name: Optional[str]
-    params: Tuple[str, ...]
-    kwonly: Tuple[str, ...] = ()
     returns: Tuple[ReturnSite, ...] = ()
-    calls: Tuple[UnitCallSite, ...] = ()
     attr_writes: Tuple[AttrWrite, ...] = ()
     checks: Tuple[CheckSite, ...] = ()
     emit_fields: Tuple[EmitField, ...] = ()
@@ -164,14 +146,6 @@ class ClassAttr:
     attr: str
     lineno: int
     term: Optional[UnitTerm]
-
-
-@dataclass(frozen=True)
-class ModuleUnits:
-    """Everything the unit fixpoint needs to know about one file."""
-
-    functions: Tuple[UnitFacts, ...] = ()
-    class_attrs: Tuple[ClassAttr, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
 """Effect-signature dataflow analysis for ``repro lint``.
 
 The call graph (PR 5) answers *who calls whom*; this package answers
-*what a call does to its arguments*.  Each function is condensed — in
-the same ``--jobs``-parallel per-file pass that extracts its
-:class:`~repro.lint.graph.summary.ModuleSummary` — into a picklable
+*what a call does to its arguments*.  The one per-file walk
+(:mod:`repro.lint.graph.extract`, in the ``--jobs``-parallel pass)
+condenses each function into a picklable
 :class:`~repro.lint.effects.model.FunctionEffects` record of its
 *local* effects: which parameters it mutates (attribute / subscript /
 augmented stores and known mutating method calls, traced through local
 aliases with one level of field sensitivity), which parameter objects
-it captures into ``self`` / closures / globals, which exception types
-it raises (with the enclosing ``try`` context of every site), and the
-calls through which effects can propagate.
+it captures into ``self`` / closures / globals, and which exception
+types it raises (with the enclosing ``try`` context of every site).
+The calls through which effects propagate are the function's
+:class:`~repro.lint.graph.summary.CallRef` records, which name the
+caught types and the argument aliases of every call.
 
 The single-process whole-program phase then runs
 :class:`~repro.lint.effects.fixpoint.EffectAnalysis` on the shared

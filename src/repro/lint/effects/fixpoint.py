@@ -2,8 +2,8 @@
 
 :class:`EffectAnalysis` runs on the shared interprocedural core
 (:class:`~repro.lint.graph.dataflow.Interprocedural`: function table,
-call resolution, argument binding, SCC order, fixpoint driver,
-witness search) and contributes only its lattice and transfer
+the graph's resolved calls, argument binding, SCC order, fixpoint
+driver, witness search) and contributes only its lattice and transfer
 function: callee effects fold into caller
 :class:`~repro.lint.effects.model.EffectSignature` records one SCC at
 a time, callees first; mutually recursive functions iterate to a
@@ -30,17 +30,16 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.effects.extract import CATCH_ALL
 from repro.lint.effects.model import (
+    CATCH_ALL,
     TOP,
-    EffectCall,
     EffectSignature,
     FunctionEffects,
     ParamCapture,
     ParamMutation,
 )
 from repro.lint.graph.dataflow import Interprocedural
-from repro.lint.graph.summary import ModuleSummary
+from repro.lint.graph.summary import CallRef, ModuleSummary
 
 __all__ = ["BUILTIN_EXCEPTION_PARENTS", "CATCH_ALL", "EffectAnalysis"]
 
@@ -111,7 +110,9 @@ class EffectAnalysis(Interprocedural):
     """Effect signatures for every function in a linted corpus."""
 
     def __init__(self, graph, summaries: Sequence[ModuleSummary]) -> None:
-        super().__init__(graph, summaries, lambda summary: summary.effects)
+        # The function table is the graph's: ``summaries`` are the ones
+        # it was built from.
+        super().__init__(graph, lambda function: function.effects)
         self._hierarchy = graph.class_hierarchy()
         self._canon_cache: Dict[Tuple[str, str, str], str] = {}
         self._locals = {key: self._local_signature(key) for key in self.keys()}
@@ -148,7 +149,7 @@ class EffectAnalysis(Interprocedural):
         ``exc``: ``(path_keys, site_key, site_lineno)``."""
 
         def hit(key: str, _) -> Optional[int]:
-            namespace = self._namespace_of[key]
+            namespace = self._nodes[key].namespace
             raises = self._records[key].raises
             for site in sorted(raises, key=lambda s: s.lineno):
                 found = self._canon_type(namespace, site.type, TOP)
@@ -159,7 +160,7 @@ class EffectAnalysis(Interprocedural):
             return None
 
         def step(key: str, _) -> Iterator[Tuple[str, str]]:
-            namespace = self._namespace_of[key]
+            namespace = self._nodes[key].namespace
             for call, callee, _ctor in self._resolved_calls(key):
                 if exc in self._signatures[callee].raises and not (
                     self._is_caught(exc, call.caught, namespace)
@@ -211,20 +212,20 @@ class EffectAnalysis(Interprocedural):
 
     def _resolved_calls(
         self, key: str
-    ) -> Iterator[Tuple[EffectCall, str, Optional[str]]]:
+    ) -> Iterator[Tuple[CallRef, str, Optional[str]]]:
         """``(call, callee, constructor)`` per resolved call target."""
-        for call, targets in zip(self._records[key].calls, self._callees[key]):
+        for call, targets in self.calls(key):
             for callee, ctor in targets or ():
                 yield call, callee, ctor
 
     def _mapping(
-        self, call: EffectCall, callee: str, ctor: Optional[str]
+        self, call: CallRef, callee: str, ctor: Optional[str]
     ) -> Dict[str, Tuple[str, str]]:
         """Callee param name -> the caller ``(param, field)`` bound to it."""
         return {
-            name: source
-            for name, source in self.bind(call, callee, ctor, call.receiver)
-            if source is not None
+            name: arg.alias
+            for name, arg in self.bind(call, callee, ctor, receiver=True)
+            if arg.alias is not None
         }
 
     # -- type canonicalization and catching ----------------------------
@@ -294,7 +295,7 @@ class EffectAnalysis(Interprocedural):
 
     def _local_signature(self, key: str) -> EffectSignature:
         fx = self._records[key]
-        namespace = self._namespace_of[key]
+        namespace = self._nodes[key].namespace
         raises: Set[str] = set()
         raises_top = False
         for site in fx.raises:
@@ -316,20 +317,20 @@ class EffectAnalysis(Interprocedural):
     def _propagate(self, key: str, local: EffectSignature) -> EffectSignature:
         """The transfer function: ``local`` joined with what every
         resolved callee does to the objects this call hands it."""
-        namespace = self._namespace_of[key]
+        namespace = self._nodes[key].namespace
         mutates = set(local.mutates)
         captures = set(local.captures)
         raises = set(local.raises)
         mutates_top = local.mutates_top
         captures_top = local.captures_top
         raises_top = local.raises_top
-        for call, targets in zip(self._records[key].calls, self._callees[key]):
+        for call, targets in self.calls(key):
             if targets is None:
                 # Unknown callee: honest ⊤ for anything handed to it.
                 if (
                     call.receiver is not None
-                    or any(source is not None for source in call.args)
-                    or any(source is not None for _, source in call.kwargs)
+                    or any(arg.alias is not None for arg in call.args)
+                    or any(arg.alias is not None for _, arg in call.kwargs)
                 ):
                     mutates_top = True
                     captures_top = True

@@ -8,9 +8,10 @@ ship its results across the pool boundary unchanged.
 Two layers of record:
 
 * :class:`FunctionEffects` — the *local* (intraprocedural) effects of
-  one function body, extracted per file by
-  :mod:`repro.lint.effects.extract` and stored on the file's
-  :class:`~repro.lint.graph.summary.ModuleSummary`;
+  one function body, extracted per file by the one per-file walk
+  (:mod:`repro.lint.graph.extract`) and stored on the function's
+  :class:`~repro.lint.graph.summary.FunctionSummary`, beside the
+  calls through which they propagate;
 * :class:`EffectSignature` — the *transitive* summary after the SCC
   fixpoint of :class:`~repro.lint.effects.fixpoint.EffectAnalysis`
   folded callee effects into callers.
@@ -23,11 +24,11 @@ so findings can print the offending alias chain verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 __all__ = [
+    "CATCH_ALL",
     "TOP",
-    "EffectCall",
     "EffectSignature",
     "FunctionEffects",
     "CaptureMutation",
@@ -40,6 +41,9 @@ __all__ = [
 #: unknown callee's effects.  Signatures record ``⊤`` as a flag, never
 #: as a concrete fact, so rules cannot mistake ignorance for evidence.
 TOP = "⊤"
+
+#: Sentinel caught-name for a bare ``except:`` (catches everything).
+CATCH_ALL = "<any>"
 
 
 @dataclass(frozen=True)
@@ -121,41 +125,11 @@ class CaptureMutation:
 
 
 @dataclass(frozen=True)
-class EffectCall:
-    """One call, annotated for interprocedural effect propagation.
-
-    ``dotted``/``canonical``/``receiver_class`` mirror
-    :class:`~repro.lint.graph.summary.CallRef` so the project graph
-    can resolve the callee.  ``args``/``kwargs`` map each argument
-    that is an alias of a caller parameter to ``(param, field)``;
-    ``receiver`` does the same for the method receiver.  ``star`` is
-    the position of the first ``*args`` argument, if any.  ``caught``
-    is the enclosing-``try`` context, exactly as on
-    :class:`RaiseSite`.
-    """
-
-    dotted: Optional[str]
-    canonical: Optional[str]
-    receiver_class: Optional[str]
-    lineno: int
-    caught: Tuple[str, ...] = ()
-    args: Tuple[Optional[Tuple[str, str]], ...] = ()
-    kwargs: Tuple[Tuple[str, Optional[Tuple[str, str]]], ...] = ()
-    star: Optional[int] = None
-    receiver: Optional[Tuple[str, str]] = None
-
-
-@dataclass(frozen=True)
 class FunctionEffects:
-    """Local (intraprocedural) effects of one function body."""
+    """Local (intraprocedural) effects of one function body; its
+    parameters and calls are on the enclosing
+    :class:`~repro.lint.graph.summary.FunctionSummary`."""
 
-    qualname: str
-    lineno: int
-    class_name: Optional[str]
-    #: Positional parameter names, in order (``self`` included).
-    params: Tuple[str, ...]
-    #: Keyword-only parameter names.
-    kwonly: Tuple[str, ...] = ()
     #: Parameters annotated with an immutable builtin (``int``,
     #: ``str``, ...): capturing their *value* cannot retain mutable
     #: state, so reference-retention rules skip them.
@@ -163,7 +137,6 @@ class FunctionEffects:
     mutations: Tuple[ParamMutation, ...] = ()
     captures: Tuple[ParamCapture, ...] = ()
     raises: Tuple[RaiseSite, ...] = ()
-    calls: Tuple[EffectCall, ...] = ()
     capture_mutations: Tuple[CaptureMutation, ...] = ()
 
 

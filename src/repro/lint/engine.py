@@ -45,7 +45,8 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
-from repro.lint.graph.summary import ModuleSummary, extract_summary
+from repro.lint.graph.extract import extract_summary
+from repro.lint.graph.summary import ModuleSummary
 
 __all__ = [
     "EXCLUDED_DIR_NAMES",

@@ -22,11 +22,13 @@ containers, attribute chains on unknown objects — degrades to an
 *unknown callee*: counted, serialized, and never guessed at, so the
 graph under-approximates rather than over-reports.  Constructor calls
 edge into ``__init__`` and ``__post_init__`` when the class defines
-them — the one constructor rule, shared through :meth:`resolve_call`
-with both fixpoint analyses.  First-order callables passed as
-arguments (``pool.submit(fn, ...)``, ``map(fn, xs)``) produce ``ref``
-edges from the caller: the callee may invoke them, so reachability
-must assume it does.
+them.  Each call is resolved once, here: the node keeps the callees
+of every call it makes (:attr:`FunctionNode.callees`), and both
+fixpoint analyses read those instead of resolving again, so they walk
+exactly the edges the reachability rules do.  First-order callables
+passed as arguments (``pool.submit(fn, ...)``, ``map(fn, xs)``)
+produce ``ref`` edges from the caller: the callee may invoke them, so
+reachability must assume it does.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.lint.graph.summary import (
     ModuleSummary,
 )
 
-__all__ = ["CallSite", "Edge", "FunctionNode", "ProjectGraph"]
+__all__ = ["CallSite", "Callees", "Edge", "FunctionNode", "ProjectGraph"]
 
 #: Call receivers that mark a process-pool boundary crossing.
 _POOL_CLASSES = ("ProcessPoolExecutor",)
@@ -54,6 +56,11 @@ _POOL_METHODS = frozenset({"submit", "map"})
 _BOUNDARY_NAME = "POOL_BOUNDARY"
 #: Methods a constructor call runs, in order, when the class defines them.
 _CONSTRUCTORS = ("__init__", "__post_init__")
+
+#: Resolved targets of one call: ``(callee key, constructor name or
+#: None)`` pairs (``()`` for a class that defines no constructor), or
+#: ``None`` for an unknown callee.
+Callees = Optional[Tuple[Tuple[str, Optional[str]], ...]]
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,8 @@ class FunctionNode:
     summary: FunctionSummary
     edges: List[Edge] = field(default_factory=list)
     unknown_callees: List[str] = field(default_factory=list)
+    #: The resolved targets of each of ``summary.calls``, in order.
+    callees: List[Callees] = field(default_factory=list)
 
     @property
     def qualname(self) -> str:
@@ -167,23 +176,6 @@ class ProjectGraph:
                         keys.add(node.key)
         return sorted(keys)
 
-    def resolve_call(
-        self, node_key: str, call
-    ) -> Optional[Tuple[Tuple[str, Optional[str]], ...]]:
-        """Callees of one call made inside ``node_key``.
-
-        ``((key, None),)`` for a function or method; for a class, one
-        ``(key, constructor)`` pair per constructor it defines (``()``
-        when it defines none); ``None`` for an unknown callee.  ``call``
-        is any record carrying ``dotted``/``canonical``/
-        ``receiver_class``.  The edge builder uses the same rule, so
-        the fixpoint analyses walk the graph the reachability rules do.
-        """
-        node = self._nodes.get(node_key)
-        if node is None:
-            return None
-        return self._callees(self._resolve_ref(node, call))
-
     def module_summaries(self) -> Dict[str, ModuleSummary]:
         """Namespace -> module summary (annotation discovery)."""
         return dict(self._modules)
@@ -232,15 +224,7 @@ class ProjectGraph:
         node = self._nodes.get(site_node_key)
         if node is None or arg.kind not in ("name", "attribute"):
             return None
-        target = self._resolve_ref(
-            node,
-            CallRef(
-                dotted=arg.dotted,
-                canonical=arg.canonical,
-                receiver_class=None,
-                lineno=0,
-            ),
-        )
+        target = self._resolve_ref(node, arg.dotted, arg.canonical, None)
         if isinstance(target, FunctionNode):
             return target
         return None
@@ -320,7 +304,7 @@ class ProjectGraph:
             for call in node.summary.calls:
                 self._resolve_call(node, call)
 
-    def _callees(self, target) -> Optional[Tuple[Tuple[str, Optional[str]], ...]]:
+    def _callees(self, target) -> Callees:
         if isinstance(target, FunctionNode):
             return ((target.key, None),)
         if isinstance(target, tuple):  # a class: edges into construction
@@ -333,7 +317,12 @@ class ProjectGraph:
         return None
 
     def _resolve_call(self, node: FunctionNode, call: CallRef) -> None:
-        callees = self._callees(self._resolve_ref(node, call))
+        callees = self._callees(
+            self._resolve_ref(
+                node, call.dotted, call.canonical, call.receiver_class
+            )
+        )
+        node.callees.append(callees)
         if callees is not None:
             for key, _ in callees:
                 node.edges.append(Edge(to=key, lineno=call.lineno))
@@ -363,22 +352,28 @@ class ProjectGraph:
                 CallSite(node_key=node.key, call=call, method=method)
             )
 
-    def _resolve_ref(self, node: FunctionNode, call: CallRef):
-        """Resolve one call to a FunctionNode, a ``(namespace, Class)``
-        tuple, or ``None``."""
-        if call.canonical is not None:
-            return self._resolve_canonical(call.canonical)
-        if call.dotted is None:
+    def _resolve_ref(
+        self,
+        node: FunctionNode,
+        dotted: Optional[str],
+        canonical: Optional[str],
+        receiver_class: Optional[str],
+    ):
+        """Resolve one callee reference to a FunctionNode, a
+        ``(namespace, Class)`` tuple, or ``None``."""
+        if canonical is not None:
+            return self._resolve_canonical(canonical)
+        if dotted is None:
             return None
-        parts = call.dotted.split(".")
+        parts = dotted.split(".")
         if parts[0] in ("self", "cls") and node.summary.class_name:
             if len(parts) == 2:
                 return self._resolve_method(
                     node.namespace, node.summary.class_name, parts[1]
                 )
             return None
-        if call.receiver_class is not None and len(parts) == 2:
-            target = self._resolve_canonical(call.receiver_class)
+        if receiver_class is not None and len(parts) == 2:
+            target = self._resolve_canonical(receiver_class)
             if isinstance(target, tuple):
                 namespace, cls = target
                 return self._resolve_method(namespace, cls.name, parts[1])

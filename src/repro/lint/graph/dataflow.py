@@ -6,15 +6,19 @@ lattice and transfer functions.  Everything else about running a
 dataflow analysis over the
 :class:`~repro.lint.graph.builder.ProjectGraph` lives here, once:
 
-* the **function table** — one per-function record per
-  ``namespace::qualname`` key, the first definition winning exactly as
-  it does in the graph;
-* **call resolution** — every recorded call resolved by the graph's
-  own :meth:`~repro.lint.graph.builder.ProjectGraph.resolve_call`, so
-  the analyses walk the same edges (and apply the same constructor
-  rule) as the reachability rules;
-* the **argument binder** — which caller-side value each callee
-  parameter receives at a call;
+* the **function table** — the graph's own nodes (first definition
+  winning per ``namespace::qualname``) that carry the analysis's
+  per-function record;
+* the **calls** — each node's
+  :class:`~repro.lint.graph.summary.CallRef` records with the callees
+  the graph resolved for them
+  (:attr:`~repro.lint.graph.builder.FunctionNode.callees`), so the
+  analyses walk exactly the edges (and apply exactly the constructor
+  rule) of the reachability rules, and nothing is resolved twice;
+* the **argument binder** — which caller-side
+  :class:`~repro.lint.graph.summary.ArgRef` each callee parameter
+  receives at a call (the effect analysis reads its ``alias``, the
+  unit analysis its ``unit``);
 * the **SCC order** (iterative Tarjan, callees first) and the
   **fixpoint driver**, which visits one strongly-connected component
   at a time and re-applies a transfer function to a cyclic component
@@ -23,10 +27,9 @@ dataflow analysis over the
   a root to the local site that justifies a fact, so findings print
   the whole chain.
 
-Records are duck-typed: any frozen per-function record with
-``qualname``, ``class_name``, ``params``, ``kwonly`` and ``calls``
-qualifies, and a call record needs ``dotted``, ``canonical``,
-``receiver_class``, ``args``, ``kwargs`` and ``star``.
+Records are the typed summary records: an analysis names which field
+of :class:`~repro.lint.graph.summary.FunctionSummary` holds its
+per-function facts, and reads parameters and calls off the summary.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -45,13 +49,10 @@ from typing import (
     Tuple,
 )
 
-from repro.lint.graph.summary import ModuleSummary
+from repro.lint.graph.builder import Callees, FunctionNode, ProjectGraph
+from repro.lint.graph.summary import ArgRef, CallRef, FunctionSummary
 
 __all__ = ["Callees", "Interprocedural", "bind_arguments"]
-
-#: Resolved targets of one call: ``(callee key, constructor name or
-#: None)`` pairs, or ``None`` for an unknown callee.
-Callees = Optional[Tuple[Tuple[str, Optional[str]], ...]]
 
 #: One witness state: a function key and what the search tracks there.
 _State = Tuple[str, Hashable]
@@ -62,26 +63,20 @@ class Interprocedural:
 
     def __init__(
         self,
-        graph,
-        summaries: Sequence[ModuleSummary],
-        records_of: Callable[[ModuleSummary], Iterable[Any]],
+        graph: ProjectGraph,
+        record_of: Callable[[FunctionSummary], Any],
     ) -> None:
         self._graph = graph
         self._records: Dict[str, Any] = {}
-        self._namespace_of: Dict[str, str] = {}
-        for summary in summaries:
-            namespace = summary.module or summary.path
-            for record in records_of(summary):
-                key = f"{namespace}::{record.qualname}"
-                if key not in self._records:
-                    self._records[key] = record
-                    self._namespace_of[key] = namespace
-        #: key -> the resolved targets of each of its calls, in order.
-        self._callees: Dict[str, Tuple[Callees, ...]] = {
-            key: tuple(self._resolve(key, call) for call in record.calls)
-            for key, record in sorted(self._records.items())
-        }
-        self._components = _components(self._callees)
+        self._nodes: Dict[str, FunctionNode] = {}
+        for node in graph:
+            record = record_of(node.summary)
+            if record is not None:
+                self._records[node.key] = record
+                self._nodes[node.key] = node
+        self._components = _components(
+            {key: node.callees for key, node in self._nodes.items()}
+        )
 
     # -- function table ------------------------------------------------
 
@@ -106,21 +101,23 @@ class Interprocedural:
 
     # -- calls ---------------------------------------------------------
 
-    def _resolve(self, key: str, call) -> Callees:
-        targets = self._graph.resolve_call(key, call)
-        if targets is None:
-            return None
-        return tuple(
-            (callee, ctor) for callee, ctor in targets if callee in self._records
-        )
+    def calls(self, key: str) -> Iterator[Tuple[CallRef, Callees]]:
+        """``(call, callees)`` for each call ``key`` makes, in order."""
+        node = self._nodes[key]
+        return zip(node.summary.calls, node.callees)
 
     def bind(
-        self, call, callee: str, ctor: Optional[str], receiver: Any = None
-    ) -> List[Tuple[str, Any]]:
-        """:func:`bind_arguments` against the callee's own record."""
-        record = self._records[callee]
+        self, call: CallRef, callee: str, ctor: Optional[str], receiver: bool = False
+    ) -> List[Tuple[str, ArgRef]]:
+        """:func:`bind_arguments` against the callee's own parameters."""
+        function = self._nodes[callee].summary
         return bind_arguments(
-            call, record.params, record.kwonly, record.class_name, ctor, receiver
+            call,
+            function.params,
+            function.kwonly,
+            function.class_name,
+            ctor,
+            receiver,
         )
 
     # -- fixpoint ------------------------------------------------------
@@ -186,34 +183,35 @@ class Interprocedural:
 
 
 def bind_arguments(
-    call,
+    call: CallRef,
     params: Sequence[str],
     kwonly: Sequence[str] = (),
     class_name: Optional[str] = None,
     ctor: Optional[str] = None,
-    receiver: Any = None,
-) -> List[Tuple[str, Any]]:
-    """``(callee parameter, caller-side value)`` pairs for one call.
+    receiver: bool = False,
+) -> List[Tuple[str, ArgRef]]:
+    """``(callee parameter, caller-side argument)`` pairs for one call.
 
-    A method called through an instance binds ``receiver`` to its first
-    parameter; ``Class.method(instance, ...)`` binds the instance
-    positionally instead, and a constructor's first parameter is the
-    object under construction.  Positional arguments bind in order and
-    stop at the first ``*args`` (which parameter the next one reaches
-    depends on its length).  None bind to ``__post_init__``: positional
-    arguments fill the dataclass's fields, and which of them are the
-    ``InitVar`` values ``__post_init__`` receives the records cannot
-    tell.  Keywords bind by name.
+    A method called through an instance binds its receiver (when asked
+    to, and when the call recorded one) to its first parameter;
+    ``Class.method(instance, ...)`` binds the instance positionally
+    instead, and a constructor's first parameter is the object under
+    construction.  Positional arguments bind in order and stop at the
+    first ``*args`` (which parameter the next one reaches depends on
+    its length).  None bind to ``__post_init__``: positional arguments
+    fill the dataclass's fields, and which of them are the ``InitVar``
+    values ``__post_init__`` receives the records cannot tell.
+    Keywords bind by name.
     """
-    bound: List[Tuple[str, Any]] = []
+    bound: List[Tuple[str, ArgRef]] = []
     offset = 0
     if ctor is not None:
         offset = 1
     elif class_name is not None and params and params[0] in ("self", "cls"):
         if (call.dotted or "").split(".")[0] != class_name:
             offset = 1
-            if receiver is not None:
-                bound.append((params[0], receiver))
+            if receiver and call.receiver is not None:
+                bound.append((params[0], call.receiver))
     positional = () if ctor == "__post_init__" else call.args[: call.star]
     for index, value in enumerate(positional, start=offset):
         if index < len(params):
@@ -225,7 +223,7 @@ def bind_arguments(
 
 
 def _components(
-    callees: Dict[str, Tuple[Callees, ...]]
+    callees: Dict[str, Sequence[Callees]]
 ) -> List[Tuple[List[str], bool]]:
     """Iterative Tarjan over the resolved call edges: ``(sorted
     members, cyclic)`` per strongly connected component, callees first

@@ -23,24 +23,23 @@ shared).  :class:`CorpusRule` holds the findings such a rule gathers
 until ``finalize``; :class:`ReachabilityRule` is the shared base of
 every "no call path from these roots reaches this sink" invariant.
 
-Per-file rules that resolve names (``np.random.rand``) use
-:class:`ImportMap`, which canonicalises call targets through the
-file's imports, so ``from random import random as draw`` cannot dodge
-the randomness rule while a local variable that merely *shadows*
-``random`` does not false-positive.
+Per-file rules that resolve names (``np.random.rand``) use the file's
+one :class:`~repro.lint.graph.summary.ImportTable`, which canonicalises
+call targets through the file's imports, so ``from random import
+random as draw`` cannot dodge the randomness rule while a local
+variable that merely *shadows* ``random`` does not false-positive.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.lint.engine import FileContext, Finding
 from repro.lint.graph.summary import dotted as dotted_name
 
 __all__ = [
     "CorpusRule",
-    "ImportMap",
     "ReachabilityRule",
     "Rule",
     "call_name",
@@ -194,47 +193,6 @@ def finding_at(
         message=message,
         source_line=ctx.line_text(line),
     )
-
-
-class ImportMap:
-    """Maps local names to canonical dotted module paths.
-
-    ``import numpy as np`` binds ``np -> numpy``; ``from time import
-    time as now`` binds ``now -> time.time``; ``from datetime import
-    datetime`` binds ``datetime -> datetime.datetime``.  Names never
-    bound by an import resolve to ``None``, so locals that shadow a
-    module name do not false-positive.
-    """
-
-    def __init__(self, tree: ast.Module) -> None:
-        self._bindings: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    canonical = alias.name if alias.asname else local
-                    self._bindings[local] = canonical
-            elif isinstance(node, ast.ImportFrom):
-                if node.level or node.module is None:
-                    continue  # relative imports stay repo-internal
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    self._bindings[local] = f"{node.module}.{alias.name}"
-
-    def resolve(self, node: ast.AST) -> Optional[str]:
-        """Canonical dotted path of a Name/Attribute chain, if imported."""
-        chain: List[str] = []
-        current = node
-        while isinstance(current, ast.Attribute):
-            chain.append(current.attr)
-            current = current.value
-        if not isinstance(current, ast.Name):
-            return None
-        base = self._bindings.get(current.id)
-        if base is None:
-            return None
-        chain.append(base)
-        return ".".join(reversed(chain))
 
 
 def call_name(node: ast.Call) -> Optional[str]:

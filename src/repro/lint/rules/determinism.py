@@ -15,7 +15,8 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import FileContext, Finding
-from repro.lint.rules.base import ImportMap, Rule
+from repro.lint.graph.summary import ImportTable
+from repro.lint.rules.base import Rule
 
 __all__ = ["DETERMINISTIC_LAYERS", "UnseededRandomRule"]
 
@@ -75,7 +76,7 @@ class UnseededRandomRule(Rule):
     severity = "error"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportMap(ctx.tree)
+        imports = ImportTable(ctx.tree, ctx.display_path)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -3,8 +3,8 @@
 Three families built on the transitive
 :class:`~repro.lint.effects.fixpoint.EffectAnalysis` (rules that set
 ``needs_effects``), on graph reachability (RPR903, like the pool-safety
-global-write rule), or directly on the per-file
-:class:`~repro.lint.effects.model.FunctionEffects` records (rules
+global-write rule), or directly on each function summary's
+:class:`~repro.lint.effects.model.FunctionEffects` record (rules
 whose invariant is local to one function body):
 
 * **plugin-contract** (RPR901–RPR903): throttling-policy hooks are
@@ -163,11 +163,10 @@ class _PolicyContractRule(CorpusRule):
         if self._graph is None:
             return
         for key, node, cls, hook in _policy_hooks(self._graph):
-            fx = analysis.function_effects(key)
-            if fx is not None:
-                self._check_hook(analysis, key, node, cls, hook, fx)
+            if node.summary.effects is not None:
+                self._check_hook(analysis, key, node, cls, hook)
 
-    def _check_hook(self, analysis, key, node, cls, hook, fx) -> None:
+    def _check_hook(self, analysis, key, node, cls, hook) -> None:
         raise NotImplementedError
 
 
@@ -179,8 +178,9 @@ class PolicyHookArgumentMutationRule(_PolicyContractRule):
     family = "plugin-contract"
     severity = "error"
 
-    def _check_hook(self, analysis, key, node, cls, hook, fx) -> None:
-        receiver = fx.params[0] if fx.params else None
+    def _check_hook(self, analysis, key, node, cls, hook) -> None:
+        params = node.summary.params
+        receiver = params[0] if params else None
         by_param: Dict[str, Set[str]] = {}
         for param, fieldname in analysis.signature(key).mutates:
             if param != receiver:
@@ -224,9 +224,10 @@ class PolicyHookReferenceRetentionRule(_PolicyContractRule):
     family = "plugin-contract"
     severity = "error"
 
-    def _check_hook(self, analysis, key, node, cls, hook, fx) -> None:
-        receiver = fx.params[0] if fx.params else None
-        immutable = set(fx.immutable_params)
+    def _check_hook(self, analysis, key, node, cls, hook) -> None:
+        params = node.summary.params
+        receiver = params[0] if params else None
+        immutable = set(node.summary.effects.immutable_params)
         for param in sorted(analysis.signature(key).captures):
             if param == receiver:
                 continue
@@ -297,15 +298,15 @@ class _MemoEffectRule(CorpusRule):
         protected_by_class = {
             cls.name: _protected_slots(cls) for cls in summary.classes
         }
-        for fx in summary.effects:
-            if fx.class_name is None:
+        for function in summary.functions:
+            if function.effects is None or function.class_name is None:
                 continue
-            protected = protected_by_class.get(fx.class_name)
+            protected = protected_by_class.get(function.class_name)
             if not protected:
                 continue
-            self._collect(summary, fx, protected)
+            self._collect(summary, function, protected)
 
-    def _collect(self, summary, fx, protected: FrozenSet[str]) -> None:
+    def _collect(self, summary, function, protected: FrozenSet[str]) -> None:
         raise NotImplementedError
 
 
@@ -317,11 +318,11 @@ class PostCaptureMutationRule(_MemoEffectRule):
     family = "mutation-after-freeze"
     severity = "error"
 
-    def _collect(self, summary, fx, protected: FrozenSet[str]) -> None:
+    def _collect(self, summary, function, protected: FrozenSet[str]) -> None:
         # Applies in constructors too: capture-then-mutate is ordering
         # sensitive, and a ctor that appends after storing has already
         # handed the memo a moving target.
-        for cm in fx.capture_mutations:
+        for cm in function.effects.capture_mutations:
             if cm.attr not in protected:
                 continue
             chain = cm.chain()
@@ -341,7 +342,7 @@ class PostCaptureMutationRule(_MemoEffectRule):
                         f"alias chain: {chain}"
                     ),
                     source_line=(
-                        f"{fx.qualname}: {cm.kind} on {cm.name} after "
+                        f"{function.qualname}: {cm.kind} on {cm.name} after "
                         f"capture into self.{cm.attr} via {chain}"
                     ),
                 )
@@ -356,14 +357,14 @@ class SignatureInteriorMutationRule(_MemoEffectRule):
     family = "mutation-after-freeze"
     severity = "error"
 
-    def _collect(self, summary, fx, protected: FrozenSet[str]) -> None:
-        method = fx.qualname.rpartition(".")[2]
+    def _collect(self, summary, function, protected: FrozenSet[str]) -> None:
+        method = function.qualname.rpartition(".")[2]
         if method in _REBUILD_METHODS:
             return  # construction/unpickle legitimately build the slots
-        receiver = fx.params[0] if fx.params else None
+        receiver = function.params[0] if function.params else None
         if receiver is None:
             return
-        for mutation in fx.mutations:
+        for mutation in function.effects.mutations:
             if mutation.param != receiver:
                 continue
             if mutation.field not in protected:
@@ -385,15 +386,15 @@ class SignatureInteriorMutationRule(_MemoEffectRule):
                     line=mutation.lineno,
                     col=0,
                     message=(
-                        f"{fx.class_name}.{mutation.field} feeds a memo "
+                        f"{function.class_name}.{mutation.field} feeds a memo "
                         f"signature but is mutated {shape} in {method}(); "
                         "signature slots are frozen after construction "
                         "(the snapshot memo has no invalidation path) — "
                         f"alias chain: {chain}"
                     ),
                     source_line=(
-                        f"{fx.qualname}: {mutation.kind} on "
-                        f"{fx.class_name}.{mutation.field} via {chain}"
+                        f"{function.qualname}: {mutation.kind} on "
+                        f"{function.class_name}.{mutation.field} via {chain}"
                     ),
                 )
             )
@@ -469,8 +470,10 @@ class DeterministicBareExceptionRule(CorpusRule):
     def consume_summary(self, summary) -> None:
         if summary.layer not in DETERMINISTIC_LAYERS:
             return
-        for fx in summary.effects:
-            for site in fx.raises:
+        for function in summary.functions:
+            if function.effects is None:
+                continue
+            for site in function.effects.raises:
                 if site.kind != "explicit":
                     continue
                 if site.type not in ("Exception", "BaseException"):
@@ -484,13 +487,13 @@ class DeterministicBareExceptionRule(CorpusRule):
                         col=0,
                         message=(
                             f"bare {site.type} raised in "
-                            f"{fx.qualname}(); deterministic layers "
+                            f"{function.qualname}(); deterministic layers "
                             "raise specific repro.errors types so "
                             "callers can catch deliberately instead of "
                             "catching everything"
                         ),
                         source_line=(
-                            f"raise {site.type} in {fx.qualname}"
+                            f"raise {site.type} in {function.qualname}"
                         ),
                     )
                 )

@@ -147,8 +147,9 @@ class ArgumentUnitMismatchRule(_UnitFlowRule):
                     target = call.canonical or call.dotted or ""
                     declared = UNIT_PARAMS.get(target, {})
                     bound = bind_arguments(call, tuple(declared))
-                for param, term in bound:
+                for param, arg in bound:
                     expected = declared.get(param)
+                    term = arg.unit
                     actual = analysis.evaluate(key, term)
                     if not (
                         _concrete(expected)

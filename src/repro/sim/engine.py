@@ -285,11 +285,16 @@ class RateCalculator:
         A context is CPU-active when its task currently demands CPU:
         real CPU work, or the pure-CPU dispatch-overhead phase.  Memory
         tasks past their overhead phase sit in prefetch stalls and do
-        not pressure the core.
+        not pressure the core.  "Real CPU work" is read off the per-unit
+        demand the memo key holds, so a CPU time that underflows to 0.0
+        per unit counts exactly as it keys.
         """
         cpu_active_per_core: Dict[int, int] = {}
         for rt in running:
-            demands_cpu = rt.overhead_remaining > 0.0 or rt.task.cpu_seconds > 0
+            demands_cpu = (
+                rt.overhead_remaining > 0.0
+                or rt.demand.cpu_seconds_per_unit > 0
+            )
             if demands_cpu:
                 cpu_active_per_core[rt.core_id] = (
                     cpu_active_per_core.get(rt.core_id, 0) + 1

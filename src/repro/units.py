@@ -116,7 +116,8 @@ UNIT_PARAMS = {
     "repro.stream.task.memory_task": {"requests": "cache_lines"},
     "repro.stream.task.compute_task": {"spilled_requests": "cache_lines"},
     "repro.stream.program.build_phase": {
-        "compute_spill_requests": "cache_lines"
+        "requests_per_memory_task": "cache_lines",
+        "compute_spill_requests": "cache_lines",
     },
 }
 

@@ -130,7 +130,12 @@ class TestLocalExtraction:
             "core",
         )
         clone = pickle.loads(pickle.dumps(summary))
-        assert clone.effects == summary.effects
+        # The whole summary crosses the boundary: calls with their
+        # argument aliases and unit terms, and each scope's facts.
+        assert clone == summary
+        (function,) = [f for f in clone.functions if f.qualname == "f"]
+        assert function.effects.mutations and function.effects.raises
+        assert [call.dotted for call in function.calls] == ["ValueError"]
 
 
 class TestFixpoint:

@@ -117,6 +117,63 @@ class TestMemoizedSnapshotExactness:
         assert calc.cache_info() == {"hits": 0, "misses": 0, "entries": 0}
 
 
+#: CPU demand of one SMT context's task: ``None`` is a memory task;
+#: otherwise a compute task with spill traffic (so it has work even at
+#: zero CPU), whose demand is ordinary or degenerate — subnormal (it
+#: underflows to 0.0 per work unit), zero, or negative zero.  A
+#: degenerate demand shares its memo key with a memory task's.
+cpu_demands = st.sampled_from([None, 1e-4, 5e-324, 0.0, -0.0])
+
+#: The two SMT contexts of core 0 (context ids 0 and 4).
+sibling_specs = st.tuples(
+    st.tuples(cpu_demands, st.booleans()),  # demand, in overhead phase?
+    st.tuples(cpu_demands, st.booleans()),
+)
+
+
+def sibling_population(specs):
+    population = []
+    for context_id, (cpu_seconds, in_overhead) in zip((0, 4), specs):
+        if cpu_seconds is None:
+            task = memory_task(f"m{context_id}", requests=250.0)
+        else:
+            task = compute_task(
+                f"c{context_id}", cpu_seconds=cpu_seconds, spilled_requests=250.0
+            )
+        population.append(
+            running(task, context_id, overhead=1e-6 if in_overhead else 0.0)
+        )
+    return population
+
+
+class TestDegenerateCpuDemandsOnSmt:
+    @settings(max_examples=150)
+    @given(populations=st.lists(sibling_specs, min_size=1, max_size=6))
+    def test_property_shared_memo_equals_cold_recomputation(self, populations):
+        """Whatever populations warmed the memo, every snapshot is the
+        cold one — also when two populations share a key."""
+        calc = make_calculator()
+        for specs in populations:
+            population = sibling_population(specs)
+            assert calc.snapshot(population) == calc.compute_snapshot(population)
+
+    def test_subnormal_compute_task_keyed_like_a_memory_task(self):
+        calc = make_calculator()
+        sibling = running(compute_task("c4", cpu_seconds=1e-3), 4)
+        twins = [
+            memory_task("m0", requests=1e6),
+            compute_task("c0", cpu_seconds=1e-320, spilled_requests=1e6),
+        ]
+        alone = calc.compute_snapshot([sibling]).speeds[4]
+        for task in twins:
+            population = [running(task, 0), sibling]
+            cold = calc.compute_snapshot(population)
+            assert calc.snapshot(population) == cold
+            # The subnormal CPU time is 0.0 per work unit: neither twin
+            # takes a CPU share from its sibling.
+            assert cold.speeds[4] == alone
+
+
 class TestMemoBounds:
     def test_overflow_clears_and_keeps_serving_exact_results(self):
         calc = make_calculator(max_entries=2)

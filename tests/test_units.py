@@ -138,6 +138,10 @@ class TestUnitMetadataTables:
         assert UNIT_PARAMS["repro.stream.task.compute_task"] == {
             "spilled_requests": "cache_lines"
         }
+        assert UNIT_PARAMS["repro.stream.program.build_phase"] == {
+            "requests_per_memory_task": "cache_lines",
+            "compute_spill_requests": "cache_lines",
+        }
 
     def test_per_second_is_polymorphic(self):
         assert "repro.units.per_second" in UNIT_POLYMORPHIC
