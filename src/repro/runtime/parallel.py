@@ -33,6 +33,16 @@ are injected deterministically for testing via a
 :class:`~repro.runtime.faults.FaultPlan` (see
 ``docs/fault_injection.md``).
 
+Submission: one pool future carries a *chunk* of points, run in order
+by one worker.  Its size comes from the measured wall of the points
+completed so far (:func:`_chunk_size`), so a run of cheap points pays
+for one submit, one pickled reply and one ``wait`` instead of one
+each, while points costing more than ``_CHUNK_SECONDS`` keep a future
+of their own.  Fault tolerance stays per point: a point with an
+injected fault travels alone, a transient error in a chunk costs only
+its own point an attempt, and with a ``timeout`` every submission
+carries one point.
+
 Determinism: results are returned in input order regardless of worker
 completion order, noise is derived per point from its seed via
 :func:`repro.sim.noise.noise_for_seed` inside the process that runs
@@ -81,6 +91,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -142,7 +153,7 @@ __all__ = [
 #: per-process memo of a pure function (:data:`_LAST_WORKLOAD`):
 #: losing it, or its differing between processes, cannot change a
 #: result.
-POOL_BOUNDARY: Tuple[str, ...] = ("_pool_run_point",)
+POOL_BOUNDARY: Tuple[str, ...] = ("_pool_run_points",)
 
 #: The last workload :func:`run_point` built in this process, as
 #: ``{stable_hash(spec): program}`` — at most one entry, so memory
@@ -154,10 +165,18 @@ _LAST_WORKLOAD: Dict[str, StreamProgram] = {}
 #: failure — OOM killer, container teardown — must surface, not loop).
 _MAX_UNATTRIBUTED_POOL_BREAKS = 3
 
-#: Points in flight per pool worker without a timeout: enough queued
-#: work that no worker idles between completions, few enough that each
-#: ``wait`` scans O(jobs) futures.
+#: Submissions in flight per pool worker without a timeout: enough
+#: queued work that no worker idles between completions, few enough
+#: that each ``wait`` scans O(jobs) futures.
 _INFLIGHT_PER_WORKER = 4
+
+#: Seconds of work one pool submission aims to carry (see
+#: :func:`_chunk_size`).  Long enough that a chunk of ~1 ms points pays
+#: one submit, reply and ``wait`` for tens of points; short enough that
+#: a chunk lost to a broken pool, or still running at the end of a
+#: sweep, costs little.  ``docs/performance.md`` gives the candidates
+#: measured on ``sweep-fanout``.
+_CHUNK_SECONDS = 0.02
 
 
 def _require(spec: Mapping[str, Any], key: str, what: str) -> Any:
@@ -509,31 +528,66 @@ def run_point(point: SweepPoint) -> PointResult:
     )
 
 
-def _pool_run_point(
-    point: SweepPoint,
+def _chunk_size(
+    completed_wall: float, completed: int, queued: int, limit: int
+) -> int:
+    """Points per pool submission, from what the parent has measured.
+
+    One point until some point has completed (``completed`` points took
+    ``completed_wall`` worker seconds in all).  Then about
+    ``_CHUNK_SECONDS`` of work at their mean wall, but no more than an
+    even share of the ``queued`` points across the ``limit`` in-flight
+    submissions, so the end of a sweep stays spread over every worker.
+    Never less than one: a point costing more than ``_CHUNK_SECONDS``
+    keeps a submission of its own.
+    """
+    if completed == 0 or completed_wall <= 0.0:
+        return 1
+    per_point = completed_wall / completed
+    return max(1, min(int(_CHUNK_SECONDS / per_point), queued // limit))
+
+
+def _pool_run_points(
+    points: List[SweepPoint],
     inject: Optional[str] = None,
     hang_seconds: float = 0.0,
-) -> Tuple[Dict[str, Any], float, int]:
-    """Worker-side wrapper: run, time, and identify the worker.
+) -> List[Tuple[Union[Dict[str, Any], str], float, int]]:
+    """Worker side of one pool submission: run ``points`` in order.
 
-    Returns the result as a plain dict (the same JSON form the cache
-    stores) so the parent never depends on dataclass pickling details.
+    Returns one ``(payload, wall seconds, worker pid)`` entry per point,
+    each timed on its own.  The payload is the result as a plain dict
+    (the same JSON form the cache stores, so the parent never depends
+    on dataclass pickling details), or the message of the
+    :class:`~repro.errors.MeasurementError` the point raised: a
+    transient failure costs its own point an attempt and leaves its
+    chunk-mates' results standing.  Any other exception propagates and
+    aborts the sweep, as it does at ``jobs=1``.
+
     ``inject`` applies the fault the parent decided for this attempt:
     an abrupt process death, a pre-run sleep, or a transient error —
     applied *here*, in the worker, so the parent's recovery machinery
-    is exercised exactly as a real failure would.
+    is exercised exactly as a real failure would.  The parent sends a
+    faulted point alone, so a fault never reaches another point.
     """
     if inject == FAULT_CRASH:
         os._exit(INJECTED_CRASH_EXIT_CODE)
-    if inject == FAULT_ERROR:
-        raise MeasurementError(
-            f"injected transient error for point {point.label!r}"
-        )
     if inject == FAULT_HANG and hang_seconds > 0.0:
         time.sleep(hang_seconds)
-    start = time.perf_counter()
-    result = run_point(point)
-    return result.to_dict(), time.perf_counter() - start, os.getpid()
+    pid = os.getpid()
+    outcomes: List[Tuple[Union[Dict[str, Any], str], float, int]] = []
+    for point in points:
+        start = time.perf_counter()
+        payload: Union[Dict[str, Any], str]
+        try:
+            if inject == FAULT_ERROR:
+                raise MeasurementError(
+                    f"injected transient error for point {point.label!r}"
+                )
+            payload = run_point(point).to_dict()
+        except MeasurementError as exc:
+            payload = str(exc)
+        outcomes.append((payload, time.perf_counter() - start, pid))
+    return outcomes
 
 
 class SweepExecutor:
@@ -550,8 +604,9 @@ class SweepExecutor:
             ``fault``/``retry``/``cache_quarantine`` records as they
             happen, and one trailing ``sweep`` summary.
         timeout: Per-point wall-clock budget in seconds.  In pool mode
-            a point exceeding it is abandoned and retried; ``None``
-            disables.  An in-process point cannot be preempted, so at
+            a point exceeding it is abandoned and retried, and every
+            submission carries one point; ``None`` disables.  An
+            in-process point cannot be preempted, so at
             ``jobs=1`` the budget only governs injected hangs: a hang
             the timeout would catch (``hang_seconds >= timeout``)
             consumes an attempt exactly as it would in a pool worker.
@@ -697,11 +752,7 @@ class SweepExecutor:
         """
         attempt = 0
         while True:
-            fault = (
-                self.fault_plan.decide(key, attempt)
-                if self.fault_plan is not None
-                else None
-            )
+            fault = self._fault(key, attempt)
             if fault is not None:
                 self._note_fault(key, point.label, fault, attempt, counts)
             if fault == FAULT_HANG and not (
@@ -747,12 +798,20 @@ class SweepExecutor:
         queue: Deque[int] = deque(pending)
         attempts: Dict[int, int] = {index: 0 for index in pending}
         not_before: Dict[int, float] = {}
+        # (point, attempt) pairs whose fault is logged: a free
+        # resubmission after a pool break re-injects the fault but must
+        # not log it twice.
+        noted: Set[Tuple[int, int]] = set()
         predicted: Dict[Future, Optional[str]] = {}
-        inflight: Dict[Future, int] = {}
+        inflight: Dict[Future, List[int]] = {}
         deadlines: Dict[Future, float] = {}
         capacity = min(self.jobs, len(pending))
         pool = ProcessPoolExecutor(max_workers=capacity)
+        hang = self.fault_plan.hang_seconds if self.fault_plan is not None else 0.0
         unattributed_breaks = 0
+        # Worker wall of the points completed so far, which sizes chunks.
+        completed = 0
+        completed_wall = 0.0
 
         def recover(index: int, reason: str) -> None:
             """A failed attempt: retry with backoff or degrade."""
@@ -774,17 +833,48 @@ class SweepExecutor:
                 not_before[index] = time.monotonic() + backoff
             queue.append(index)
 
-        def requeue_after_break(index: int, fault: Optional[str]) -> None:
-            """Resubmit a point lost to a broken pool.
+        def requeue_after_break(chunk: List[int], fault: Optional[str]) -> None:
+            """Resubmit the points of a submission lost to a broken pool.
 
-            Only the point whose injected crash killed the worker
-            consumed an attempt; innocent pool-mates are resubmitted
-            for free — their loss is pool mechanics, not their fault.
+            Only a point whose injected crash killed the worker consumed
+            an attempt, and such a point travels alone; innocent
+            pool-mates and chunk-mates are resubmitted for free — their
+            loss is pool mechanics, not their fault.
             """
             if fault == FAULT_CRASH:
+                (index,) = chunk
                 recover(index, "worker crashed (injected)")
             else:
-                queue.append(index)
+                queue.extend(chunk)
+
+        def take(size: int, now: float) -> Tuple[List[int], Optional[str]]:
+            """Remove the next submission from the queue.
+
+            The first eligible point goes alone when the plan faults
+            its attempt; otherwise up to ``size`` eligible fault-free
+            points go together, in queue order.  Backing-off points
+            must not block eligible ones queued behind them, and are
+            never gathered; they and skipped faulted points keep their
+            places at the head of the queue.
+            """
+            chunk: List[int] = []
+            fault: Optional[str] = None
+            skipped: List[int] = []
+            while queue and len(chunk) < size:
+                index = queue.popleft()
+                if not_before.get(index, 0.0) > now:
+                    skipped.append(index)
+                    continue
+                decided = self._fault(keys[index], attempts[index])
+                if decided is None:
+                    chunk.append(index)
+                elif chunk:
+                    skipped.append(index)
+                else:
+                    chunk, fault = [index], decided
+                    break
+            queue.extendleft(reversed(skipped))
+            return chunk, fault
 
         try:
             while queue or inflight:
@@ -793,7 +883,8 @@ class SweepExecutor:
                 # ticking immediately — so never submit more points
                 # than the pool has workers, or a point queued behind
                 # a slow worker burns its budget (and its attempts)
-                # without ever starting.
+                # without ever starting.  Deadlines are per point, so
+                # each submission then carries one point.
                 limit = (
                     _INFLIGHT_PER_WORKER * capacity
                     if self.timeout is None
@@ -801,49 +892,37 @@ class SweepExecutor:
                 )
                 broken = False
                 while queue and len(inflight) < limit:
-                    # Backing-off points must not block eligible ones
-                    # queued behind them: submit the first *eligible*
-                    # point, not the head.
-                    slot = next(
-                        (
-                            offset
-                            for offset, candidate in enumerate(queue)
-                            if not_before.get(candidate, 0.0) <= now
-                        ),
-                        None,
+                    size = (
+                        _chunk_size(completed_wall, completed, len(queue), limit)
+                        if self.timeout is None
+                        else 1
                     )
-                    if slot is None:
+                    chunk, fault = take(size, now)
+                    if not chunk:
                         break
-                    index = queue[slot]
-                    fault = (
-                        self.fault_plan.decide(keys[index], attempts[index])
-                        if self.fault_plan is not None
-                        else None
-                    )
-                    hang = (
-                        self.fault_plan.hang_seconds
-                        if self.fault_plan is not None
-                        else 0.0
-                    )
                     try:
                         future = pool.submit(
-                            _pool_run_point, points[index], fault, hang
+                            _pool_run_points, [points[i] for i in chunk], fault, hang
                         )
                     except BrokenProcessPool:
-                        # A worker died since the last wait.  This
-                        # point stays queued; the points in flight are
+                        # A worker died since the last wait.  The chunk
+                        # stays queued; the submissions in flight are
                         # failing with the pool and are handled below.
+                        queue.extendleft(reversed(chunk))
                         broken = True
                         break
-                    del queue[slot]
-                    not_before.pop(index, None)
+                    for index in chunk:
+                        not_before.pop(index, None)
                     if fault is not None:
-                        self._note_fault(
-                            keys[index], points[index].label, fault,
-                            attempts[index], counts,
-                        )
+                        (index,) = chunk
+                        if (index, attempts[index]) not in noted:
+                            noted.add((index, attempts[index]))
+                            self._note_fault(
+                                keys[index], points[index].label, fault,
+                                attempts[index], counts,
+                            )
                     predicted[future] = fault
-                    inflight[future] = index
+                    inflight[future] = chunk
                     if self.timeout is not None:
                         deadlines[future] = time.monotonic() + self.timeout
 
@@ -871,21 +950,25 @@ class SweepExecutor:
                     predicted.get(f) == FAULT_CRASH for f in inflight
                 )
                 for future in done:
-                    index = inflight.pop(future)
+                    chunk = inflight.pop(future)
                     deadlines.pop(future, None)
                     fault = predicted.pop(future, None)
                     try:
-                        payload, wall, pid = future.result()
+                        outcomes = future.result()
                     except BrokenProcessPool:
                         broken = True
-                        requeue_after_break(index, fault)
-                    except MeasurementError as exc:
-                        recover(index, str(exc))
-                    else:
+                        requeue_after_break(chunk, fault)
+                        continue
+                    for index, (payload, wall, pid) in zip(chunk, outcomes):
+                        if isinstance(payload, str):
+                            recover(index, payload)
+                            continue
                         result = PointResult.from_dict(payload)
                         results[index] = result
                         walls[index] = wall
                         workers[index] = pid
+                        completed += 1
+                        completed_wall += wall
                         self._store(keys[index], points[index], result, counts)
                         # A completed point proves the (possibly
                         # respawned) pool works: the strike counter
@@ -904,8 +987,8 @@ class SweepExecutor:
                                 "injected crash in flight; giving up on a "
                                 "failing environment"
                             )
-                    for future, index in list(inflight.items()):
-                        requeue_after_break(index, predicted.pop(future, None))
+                    for future, chunk in list(inflight.items()):
+                        requeue_after_break(chunk, predicted.pop(future, None))
                     inflight.clear()
                     deadlines.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
@@ -916,7 +999,7 @@ class SweepExecutor:
                     overdue = [f for f, d in deadlines.items() if d <= now]
                     if overdue:
                         for future in overdue:
-                            index = inflight.pop(future)
+                            (index,) = inflight.pop(future)
                             deadlines.pop(future, None)
                             fault = predicted.pop(future, None)
                             recover(
@@ -935,9 +1018,9 @@ class SweepExecutor:
                         # abandoned futures' deadlines go with them: a
                         # stale deadline expiring later would look like
                         # an overdue future that is no longer in flight.
-                        for future, index in list(inflight.items()):
+                        for future, chunk in list(inflight.items()):
                             predicted.pop(future, None)
-                            queue.append(index)
+                            queue.extend(chunk)
                         inflight.clear()
                         deadlines.clear()
                         pool.shutdown(wait=False, cancel_futures=True)
@@ -973,6 +1056,12 @@ class SweepExecutor:
         if self.fault_plan is not None and self.fault_plan.corrupts(key):
             self.cache.append_truncated(key)
             self._note_fault(key, point.label, FAULT_CORRUPT, 0, counts)
+
+    def _fault(self, key: str, attempt: int) -> Optional[str]:
+        """The fault the plan injects into this attempt, if any."""
+        if self.fault_plan is None:
+            return None
+        return self.fault_plan.decide(key, attempt)
 
     def _note_fault(
         self, key: str, label: str, kind: str, attempt: int, counts: Dict[str, int]

@@ -18,6 +18,7 @@ the memory system's contention state at run time.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -86,13 +87,19 @@ class Task:
     def __post_init__(self) -> None:
         if not self.task_id:
             raise ConfigurationError("task_id must be non-empty")
-        if self.cpu_seconds < 0:
+        # One chained comparison per demand rejects negative, NaN and
+        # infinite values alike: a non-finite demand would otherwise
+        # reach the simulator as a NaN per-unit demand or an infinite
+        # time step.
+        if not 0.0 <= self.cpu_seconds < math.inf:
             raise ConfigurationError(
-                f"cpu_seconds must be non-negative, got {self.cpu_seconds}"
+                f"task {self.task_id!r}: cpu_seconds must be finite and "
+                f"non-negative, got {self.cpu_seconds}"
             )
-        if self.memory_requests < 0:
+        if not 0.0 <= self.memory_requests < math.inf:
             raise ConfigurationError(
-                f"memory_requests must be non-negative, got {self.memory_requests}"
+                f"task {self.task_id!r}: memory_requests must be finite and "
+                f"non-negative, got {self.memory_requests}"
             )
         if self.footprint_bytes < 0:
             raise ConfigurationError(

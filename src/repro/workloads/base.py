@@ -12,6 +12,7 @@ the memory system, exactly as a real binary's would.
 
 from __future__ import annotations
 
+import math
 from typing import Protocol, runtime_checkable
 
 from repro.errors import WorkloadError
@@ -56,11 +57,17 @@ def compute_time_for_ratio(
     ``T_m1`` is the footprint's request count times the reference
     solo latency; the returned ``T_c`` is ``T_m1 / ratio``.
     """
-    if ratio <= 0:
-        raise WorkloadError(f"ratio must be positive, got {ratio}")
+    if not 0.0 < ratio < math.inf:
+        raise WorkloadError(f"ratio must be positive and finite, got {ratio}")
     if footprint_bytes <= 0:
         raise WorkloadError(
             f"footprint_bytes must be positive, got {footprint_bytes}"
         )
     t_m1 = cache_lines(footprint_bytes) * REFERENCE_SOLO_LATENCY
-    return t_m1 / ratio
+    t_c = t_m1 / ratio
+    if t_c == math.inf:
+        # A subnormal ratio overflows the quotient.
+        raise WorkloadError(
+            f"ratio {ratio!r} is too small: T_c = T_m1 / ratio overflows"
+        )
+    return t_c

@@ -25,6 +25,7 @@ dict).  Validation is eager and names the offending phase.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from typing import Any, Dict, List, Union
 
@@ -115,23 +116,26 @@ def _parse_phase(workload: str, index: int, raw: Any) -> ProgramPhase:
 
     if has_ratio:
         ratio = raw["ratio"]
-        if not isinstance(ratio, (int, float)) or ratio <= 0:
+        if not isinstance(ratio, (int, float)) or not 0 < ratio < math.inf:
             raise WorkloadError(
-                f"{workload!r} phase {phase_name!r}: 'ratio' must be positive"
+                f"{workload!r} phase {phase_name!r}: 'ratio' must be positive "
+                f"and finite, got {ratio!r}"
             )
         requests = float(cache_lines(footprint))
         compute_seconds = compute_time_for_ratio(float(ratio), footprint)
     else:
         requests = raw.get("requests")
         compute_seconds = raw.get("compute_seconds")
-        if not isinstance(requests, (int, float)) or requests <= 0:
+        if not isinstance(requests, (int, float)) or not 0 < requests < math.inf:
             raise WorkloadError(
-                f"{workload!r} phase {phase_name!r}: needs positive 'requests' "
-                "(or use 'ratio')"
+                f"{workload!r} phase {phase_name!r}: needs positive finite "
+                "'requests' (or use 'ratio')"
             )
-        if not isinstance(compute_seconds, (int, float)) or compute_seconds <= 0:
+        if not isinstance(compute_seconds, (int, float)) or not (
+            0 < compute_seconds < math.inf
+        ):
             raise WorkloadError(
-                f"{workload!r} phase {phase_name!r}: needs positive "
+                f"{workload!r} phase {phase_name!r}: needs positive finite "
                 "'compute_seconds' (or use 'ratio')"
             )
         requests = float(requests)

@@ -20,6 +20,7 @@ analytical model in Figure 13(c).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -66,8 +67,10 @@ class SyntheticWorkload:
     cache: Optional[LastLevelCache] = None
 
     def __post_init__(self) -> None:
-        if self.ratio <= 0:
-            raise WorkloadError(f"ratio must be positive, got {self.ratio}")
+        if not 0.0 < self.ratio < math.inf:
+            raise WorkloadError(
+                f"ratio must be positive and finite, got {self.ratio}"
+            )
         if self.footprint_bytes <= 0:
             raise WorkloadError(
                 f"footprint_bytes must be positive, got {self.footprint_bytes}"

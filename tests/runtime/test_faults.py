@@ -15,6 +15,7 @@ tests replay exactly, including their fault telemetry.
 import io
 import itertools
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -69,6 +70,24 @@ REPEATED_HANG_PLAN = FaultPlan(seed=0, hang_rate=0.7, hang_seconds=5.0)
 
 #: The payload the ``corrupt`` fault appends after a store.
 TRUNCATED = '{"schema": '
+
+#: Enough tiny points (about a millisecond each) that the pool gathers
+#: them into chunks; the six points above never form one.
+TINY_POINTS = [
+    SweepPoint(
+        workload={"kind": "synthetic", "ratio": 0.05 + 0.01 * step, "pairs": 16},
+        policy={"kind": "static", "mtl": 1 + step % 4},
+        label=f"tiny/{step}",
+    )
+    for step in range(300)
+]
+
+#: Crashes, hangs and transient errors together, meant to run without
+#: a timeout: a hang is a slow worker, and a crash breaks the pool
+#: while chunks and faulted points are in flight.
+CHUNK_CHAOS_PLAN = FaultPlan.parse(
+    "seed=1,crash=0.05,hang=0.05,error=0.05,hang_seconds=0.05"
+)
 
 
 def rows(results):
@@ -347,6 +366,78 @@ class TestChaosConvergence:
         # At least one retry happened (fixture guard), each sleeping
         # >= backoff_base.
         assert time.monotonic() - start >= 0.05
+
+
+def fault_log(sink):
+    """The ``(key, attempt, kind)`` of every ``fault`` record."""
+    return Counter(
+        (r["key"], r["attempt"], r["kind"])
+        for r in read_telemetry(io.StringIO(sink.getvalue()), event="fault")
+    )
+
+
+class TestChunkedChaos:
+    """Chaos on a sweep large enough that the pool submits chunks."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        fault_free = rows(SweepExecutor(jobs=1).run(TINY_POINTS))
+        serial_sink, pool_sink = io.StringIO(), io.StringIO()
+        serial = SweepExecutor(
+            jobs=1, retries=6, fault_plan=CHUNK_CHAOS_PLAN,
+            telemetry=TelemetryWriter(serial_sink),
+        ).run(TINY_POINTS)
+        submits = itertools.count()
+        real_submit = ProcessPoolExecutor.submit
+
+        def counted_submit(pool, *args, **kwargs):
+            next(submits)
+            return real_submit(pool, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ProcessPoolExecutor, "submit", counted_submit)
+            pooled = SweepExecutor(
+                jobs=2, retries=6, fault_plan=CHUNK_CHAOS_PLAN,
+                telemetry=TelemetryWriter(pool_sink),
+            ).run(TINY_POINTS)
+        return {
+            "fault_free": fault_free,
+            "serial": rows(serial),
+            "pool": rows(pooled),
+            "serial_sink": serial_sink,
+            "pool_sink": pool_sink,
+            "submits": next(submits),
+        }
+
+    def test_fixture_plan_injects_every_kind(self):
+        first = {CHUNK_CHAOS_PLAN.decide(point_key(p), 0) for p in TINY_POINTS}
+        assert {FAULT_CRASH, FAULT_HANG, FAULT_ERROR} <= first
+
+    def test_rows_bit_identical(self, runs):
+        assert runs["serial"] == runs["fault_free"]
+        assert runs["pool"] == runs["fault_free"]
+
+    def test_chunks_formed(self, runs):
+        # Every attempt is a first try or a retry; a free resubmission
+        # after a pool break adds a submission but no attempt.  Fewer
+        # submissions than attempts means points shared submissions.
+        (summary,) = read_telemetry(
+            io.StringIO(runs["pool_sink"].getvalue()), event="sweep"
+        )
+        assert summary["failures"] == 0
+        assert runs["submits"] < len(TINY_POINTS) + summary["retries"]
+
+    def test_one_fault_record_per_key_and_attempt(self, runs):
+        # A free resubmission after a pool break re-injects a faulted
+        # point's fault, but the fault was logged when it was first
+        # submitted: the pool's log must be the serial run's log.
+        serial, pooled = fault_log(runs["serial_sink"]), fault_log(runs["pool_sink"])
+        assert serial and pooled == serial
+        for name, logged in (("serial_sink", serial), ("pool_sink", pooled)):
+            (summary,) = read_telemetry(
+                io.StringIO(runs[name].getvalue()), event="sweep"
+            )
+            assert summary["faults"] == sum(logged.values())
 
 
 class TestCorruptionChaos:

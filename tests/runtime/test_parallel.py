@@ -3,10 +3,12 @@
 import gc
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.runtime.cache import (
 )
 from repro.runtime.experiment import compare_policies, compare_policies_grid
 from repro.runtime import parallel
+from repro.runtime.faults import PointFailure
 from repro.runtime.parallel import (
     PointResult,
     SweepExecutor,
@@ -320,6 +323,16 @@ class TestSpecBuilders:
         with pytest.raises(ConfigurationError, match="'mtl'"):
             build_policy_from_spec({"kind": "static"}, i7_860())
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf, 5e-324])
+    def test_degenerate_synthetic_ratio_is_named(self, ratio):
+        # A NaN, infinite or subnormal ratio fails at the spec, naming
+        # the key, rather than mid-run on an infinite time step.
+        spec = {"kind": "synthetic", "ratio": ratio, "pairs": 16}
+        with pytest.raises(WorkloadError, match="ratio"):
+            build_workload_from_spec(spec)
+        with pytest.raises(WorkloadError, match="ratio"):
+            SweepExecutor(jobs=1).run([SweepPoint(workload=spec)])
+
     def test_machine_presets(self):
         assert build_machine_from_spec({"preset": "i7_860"}).context_count == 4
         power7 = build_machine_from_spec(
@@ -617,6 +630,155 @@ class TestSweepExecutor:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
             SweepExecutor(jobs=0)
+
+
+def _tiny(count, doomed_at=None, doomed_workload=None):
+    """``count`` points of about a millisecond each, labelled
+    ``tiny/<index>``; the one at ``doomed_at`` is labelled ``doomed``
+    and may carry its own workload spec."""
+    points = []
+    for step in range(count):
+        workload = {"kind": "synthetic", "ratio": 0.1 + 0.01 * step, "pairs": 16}
+        label = f"tiny/{step}"
+        if step == doomed_at:
+            label = "doomed"
+            workload = doomed_workload or workload
+        points.append(
+            SweepPoint(
+                workload=workload,
+                policy={"kind": "static", "mtl": 1 + step % 4},
+                label=label,
+            )
+        )
+    return points
+
+
+@pytest.fixture
+def submissions(monkeypatch):
+    """The labels of the points of every pool submission, in order."""
+    chunks = []
+    real_submit = ProcessPoolExecutor.submit
+
+    def recording(pool, fn, points, *args, **kwargs):
+        chunks.append([point.label for point in points])
+        return real_submit(pool, fn, points, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+    return chunks
+
+
+class TestChunkedSubmission:
+    A = {"kind": "synthetic", "ratio": 1.0, "pairs": 16}
+    B = {"kind": "synthetic", "ratio": 0.25, "pairs": 16}
+
+    def test_chunk_size_rule(self):
+        chunk = parallel._CHUNK_SECONDS
+        # One point per submission until a point has completed.
+        assert parallel._chunk_size(0.0, 0, 1000, 8) == 1
+        # About _CHUNK_SECONDS of work at the completed points' mean ...
+        per_point = chunk / 20.5
+        assert parallel._chunk_size(41 * per_point, 41, 1000, 8) == 20
+        # ... but at most an even share of the queue per in-flight slot,
+        assert parallel._chunk_size(41 * per_point, 41, 80, 8) == 10
+        assert parallel._chunk_size(41 * per_point, 41, 5, 8) == 1
+        # and points costing more than _CHUNK_SECONDS go one at a time.
+        assert parallel._chunk_size(6 * chunk, 4, 1000, 8) == 1
+
+    def test_worker_reuses_the_workload_inside_a_chunk(self, builds):
+        specs = [self.A, self.A, self.A, self.B, self.B, self.A]
+        points = [
+            SweepPoint(workload=spec, policy={"kind": "static", "mtl": mtl})
+            for spec, mtl in zip(specs, (1, 2, 4, 1, 2, 4))
+        ]
+        outcomes = parallel._pool_run_points(points)
+        assert builds == [
+            json.dumps(spec, sort_keys=True) for spec in (self.A, self.B, self.A)
+        ]
+        assert [payload for payload, _, _ in outcomes] == [
+            _cold(point) for point in points
+        ]
+        assert {pid for _, _, pid in outcomes} == {os.getpid()}
+
+    def test_repeated_specs_in_chunks_match_serial(self, submissions):
+        specs = [self.A, self.A, self.A, self.B, self.B, self.A] * 25
+        points = [
+            SweepPoint(
+                workload=spec,
+                policy={"kind": "static", "mtl": 1 + index % 4},
+                label=f"repeat/{index}",
+            )
+            for index, spec in enumerate(specs)
+        ]
+        serial = SweepExecutor(jobs=1).run(points)
+        pooled = SweepExecutor(jobs=2).run(points)
+        assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+        assert len(submissions) < len(points)
+
+    def test_measurement_error_in_a_chunk_degrades_only_its_point(
+        self, monkeypatch, submissions
+    ):
+        # Workers fork from this process and inherit the failing
+        # run_point; a chunk size bounded only by the queue share makes
+        # the doomed point ride with chunk-mates.
+        real_run_point = parallel.run_point
+
+        def failing(point):
+            if point.label == "doomed":
+                raise MeasurementError("persistent measurement failure")
+            return real_run_point(point)
+
+        monkeypatch.setattr(parallel, "run_point", failing)
+        monkeypatch.setattr(parallel, "_CHUNK_SECONDS", 60.0)
+        points = _tiny(200, doomed_at=60)
+        serial = SweepExecutor(jobs=1, retries=1).run(points)
+        pooled = SweepExecutor(jobs=2, retries=1).run(points)
+        assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+        failed = [r for r in pooled if isinstance(r, PointFailure)]
+        assert [(f.label, f.attempts) for f in failed] == [("doomed", 2)]
+        assert failed[0].reason == "persistent measurement failure"
+        first = next(chunk for chunk in submissions if "doomed" in chunk)
+        assert len(first) > 1
+
+    def test_configuration_error_in_a_chunk_aborts_the_sweep(
+        self, monkeypatch, submissions
+    ):
+        monkeypatch.setattr(parallel, "_CHUNK_SECONDS", 60.0)
+        points = _tiny(
+            200,
+            doomed_at=60,
+            doomed_workload={"kind": "synthetic", "ratio": 1.0, "pairs": 16.0},
+        )
+        for jobs in (1, 2):
+            with pytest.raises(ConfigurationError, match="'pairs'"):
+                SweepExecutor(jobs=jobs, retries=2).run(points)
+        first = next(chunk for chunk in submissions if "doomed" in chunk)
+        assert len(first) > 1
+
+    def test_points_costing_more_than_a_chunk_go_alone(
+        self, monkeypatch, submissions
+    ):
+        monkeypatch.setattr(parallel, "_CHUNK_SECONDS", 1e-9)
+        points = _tiny(60)
+        results = SweepExecutor(jobs=2).run(points)
+        assert [r.label for r in results] == [p.label for p in points]
+        assert submissions == [[p.label] for p in points]
+
+    def test_a_timeout_means_one_point_per_submission(self, submissions):
+        points = _tiny(60)
+        serial = SweepExecutor(jobs=1).run(points)
+        timed = SweepExecutor(jobs=2, timeout=60.0).run(points)
+        assert [r.to_dict() for r in timed] == [r.to_dict() for r in serial]
+        assert sorted(submissions) == sorted([p.label] for p in points)
+
+    def test_wall_and_worker_come_from_each_points_own_timing(self):
+        sink = io.StringIO()
+        SweepExecutor(jobs=2, telemetry=TelemetryWriter(sink)).run(_tiny(120))
+        records = read_telemetry(io.StringIO(sink.getvalue()), event="point")
+        assert [r["label"] for r in records] == [f"tiny/{i}" for i in range(120)]
+        assert all(0.0 < r["wall_seconds"] < 1.0 for r in records)
+        assert os.getpid() not in {r["worker"] for r in records}
+        # One chunk's points were timed one by one, not given its total.
+        assert len({r["wall_seconds"] for r in records}) > 100
 
 
 class TestTelemetryIO:

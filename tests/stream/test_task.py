@@ -1,5 +1,7 @@
 """Unit and property tests for the stream task model."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +29,27 @@ class TestTaskValidation:
     def test_rejects_workless_task(self):
         with pytest.raises(ConfigurationError):
             Task(task_id="t", kind=TaskKind.COMPUTE)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_demands(self, value):
+        # A NaN or infinite demand would reach the simulator as a NaN
+        # per-unit demand or an infinite time step; the error names the
+        # task and the field.
+        cases = [
+            (lambda: compute_task("c", cpu_seconds=value), "'c': cpu_seconds"),
+            (
+                lambda: compute_task("s", cpu_seconds=1e-3, spilled_requests=value),
+                "'s': memory_requests",
+            ),
+            (lambda: memory_task("m", requests=value), "'m': memory_requests"),
+            (
+                lambda: Task(task_id="t", kind=TaskKind.COMPUTE, cpu_seconds=value),
+                "'t': cpu_seconds",
+            ),
+        ]
+        for build, named in cases:
+            with pytest.raises(ConfigurationError, match=named):
+                build()
 
 
 class TestTaskFactories:

@@ -1,6 +1,7 @@
 """Tests for JSON workload specs."""
 
 import json
+import math
 
 import pytest
 
@@ -77,6 +78,29 @@ class TestValidation:
     )
     def test_rejects_malformed_documents(self, document):
         with pytest.raises(WorkloadError):
+            parse_workload_spec(document)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "phase, key",
+        [
+            ({"pairs": 1}, "ratio"),
+            ({"pairs": 1, "compute_seconds": 0.001}, "requests"),
+            ({"pairs": 1, "requests": 100}, "compute_seconds"),
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, phase, key, value):
+        document = {"name": "w", "phases": [dict(phase, **{key: value})]}
+        with pytest.raises(WorkloadError, match=f"'{key}'"):
+            parse_workload_spec(document)
+
+    def test_json_infinity_is_rejected_at_parse(self):
+        # Python's json reads the non-standard token Infinity as a float.
+        document = json.loads(
+            '{"name": "w", "phases": [{"pairs": 1, "requests": Infinity,'
+            ' "compute_seconds": 0.001}]}'
+        )
+        with pytest.raises(WorkloadError, match="'requests'"):
             parse_workload_spec(document)
 
 

@@ -1,5 +1,7 @@
 """Tests for the synthetic micro-benchmark (Figure 12)."""
 
+import math
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -40,6 +42,18 @@ class TestRatioConstruction:
             SyntheticWorkload(ratio=1.0, footprint_bytes=0)
         with pytest.raises(WorkloadError):
             SyntheticWorkload(ratio=1.0, pairs=0)
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ratio_is_named(self, ratio):
+        with pytest.raises(WorkloadError, match="ratio"):
+            SyntheticWorkload(ratio=ratio)
+        with pytest.raises(WorkloadError, match="ratio"):
+            synthetic_from_ratio(ratio, pairs=4)
+
+    def test_subnormal_ratio_is_named(self):
+        # Finite and positive, but T_c = T_m1 / ratio overflows.
+        with pytest.raises(WorkloadError, match="ratio"):
+            synthetic_from_ratio(5e-324, pairs=4)
 
 
 class TestFootprintSpill:
