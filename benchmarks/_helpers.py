@@ -10,10 +10,34 @@ artifacts.
 
 from __future__ import annotations
 
+import os
 import pathlib
 from typing import Callable
 
+from repro.runtime.faults import FaultPlan
+from repro.runtime.parallel import SweepExecutor
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+def bench_executor() -> SweepExecutor:
+    """The sweep executor every grid benchmark runs its points on.
+
+    ``REPRO_BENCH_JOBS`` sets the worker processes (default 1, the
+    serial in-process path; results are identical either way, which
+    the CI ``benchmarks`` job checks against the checked-in
+    artifacts).  ``REPRO_BENCH_FAULTS`` injects deterministic chaos,
+    e.g. ``seed=1,crash=0.2,error=0.1``; the retry budget
+    (``REPRO_BENCH_RETRIES``, default 6) absorbs every injected fault,
+    so the regenerated artifacts stay bit-identical to a fault-free
+    run — the CI chaos job diffs them to prove it.
+    """
+    faults = os.environ.get("REPRO_BENCH_FAULTS")
+    return SweepExecutor(
+        jobs=int(os.environ.get("REPRO_BENCH_JOBS", "1")),
+        retries=int(os.environ.get("REPRO_BENCH_RETRIES", "6")),
+        fault_plan=FaultPlan.parse(faults) if faults else None,
+    )
 
 
 def save_artifact(name: str, text: str) -> None:

@@ -24,37 +24,15 @@ Findings this bench asserts, extrapolating Figure 18's reasoning:
   *relative* gain, confirming the channel-dilution story at scale.
 """
 
-import os
-
 import pytest
 
-from _helpers import run_once, save_artifact
+from _helpers import bench_executor, run_once, save_artifact
 from repro.analysis import format_speedup, render_table
-from repro.runtime.faults import FaultPlan
-from repro.runtime.parallel import SweepExecutor, SweepPoint
+from repro.runtime.parallel import SweepPoint
 from repro.sim.power7 import power7
 
 SMT_DEPTHS = [1, 2, 4]
 CHANNEL_CONFIGS = [8, 2]
-
-#: Worker processes for the 12-point grid (6 configurations x
-#: {conventional, dynamic}); 1 keeps the serial in-process path.
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-
-#: Deterministic chaos injection (CI chaos job); mirrors
-#: benchmarks/test_fig13_synthetic_sweep.py — the retry budget absorbs
-#: every injected fault, so the artifact stays bit-identical.
-FAULTS = os.environ.get("REPRO_BENCH_FAULTS")
-RETRIES = int(os.environ.get("REPRO_BENCH_RETRIES", "6"))
-
-
-def bench_executor() -> SweepExecutor:
-    return SweepExecutor(
-        jobs=JOBS,
-        retries=RETRIES,
-        fault_plan=FaultPlan.parse(FAULTS) if FAULTS else None,
-    )
-
 
 def scaled_streamcluster_spec(threads: int):
     """Streamcluster with parallel sections sized for ``threads``.

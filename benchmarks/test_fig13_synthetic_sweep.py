@@ -16,16 +16,13 @@ asserts:
   (Figure 13(c): no descending slope in the S-MTL=3 region).
 """
 
-import os
-
 import pytest
 
-from _helpers import run_once, save_artifact
+from _helpers import bench_executor, run_once, save_artifact
 from repro.analysis import Series, ascii_chart, render_table
 from repro.core import predict_speedup_curve
 from repro.memory.contention import nehalem_ddr3_contention
-from repro.runtime.faults import FaultPlan
-from repro.runtime.parallel import SweepExecutor, SweepPoint
+from repro.runtime.parallel import SweepPoint
 from repro.units import mebibytes
 
 #: Coarser than the paper's 0.01 grid to keep the harness quick; the
@@ -36,29 +33,7 @@ RATIOS = [round(0.05 * i, 2) for i in range(1, 81)]
 #: for its residual prediction error) stay small against steady state.
 PAIRS = 96
 
-#: Worker processes for the sweep; 1 keeps the serial in-process path
-#: (results are identical either way — the golden regression tests in
-#: tests/runtime/test_golden_figures.py prove it against this file's
-#: own artifacts).
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-
-#: Deterministic chaos injection for the CI chaos job, e.g.
-#: REPRO_BENCH_FAULTS="seed=11,crash=0.2,error=0.1".  The retry budget
-#: absorbs every injected fault, so the regenerated artifact stays
-#: bit-identical to the fault-free run — CI diffs it to prove that.
-FAULTS = os.environ.get("REPRO_BENCH_FAULTS")
-RETRIES = int(os.environ.get("REPRO_BENCH_RETRIES", "6"))
-
 I7_LLC = {"capacity_bytes": mebibytes(8), "sharers": 4}
-
-
-def bench_executor() -> SweepExecutor:
-    """The sweep executor for this bench, chaos-enabled via env."""
-    return SweepExecutor(
-        jobs=JOBS,
-        retries=RETRIES,
-        fault_plan=FaultPlan.parse(FAULTS) if FAULTS else None,
-    )
 
 
 def sweep_points(footprint_mb: float, ratios=None):

@@ -20,19 +20,15 @@ asserted here:
 
 import pytest
 
-from _helpers import run_once, save_artifact
+from _helpers import bench_executor, run_once, save_artifact
 from repro.analysis import (
     format_comparison_grid,
     format_percent,
     geomean_improvement,
     render_table,
 )
-from repro.runtime import (
-    compare_policies,
-    offline_best_static_factory,
-    paper_policy_suite,
-)
-from repro.workloads import build_workload, realistic_workloads
+from repro.runtime import compare_policies, paper_policy_specs
+from repro.workloads import realistic_workloads
 
 POLICY_ORDER = [
     "Offline Exhaustive Search",
@@ -42,15 +38,15 @@ POLICY_ORDER = [
 
 
 def regenerate_fig14():
-    results = []
-    for name in realistic_workloads():
-        program = build_workload(name)
-        policies = dict(paper_policy_suite())
-        policies["Offline Exhaustive Search"] = offline_best_static_factory(
-            program
+    executor = bench_executor()
+    return [
+        compare_policies(
+            {"kind": "registry", "name": name},
+            paper_policy_specs(),
+            executor=executor,
         )
-        results.append(compare_policies(program, policies))
-    return results
+        for name in realistic_workloads()
+    ]
 
 
 @pytest.mark.benchmark(group="fig14")

@@ -10,11 +10,10 @@ is the monitoring cost of the dynamic runs).
 
 import pytest
 
-from _helpers import run_once, save_artifact
+from _helpers import bench_executor, run_once, save_artifact
 from repro.analysis import format_speedup, render_table
-from repro.core import offline_exhaustive_search
-from repro.runtime import compare_policies, paper_policy_suite
-from repro.workloads import SIFT_FUNCTION_RATIOS, sift_function
+from repro.runtime import compare_policies, paper_policy_specs
+from repro.workloads import SIFT_FUNCTION_RATIOS
 
 #: The "main parallel functions" of Figure 16 — one per distinct
 #: behaviour class (the ECONVOLVE3/4 variants repeat their class).
@@ -27,23 +26,46 @@ FUNCTIONS = [
     "DOG",
 ]
 
+#: The two of the paper's three policies this figure plots.
+POLICIES = ("Dynamic Throttling", "Offline Exhaustive Search")
+
+
+def sift_function_spec(function: str):
+    """One SIFT function as a standalone program.
+
+    Standalone functions get the pair count of repeated pyramid
+    invocations (each function runs once per octave per image in SIFT
+    proper), so monitoring amortises as it does in the paper.
+    """
+    return {
+        "kind": "spec",
+        "document": {
+            "name": f"SIFT.{function}",
+            "phases": [
+                {
+                    "name": function,
+                    "pairs": 512,
+                    "ratio": SIFT_FUNCTION_RATIOS[function],
+                }
+            ],
+        },
+    }
+
 
 def regenerate_fig16():
+    executor = bench_executor()
+    specs = paper_policy_specs()
+    policies = {name: specs[name] for name in POLICIES}
     out = {}
     for function in FUNCTIONS:
-        # Standalone functions get the pair count of repeated pyramid
-        # invocations (each function runs once per octave per image in
-        # SIFT proper), so monitoring amortises as it does in the paper.
-        program = sift_function(function, pairs=512)
-        offline = offline_exhaustive_search(program)
         comparison = compare_policies(
-            program,
-            {"Dynamic Throttling": paper_policy_suite()["Dynamic Throttling"]},
+            sift_function_spec(function), policies, executor=executor
         )
+        offline = comparison.outcome("Offline Exhaustive Search")
         dynamic = comparison.outcome("Dynamic Throttling")
         out[function] = {
-            "offline_mtl": offline.best_mtl,
-            "offline_speedup": offline.speedup_over(4),
+            "offline_mtl": offline.selected_mtl,
+            "offline_speedup": offline.speedup,
             "dynamic_mtl": dynamic.selected_mtl,
             "dynamic_speedup": dynamic.speedup,
         }

@@ -10,29 +10,34 @@ Exhaustive Search.
 
 import pytest
 
-from _helpers import run_once, save_artifact
+from _helpers import bench_executor, run_once, save_artifact
 from repro.analysis import format_speedup, render_table
-from repro.core import offline_exhaustive_search
-from repro.runtime import compare_policies, paper_policy_suite
-from repro.workloads import STREAMCLUSTER_RATIOS, streamcluster
+from repro.runtime import compare_policies, paper_policy_specs
+from repro.workloads import STREAMCLUSTER_RATIOS
 
 DIMENSIONS = sorted(STREAMCLUSTER_RATIOS, reverse=True)  # 128 .. 20
 
+#: The two of the paper's three policies this figure plots.
+POLICIES = ("Dynamic Throttling", "Offline Exhaustive Search")
+
 
 def regenerate_fig17():
+    executor = bench_executor()
+    specs = paper_policy_specs()
+    policies = {name: specs[name] for name in POLICIES}
     out = {}
     for dimension in DIMENSIONS:
-        program = streamcluster(dimension)
-        offline = offline_exhaustive_search(program)
         comparison = compare_policies(
-            program,
-            {"Dynamic Throttling": paper_policy_suite()["Dynamic Throttling"]},
+            {"kind": "streamcluster", "dimension": dimension},
+            policies,
+            executor=executor,
         )
+        offline = comparison.outcome("Offline Exhaustive Search")
         dynamic = comparison.outcome("Dynamic Throttling")
         out[dimension] = {
             "ratio": STREAMCLUSTER_RATIOS[dimension],
-            "offline_mtl": offline.best_mtl,
-            "offline_speedup": offline.speedup_over(4),
+            "offline_mtl": offline.selected_mtl,
+            "offline_speedup": offline.speedup,
             "dynamic_mtl": dynamic.selected_mtl,
             "dynamic_speedup": dynamic.speedup,
         }

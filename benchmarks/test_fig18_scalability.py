@@ -16,15 +16,10 @@ findings asserted here:
 
 import pytest
 
-from _helpers import run_once, save_artifact
+from _helpers import bench_executor, run_once, save_artifact
 from repro.analysis import format_speedup, render_table
-from repro.runtime import (
-    compare_policies,
-    offline_best_static_factory,
-    paper_policy_suite,
-)
-from repro.sim import i7_860
-from repro.workloads import build_workload, realistic_workloads
+from repro.runtime import compare_policies, paper_policy_specs
+from repro.workloads import realistic_workloads
 
 CONFIGS = [
     ("1-DIMM / 4 threads", dict(channels=1, smt=1)),
@@ -32,23 +27,24 @@ CONFIGS = [
     ("2-DIMM / 8 SMT threads", dict(channels=2, smt=2)),
 ]
 
+#: The two of the paper's three policies this figure plots.
+POLICIES = ("Dynamic Throttling", "Offline Exhaustive Search")
+
 
 def regenerate_fig18():
+    executor = bench_executor()
+    specs = paper_policy_specs()
+    policies = {name: specs[name] for name in POLICIES}
     out = {}
     for label, kwargs in CONFIGS:
-        machine = i7_860(**kwargs)
         out[label] = {}
         for name in realistic_workloads():
-            program = build_workload(name)
-            policies = {
-                "Dynamic Throttling": paper_policy_suite(machine)[
-                    "Dynamic Throttling"
-                ],
-                "Offline Exhaustive Search": offline_best_static_factory(
-                    program, machine
-                ),
-            }
-            comparison = compare_policies(program, policies, machine=machine)
+            comparison = compare_policies(
+                {"kind": "registry", "name": name},
+                policies,
+                machine={"preset": "i7_860", **kwargs},
+                executor=executor,
+            )
             out[label][name] = {
                 "dynamic": comparison.speedup("Dynamic Throttling"),
                 "offline": comparison.speedup("Offline Exhaustive Search"),

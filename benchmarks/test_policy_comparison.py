@@ -26,20 +26,13 @@ demonstrates nothing.  Findings asserted:
   adversarial ratio-3 synthetic point.
 """
 
-import os
-
 import pytest
 
-from _helpers import run_once, save_artifact
+from _helpers import bench_executor, run_once, save_artifact
 from repro.analysis import format_comparison, geometric_mean, render_policy_matrix
 from repro.core import policy_names
-from repro.runtime import all_policy_specs, compare_policies_grid
-from repro.runtime.parallel import SweepExecutor
+from repro.runtime import all_policy_specs, compare_policies
 from repro.units import mebibytes
-
-#: Worker processes; CI's benchmark job sets 2 to exercise the pool
-#: path (results are identical either way).
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 #: Shared monitoring window so every windowed policy sees the same W.
 WINDOW_PAIRS = 16
@@ -89,9 +82,9 @@ def comparison_specs():
 
 def regenerate_comparison():
     specs = comparison_specs()
-    executor = SweepExecutor(jobs=JOBS)
+    executor = bench_executor()
     return {
-        label: compare_policies_grid(workload, specs, executor=executor)
+        label: compare_policies(workload, specs, executor=executor)
         for label, workload in WORKLOADS
     }
 

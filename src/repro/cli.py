@@ -61,8 +61,10 @@ from repro.analysis import (
     render_table,
 )
 from repro.core import (
+    FixedMtlPolicy,
     build_policy,
     conventional_policy,
+    offline_exhaustive_search,
     parse_policy_arg,
     policy_catalogue,
     policy_entry,
@@ -77,9 +79,8 @@ from repro.runtime import (
     SweepPoint,
     TelemetryWriter,
     all_policy_specs,
-    compare_policies_grid,
+    compare_policies,
     measure_ratio,
-    offline_best_static_factory,
     paper_policy_specs,
 )
 from repro.sim import Simulator, i7_860
@@ -353,7 +354,8 @@ def _make_policy(name: str, program: StreamProgram, machine, window_pairs: int):
     ``static:mtl=K``.
     """
     if name == "offline":
-        return offline_best_static_factory(program, machine)()
+        best = offline_exhaustive_search(program, machine).best_mtl
+        return FixedMtlPolicy(best, name="offline-exhaustive")
     if name.startswith("static:") and "=" not in name:
         tail = name.split(":", 1)[1]
         try:
@@ -453,7 +455,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         policies = _policy_specs_from_args(args)
     else:
         policies = paper_policy_specs()
-    result = compare_policies_grid(
+    result = compare_policies(
         _workload_spec_from_args(args),
         policies,
         machine={"preset": "i7_860", "channels": args.channels, "smt": args.smt},
@@ -517,7 +519,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    from repro.runtime.suite import run_suite_grid
+    from repro.runtime.suite import run_suite
     from repro.workloads import realistic_workloads
 
     names = args.workloads if args.workloads else realistic_workloads()
@@ -536,7 +538,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             "static-1": {"kind": "static", "mtl": 1},
             "static-2": {"kind": "static", "mtl": 2},
         }
-    result = run_suite_grid(
+    result = run_suite(
         workloads, machines, policies, executor=_executor_from_args(args)
     )
     print(result.to_csv(), end="")

@@ -3,7 +3,8 @@
 * :mod:`repro.runtime.monitor` — pair-sample extraction and the
   Table II/III ratio measurement;
 * :mod:`repro.runtime.measurement` — the 20-run / middle-10 protocol;
-* :mod:`repro.runtime.experiment` — policy-comparison harness;
+* :mod:`repro.runtime.experiment` — policy-comparison harness over
+  the sweep executor;
 * :mod:`repro.runtime.characterize` — per-phase workload reports with
   model predictions;
 * :mod:`repro.runtime.suite` — workloads x machines x policies grids;
@@ -27,10 +28,7 @@ from repro.runtime.experiment import (
     PolicyOutcome,
     all_policy_specs,
     compare_policies,
-    compare_policies_grid,
-    offline_best_static_factory,
     paper_policy_specs,
-    paper_policy_suite,
 )
 from repro.runtime.measurement import (
     RepeatedMeasurement,
@@ -45,7 +43,7 @@ from repro.runtime.parallel import (
     point_key,
     run_point,
 )
-from repro.runtime.suite import SuiteResult, SuiteRow, run_suite, run_suite_grid
+from repro.runtime.suite import SuiteResult, SuiteRow, run_suite
 from repro.runtime.telemetry import (
     TelemetryWriter,
     read_telemetry,
@@ -70,20 +68,16 @@ __all__ = [
     "backoff_schedule",
     "characterize",
     "compare_policies",
-    "compare_policies_grid",
     "measure_makespan",
     "measure_phase_ratios",
     "measure_ratio",
     "middle_mean",
-    "offline_best_static_factory",
     "pair_samples",
     "paper_policy_specs",
-    "paper_policy_suite",
     "point_key",
     "read_telemetry",
     "run_point",
     "run_suite",
-    "run_suite_grid",
     "stable_hash",
     "validate_record",
     "PolicyOutcome",

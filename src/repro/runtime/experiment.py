@@ -3,38 +3,31 @@
 Every evaluation figure in the paper reports speedups of one or more
 policies over the conventional (interference-oblivious) schedule on a
 given machine.  :func:`compare_policies` packages that protocol —
-including the 20-run/middle-10 noise discipline when requested — and
-returns a tidy result the benchmarks and examples format.
+including the 20-run/middle-10 noise discipline when requested — as
+declarative sweep points run by a
+:class:`~repro.runtime.parallel.SweepExecutor`, and returns a tidy
+result the benchmarks and the CLI format.
+:func:`repro.runtime.suite.run_suite` lays its workloads x machines
+grid out the same way, so every comparison runs through
+:func:`~repro.runtime.parallel.run_point`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from typing import Any, List, Mapping
-
-from repro.core.offline import offline_exhaustive_search
-from repro.core.policies import OnlineExhaustivePolicy
 from repro.core.registry import policy_entry, policy_names
-from repro.core.throttle import DynamicThrottlingPolicy
 from repro.errors import MeasurementError
 from repro.runtime.faults import PointFailure
-from repro.runtime.measurement import middle_mean, measure_makespan
-from repro.runtime.parallel import PointResult, SweepExecutor, SweepPoint
-from repro.sim.machine import Machine, i7_860
-from repro.sim.noise import noise_for_seed
-from repro.sim.scheduler import FixedMtlPolicy, SchedulingPolicy, conventional_policy
-from repro.sim.simulator import Simulator
-from repro.stream.program import StreamProgram
+from repro.runtime.measurement import middle_mean
+from repro.runtime.parallel import SweepExecutor, SweepPoint
 
 __all__ = [
     "PolicyOutcome",
     "ComparisonResult",
     "all_policy_specs",
     "compare_policies",
-    "compare_policies_grid",
-    "paper_policy_suite",
     "paper_policy_specs",
 ]
 
@@ -51,7 +44,7 @@ class PolicyOutcome:
     from the instrumented run (``windows_closed``, blacklist sizes,
     …) as sorted ``(stat, value)`` pairs — the same counters the
     executor emits as ``policy_stat`` telemetry — or ``None`` for
-    policies that expose no counters (e.g. plain static policies).
+    runs that expose no counters (``offline`` points).
     """
 
     policy_name: str
@@ -67,9 +60,8 @@ class ComparisonResult:
     """All policies' outcomes on one workload/machine combination.
 
     ``failures`` records sweep points that exhausted the executor's
-    retries (grid path only); the affected policies are absent from
-    ``outcomes`` rather than aborting the comparison.  Empty on a
-    healthy run.
+    retries; the affected policies are absent from ``outcomes`` rather
+    than aborting the comparison.  Empty on a healthy run.
     """
 
     program_name: str
@@ -91,95 +83,125 @@ class ComparisonResult:
         return self.outcome(policy_name).speedup
 
 
-def compare_policies(
-    program: StreamProgram,
-    policies: Dict[str, Callable[[], SchedulingPolicy]],
-    machine: Optional[Machine] = None,
+def _compare_cells(
+    cells: Sequence[Tuple[str, Mapping[str, Any], Mapping[str, Any]]],
+    policies: Mapping[str, Mapping[str, Any]],
+    executor: Optional[SweepExecutor] = None,
     repeated_runs: int = 0,
-) -> ComparisonResult:
-    """Measure each policy's speedup over the conventional schedule.
+    base_seed: int = 0,
+) -> Tuple[List[Optional[ComparisonResult]], Tuple[PointFailure, ...]]:
+    """Compare ``policies`` on every cell, as one executor batch.
 
-    Args:
-        program: Workload under test.
-        policies: Name to fresh-policy factory.
-        machine: Target machine (defaults to the 1-DIMM i7-860).
-        repeated_runs: 0 for a single noise-free run per policy
-            (deterministic, used in tests); otherwise the number of
-            noisy runs fed to the middle-10 protocol (20 in the paper).
+    A cell is a ``(label prefix, workload spec, machine spec)`` triple.
+    Each adds the conventional baseline and then each policy, one
+    ``<prefix><policy>/measure`` point per seed (policy and seed
+    innermost, so consecutive points share a workload).  Under the
+    repeated-run protocol each policy, but not the baseline, adds one
+    ``<prefix><policy>/instrument`` point at :data:`INSTRUMENT_SEED`
+    for MTL selection and probe accounting; noise-free, the measured
+    run doubles as the instrumented one (same environment, same
+    numbers).
+
+    Returns one :class:`ComparisonResult` per cell — ``None`` where
+    the cell's baseline failed, since no speedup is computable — and
+    every failure of the batch, in input order.
     """
-    target = machine if machine is not None else i7_860()
-
-    def measured_makespan(factory: Callable[[], SchedulingPolicy]) -> float:
-        if repeated_runs <= 0:
-            return Simulator(target).run(program, factory()).makespan
-        return measure_makespan(
-            program, factory, machine=target, runs=repeated_runs
-        ).value
-
-    baseline = measured_makespan(lambda: conventional_policy(target.context_count))
-
-    # The instrumented run (MTL selection, probe accounting) sees the
-    # same kind of environment the measured runs do: noisy when the
-    # repeated-run protocol is in force, noise-free otherwise.
-    instrument_noise = (
-        noise_for_seed(INSTRUMENT_SEED) if repeated_runs > 0 else None
+    runner = executor if executor is not None else SweepExecutor(jobs=1)
+    seeds: List[Optional[int]] = (
+        [base_seed + run for run in range(repeated_runs)]
+        if repeated_runs > 0
+        else [None]
     )
+    entries = [("conventional", {"kind": "conventional"})] + list(policies.items())
+    points: List[SweepPoint] = []
+    # Per cell: the slice of its points, and per entry the indices of
+    # its measured runs and of its instrumented run — the entry's last
+    # point, which noise-free is its one measured run.
+    layout: List[Tuple[slice, List[Tuple[range, int]]]] = []
+    for prefix, workload, machine in cells:
+        start = len(points)
+        slots = []
+        for position, (name, spec) in enumerate(entries):
+            runs = [(seed, "measure") for seed in seeds]
+            if repeated_runs > 0 and position > 0:
+                runs.append((INSTRUMENT_SEED, "instrument"))
+            measured = range(len(points), len(points) + len(seeds))
+            points.extend(
+                SweepPoint(workload, machine, spec, seed, f"{prefix}{name}/{role}")
+                for seed, role in runs
+            )
+            slots.append((measured, len(points) - 1))
+        layout.append((slice(start, len(points)), slots))
+    results = runner.run(points)
 
-    outcomes = []
-    for name, factory in policies.items():
-        # One instrumented run provides MTL selection and probe
-        # accounting even when the makespan comes from repeated runs.
-        instrumented_policy = factory()
-        instrumented = Simulator(target, noise=instrument_noise).run(
-            program, instrumented_policy
-        )
-        makespan = measured_makespan(factory)
-        try:
-            selected: Optional[int] = instrumented.dominant_mtl()
-        except MeasurementError:
-            selected = None
-        snapshot = getattr(instrumented_policy, "stats_snapshot", None)
-        outcomes.append(
-            PolicyOutcome(
-                policy_name=name,
-                makespan=makespan,
-                speedup=baseline / makespan if makespan > 0 else float("inf"),
-                selected_mtl=selected,
-                probe_fraction=instrumented.probe_task_time_fraction(),
-                stats=(
-                    tuple(sorted(snapshot().items()))
-                    if callable(snapshot)
-                    else None
+    def makespan(indices: range) -> Optional[float]:
+        """Mean measured makespan, or ``None`` if any run failed."""
+        window = [results[i] for i in indices]
+        if any(isinstance(r, PointFailure) for r in window):
+            return None
+        spans = [r.makespan for r in window]
+        return middle_mean(spans) if repeated_runs > 0 else spans[0]
+
+    comparisons: List[Optional[ComparisonResult]] = []
+    for cell, slots in layout:
+        baseline = makespan(slots[0][0])
+        if baseline is None:
+            comparisons.append(None)
+            continue
+        outcomes = []
+        for name, (measured, instrumented_index) in zip(policies, slots[1:]):
+            span = makespan(measured)
+            instrumented = results[instrumented_index]
+            if span is None or isinstance(instrumented, PointFailure):
+                # Degraded policy: its points are in the failures; the
+                # remaining policies' numbers stay bit-identical.
+                continue
+            outcomes.append(
+                PolicyOutcome(
+                    policy_name=name,
+                    makespan=span,
+                    speedup=baseline / span if span > 0 else float("inf"),
+                    selected_mtl=instrumented.selected_mtl,
+                    probe_fraction=instrumented.probe_fraction,
+                    stats=(
+                        tuple(sorted(instrumented.policy_stats.items()))
+                        if instrumented.policy_stats is not None
+                        else None
+                    ),
+                )
+            )
+        cell_results = results[cell]
+        # A cell's first point is its baseline's first measured run.
+        first = cell_results[0]
+        comparisons.append(
+            ComparisonResult(
+                program_name=first.workload,
+                machine_name=first.machine,
+                baseline_makespan=baseline,
+                outcomes=tuple(outcomes),
+                failures=tuple(
+                    r for r in cell_results if isinstance(r, PointFailure)
                 ),
             )
         )
-    return ComparisonResult(
-        program_name=program.name,
-        machine_name=target.name,
-        baseline_makespan=baseline,
-        outcomes=tuple(outcomes),
-    )
+    failures = tuple(r for r in results if isinstance(r, PointFailure))
+    return comparisons, failures
 
 
-def compare_policies_grid(
+def compare_policies(
     workload: Mapping[str, Any],
-    policies: Dict[str, Mapping[str, Any]],
+    policies: Mapping[str, Mapping[str, Any]],
     machine: Optional[Mapping[str, Any]] = None,
     repeated_runs: int = 0,
     base_seed: int = 0,
     executor: Optional[SweepExecutor] = None,
 ) -> ComparisonResult:
-    """The declarative, executor-backed twin of :func:`compare_policies`.
+    """Measure each policy's speedup over the conventional schedule.
 
     Every (policy, run) pair — including the conventional baseline's —
     becomes one sweep point, submitted as a single batch so a parallel
     executor overlaps policies and repeated runs freely and a cached
-    one replays them for free.  Semantics mirror
-    :func:`compare_policies` exactly: noise-free single runs when
-    ``repeated_runs <= 0``, otherwise the 20-run/middle-10 protocol
-    with per-run seeds ``base_seed + run_index`` plus one instrumented
-    run per policy at :data:`INSTRUMENT_SEED` for MTL selection and
-    probe accounting.
+    one replays them for free.
 
     Args:
         workload: Workload spec (:mod:`repro.runtime.parallel`).
@@ -187,110 +209,27 @@ def compare_policies_grid(
             and measures the best static MTL found by exhaustive
             search.
         machine: Machine spec (defaults to the 1-DIMM i7-860).
-        repeated_runs: As in :func:`compare_policies`.
+        repeated_runs: 0 for a single noise-free run per policy
+            (deterministic, what every figure uses); otherwise the
+            number of noisy runs, seeded ``base_seed + run_index``,
+            fed to the middle-10 protocol (20 in the paper).
         base_seed: First noise seed of the repeated-run protocol.
         executor: Defaults to a serial, uncached executor.
+
+    Raises:
+        MeasurementError: The baseline failed after retries.
     """
     machine_spec = machine if machine is not None else {"preset": "i7_860"}
-    runner = executor if executor is not None else SweepExecutor(jobs=1)
-    baseline_spec: Mapping[str, Any] = {"kind": "conventional"}
-    seeds: List[Optional[int]] = (
-        [base_seed + run for run in range(repeated_runs)]
-        if repeated_runs > 0
-        else [None]
+    (comparison,), failures = _compare_cells(
+        [("", workload, machine_spec)], policies, executor, repeated_runs, base_seed
     )
-
-    points: List[SweepPoint] = []
-    for name, spec in [("conventional", baseline_spec)] + list(policies.items()):
-        for seed in seeds:
-            points.append(
-                SweepPoint(
-                    workload=workload,
-                    machine=machine_spec,
-                    policy=spec,
-                    seed=seed,
-                    label=f"{name}/measure",
-                )
-            )
-        if repeated_runs > 0 and name != "conventional":
-            points.append(
-                SweepPoint(
-                    workload=workload,
-                    machine=machine_spec,
-                    policy=spec,
-                    seed=INSTRUMENT_SEED,
-                    label=f"{name}/instrument",
-                )
-            )
-    results = runner.run(points)
-    failures = tuple(r for r in results if isinstance(r, PointFailure))
-
-    runs_per_policy = len(seeds)
-    cursor = 0
-
-    def take_measured() -> Optional[float]:
-        """Mean measured makespan, or ``None`` if any run failed."""
-        nonlocal cursor
-        window = results[cursor : cursor + runs_per_policy]
-        cursor += runs_per_policy
-        if any(isinstance(r, PointFailure) for r in window):
-            return None
-        makespans = [r.makespan for r in window]
-        if repeated_runs > 0:
-            return middle_mean(makespans)
-        return makespans[0]
-
-    def take_instrumented() -> Optional[PointResult]:
-        nonlocal cursor
-        # Noise-free mode: the measured run doubles as the instrumented
-        # one (same environment, same numbers), exactly as in
-        # :func:`compare_policies`.
-        if repeated_runs > 0:
-            instrumented = results[cursor]
-            cursor += 1
-        else:
-            instrumented = results[cursor - 1]
-        if isinstance(instrumented, PointFailure):
-            return None
-        return instrumented
-
-    baseline = take_measured()
-    if baseline is None:
+    if comparison is None:
         failed = [f.label for f in failures if f.label.startswith("conventional/")]
         raise MeasurementError(
             "the conventional baseline failed after retries "
             f"({failed}); no speedup can be computed"
         )
-    outcomes = []
-    for name in policies:
-        makespan = take_measured()
-        instrumented = take_instrumented()
-        if makespan is None or instrumented is None:
-            # Degraded policy: its points are in ``failures``; the
-            # remaining policies' numbers stay bit-identical.
-            continue
-        outcomes.append(
-            PolicyOutcome(
-                policy_name=name,
-                makespan=makespan,
-                speedup=baseline / makespan if makespan > 0 else float("inf"),
-                selected_mtl=instrumented.selected_mtl,
-                probe_fraction=instrumented.probe_fraction,
-                stats=(
-                    tuple(sorted(instrumented.policy_stats.items()))
-                    if instrumented.policy_stats is not None
-                    else None
-                ),
-            )
-        )
-    first = next(r for r in results if isinstance(r, PointResult))
-    return ComparisonResult(
-        program_name=first.workload,
-        machine_name=first.machine,
-        baseline_makespan=baseline,
-        outcomes=tuple(outcomes),
-        failures=failures,
-    )
+    return comparison
 
 
 def paper_policy_specs(window_pairs: int = 16) -> Dict[str, Mapping[str, Any]]:
@@ -330,38 +269,3 @@ def all_policy_specs(window_pairs: int = 16) -> Dict[str, Mapping[str, Any]]:
                 spec[param.name] = _REQUIRED_PARAM_DEFAULTS[name][param.name]
         specs[name] = spec
     return specs
-
-
-def paper_policy_suite(
-    machine: Optional[Machine] = None,
-    window_pairs: int = 16,
-) -> Dict[str, Callable[[], SchedulingPolicy]]:
-    """The three policies of Figure 14, keyed by the paper's names.
-
-    ``Offline Exhaustive Search`` is realised as the best static MTL
-    found by an offline search at comparison time — see
-    :func:`offline_best_static_factory`.
-    """
-    target = machine if machine is not None else i7_860()
-    n = target.context_count
-    return {
-        "Dynamic Throttling": lambda: DynamicThrottlingPolicy(
-            context_count=n, window_pairs=window_pairs
-        ),
-        "Online Exhaustive Search": lambda: OnlineExhaustivePolicy(
-            context_count=n, window_pairs=window_pairs
-        ),
-    }
-
-
-def offline_best_static_factory(
-    program: StreamProgram, machine: Optional[Machine] = None
-) -> Callable[[], SchedulingPolicy]:
-    """Factory for the Offline Exhaustive Search policy of a program.
-
-    Runs the offline search once (the "off-line runs" of Section V)
-    and returns a factory producing the winning static policy.
-    """
-    outcome = offline_exhaustive_search(program, machine=machine)
-    best = outcome.best_mtl
-    return lambda: FixedMtlPolicy(best, name="offline-exhaustive")

@@ -2,41 +2,26 @@
 
 Every figure in the paper is a grid: workloads x machines x policies.
 :func:`run_suite` executes such a grid in one call and returns tidy
-rows ready for tables, CSV, or regression tracking — the harness the
-individual benchmarks are special cases of.
-
-Two entry points share the row schema:
-
-* :func:`run_suite` — the in-process API over arbitrary Python
-  factories (stateful policies, custom programs);
-* :func:`run_suite_grid` — the declarative twin over sweep-point
-  specs, executed through a
-  :class:`~repro.runtime.parallel.SweepExecutor` so grids parallelise
-  across processes and hit the result cache.  The CLI ``suite``
-  command goes through this path.
+rows ready for tables, CSV, or regression tracking.  The grid is
+declarative (sweep-point specs, :mod:`repro.runtime.parallel`) and
+runs as one batch of the comparisons
+:func:`~repro.runtime.experiment.compare_policies` makes, through a
+:class:`~repro.runtime.parallel.SweepExecutor`, so grids parallelise
+across processes and hit the result cache.  The CLI ``suite`` command
+goes through this path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, MeasurementError
+from repro.runtime.experiment import _compare_cells
 from repro.runtime.faults import PointFailure
-from repro.runtime.parallel import (
-    SweepExecutor,
-    SweepPoint,
-    build_machine_from_spec,
-)
-from repro.sim.machine import Machine
-from repro.sim.scheduler import SchedulingPolicy, conventional_policy
-from repro.sim.simulator import Simulator
-from repro.stream.program import StreamProgram
+from repro.runtime.parallel import SweepExecutor, build_machine_from_spec
 
-__all__ = ["SuiteRow", "SuiteResult", "run_suite", "run_suite_grid"]
-
-PolicyFactory = Callable[[Machine], SchedulingPolicy]
-ProgramFactory = Callable[[], StreamProgram]
+__all__ = ["SuiteRow", "SuiteResult", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -109,54 +94,9 @@ class SuiteResult:
 
 
 def run_suite(
-    workloads: Dict[str, ProgramFactory],
-    machines: Sequence[Machine],
-    policies: Dict[str, PolicyFactory],
-) -> SuiteResult:
-    """Run the full grid and return tidy rows.
-
-    Speedups are relative to the conventional schedule of the same
-    (workload, machine) cell, computed once per cell.  Program and
-    policy factories are called fresh per cell — stateful policies
-    must never be shared across runs.
-    """
-    if not workloads or not machines or not policies:
-        raise ConfigurationError("suite needs workloads, machines, and policies")
-    machine_names = [m.name for m in machines]
-    if len(set(machine_names)) != len(machine_names):
-        raise ConfigurationError(f"duplicate machine names: {machine_names}")
-
-    rows: List[SuiteRow] = []
-    for workload_name, make_program in workloads.items():
-        for machine in machines:
-            simulator = Simulator(machine)
-            baseline = simulator.run(
-                make_program(), conventional_policy(machine.context_count)
-            ).makespan
-            for policy_name, make_policy in policies.items():
-                result = simulator.run(make_program(), make_policy(machine))
-                try:
-                    selected: Optional[int] = result.dominant_mtl()
-                except MeasurementError:
-                    selected = None
-                rows.append(
-                    SuiteRow(
-                        workload=workload_name,
-                        machine=machine.name,
-                        policy=policy_name,
-                        makespan=result.makespan,
-                        speedup=baseline / result.makespan,
-                        selected_mtl=selected,
-                        probe_fraction=result.probe_task_time_fraction(),
-                    )
-                )
-    return SuiteResult(rows=tuple(rows))
-
-
-def run_suite_grid(
-    workloads: Dict[str, Mapping[str, Any]],
+    workloads: Mapping[str, Mapping[str, Any]],
     machines: Sequence[Mapping[str, Any]],
-    policies: Dict[str, Mapping[str, Any]],
+    policies: Mapping[str, Mapping[str, Any]],
     executor: Optional[SweepExecutor] = None,
 ) -> SuiteResult:
     """Run a declarative grid through the sweep executor.
@@ -167,18 +107,19 @@ def run_suite_grid(
         machines: Machine specs; names must be distinct.
         policies: Name to policy spec.
         executor: Executor to fan the grid out on; defaults to a
-            serial, uncached one (bit-identical to :func:`run_suite`
-            on equivalent inputs).
+            serial, uncached one.
 
-    Every (workload, machine) cell contributes one conventional
-    baseline point plus one point per policy; the whole grid is
-    submitted as a single batch so parallelism spans cells, not just
-    policies.  Rows come back in ``workloads x machines x policies``
-    order, matching :func:`run_suite`.
+    Every (workload, machine) cell is one noise-free comparison: a
+    conventional baseline point plus one point per policy, labelled
+    ``<workload>/<policy>/measure`` (``conventional`` for the
+    baseline).  The whole grid is submitted as a single batch so
+    parallelism spans cells, not just policies.  Speedups are relative
+    to the baseline of the same cell, and rows come back in
+    ``workloads x machines x policies`` order.
 
     Degradation: a point that exhausted the executor's retries does
-    not abort the grid.  Its cell (or, for a failed baseline, every
-    cell of that workload/machine pair — speedups need the baseline)
+    not abort the grid.  Its row (or, for a failed baseline, every
+    row of that workload/machine cell — speedups need the baseline)
     is dropped from ``rows`` and recorded in ``failures``.
     """
     if not workloads or not machines or not policies:
@@ -186,53 +127,24 @@ def run_suite_grid(
     machine_names = [build_machine_from_spec(m).name for m in machines]
     if len(set(machine_names)) != len(machine_names):
         raise ConfigurationError(f"duplicate machine names: {machine_names}")
-    runner = executor if executor is not None else SweepExecutor(jobs=1)
-
-    points: List[SweepPoint] = []
-    for workload_name, workload_spec in workloads.items():
-        for machine_spec in machines:
-            points.append(
-                SweepPoint(
-                    workload=workload_spec,
-                    machine=machine_spec,
-                    policy={"kind": "conventional"},
-                    label=f"{workload_name}/baseline",
-                )
-            )
-            for policy_name, policy_spec in policies.items():
-                points.append(
-                    SweepPoint(
-                        workload=workload_spec,
-                        machine=machine_spec,
-                        policy=policy_spec,
-                        label=f"{workload_name}/{policy_name}",
-                    )
-                )
-    results = runner.run(points)
-    failures = tuple(r for r in results if isinstance(r, PointFailure))
-
-    rows: List[SuiteRow] = []
-    cursor = 0
-    for workload_name in workloads:
-        for machine_name in machine_names:
-            baseline = results[cursor]
-            cursor += 1
-            for policy_name in policies:
-                result = results[cursor]
-                cursor += 1
-                if isinstance(baseline, PointFailure) or isinstance(
-                    result, PointFailure
-                ):
-                    continue
-                rows.append(
-                    SuiteRow(
-                        workload=workload_name,
-                        machine=machine_name,
-                        policy=policy_name,
-                        makespan=result.makespan,
-                        speedup=baseline.makespan / result.makespan,
-                        selected_mtl=result.selected_mtl,
-                        probe_fraction=result.probe_fraction,
-                    )
-                )
+    grid = [(name, spec, m) for name, spec in workloads.items() for m in machines]
+    comparisons, failures = _compare_cells(
+        [(f"{name}/", spec, machine) for name, spec, machine in grid],
+        policies,
+        executor,
+    )
+    rows = [
+        SuiteRow(
+            workload=name,
+            machine=comparison.machine_name,
+            policy=outcome.policy_name,
+            makespan=outcome.makespan,
+            speedup=outcome.speedup,
+            selected_mtl=outcome.selected_mtl,
+            probe_fraction=outcome.probe_fraction,
+        )
+        for (name, _, _), comparison in zip(grid, comparisons)
+        if comparison is not None
+        for outcome in comparison.outcomes
+    ]
     return SuiteResult(rows=tuple(rows), failures=failures)

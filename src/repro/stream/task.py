@@ -114,6 +114,13 @@ class Task:
         # (attached behind the frozen dataclass's back; excluded from
         # equality and repr, consistent values under pickling).
         units = max(self.cpu_seconds * 1e9, self.memory_requests, 1.0)
+        if units == math.inf:
+            # A finite cpu_seconds above ~1.8e299 overflows the unit
+            # count, and its per-unit CPU demand would become 0.0.
+            raise ConfigurationError(
+                f"task {self.task_id!r}: cpu_seconds {self.cpu_seconds} "
+                "overflows the simulator's work units"
+            )
         object.__setattr__(self, "is_memory", self.kind is TaskKind.MEMORY)
         object.__setattr__(self, "work_units", units)
         object.__setattr__(

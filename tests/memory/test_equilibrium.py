@@ -285,3 +285,41 @@ class TestSolvePath:
         results = {solver.solve(self.population(cpu * 1e-9)) for cpu in (1, 2, 3, 4)}
         assert len(results) == 1
         assert solver.cache_info()["misses"] == 4
+
+
+#: One per-unit demand component: zero, negative zero, subnormal
+#: (``m * L`` and ``a + m * L`` underflow) or normal.
+degenerate_values = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 30e-9, 0.5, 1.0])
+
+#: A population of running tasks drawn from those components.
+degenerate_populations = st.lists(
+    st.builds(MemoryDemand, degenerate_values, degenerate_values), max_size=6
+)
+
+
+class TestMemoAgainstCold:
+    """Whatever the memo saw before, a solve is the cold solve."""
+
+    @settings(max_examples=150)
+    @given(
+        pool=st.lists(degenerate_populations, min_size=1, max_size=4),
+        order=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12),
+    )
+    def test_property_memoized_solve_equals_cold_solve(self, pool, order):
+        # Revisits hit the memo; the other pool entries are the
+        # unrelated solves in between.  ``repr`` keeps the sign of a
+        # zero, which ``==`` would not.
+        solver = EquilibriumSolver(linear_latency)
+        for index in order:
+            demands = pool[index % len(pool)]
+            c = effective_concurrency(demands, linear_latency)
+            cold = (c, linear_latency(c if c > 1.0 else 1.0))
+            assert repr(solver.solve(demands)) == repr(cold)
+
+    def test_signed_zeros_keep_separate_exact_entries(self):
+        solver = EquilibriumSolver(linear_latency)
+        for zero in (0.0, -0.0, 0.0):
+            demands = [pure_memory(), MemoryDemand(zero, 5e-324)]
+            c = effective_concurrency(demands, linear_latency)
+            assert solver.solve(demands) == (c, linear_latency(max(c, 1.0)))
+        assert solver.cache_info() == {"hits": 1, "misses": 2, "entries": 2}

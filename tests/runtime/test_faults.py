@@ -23,7 +23,7 @@ import pytest
 
 from repro.errors import ConfigurationError, MeasurementError
 from repro.runtime.cache import ResultCache
-from repro.runtime.experiment import compare_policies_grid
+from repro.runtime.experiment import compare_policies
 from repro.runtime.faults import (
     FAULT_CRASH,
     FAULT_ERROR,
@@ -38,7 +38,7 @@ from repro.runtime.parallel import (
     SweepPoint,
     point_key,
 )
-from repro.runtime.suite import run_suite_grid
+from repro.runtime.suite import run_suite
 from repro.runtime.telemetry import TelemetryWriter, read_telemetry, validate_record
 
 POINTS = [
@@ -559,8 +559,8 @@ class TestGracefulDegradation:
         workloads = {"w": {"kind": "synthetic", "ratio": 0.5, "pairs": 16}}
         machines = [{"preset": "i7_860"}]
         policies = {"static-2": {"kind": "static", "mtl": 2}}
-        healthy = run_suite_grid(workloads, machines, policies)
-        degraded = run_suite_grid(
+        healthy = run_suite(workloads, machines, policies)
+        degraded = run_suite(
             workloads,
             machines,
             policies,
@@ -574,7 +574,7 @@ class TestGracefulDegradation:
 
     def test_compare_grid_failed_baseline_raises(self):
         with pytest.raises(MeasurementError, match="conventional baseline"):
-            compare_policies_grid(
+            compare_policies(
                 {"kind": "synthetic", "ratio": 0.5, "pairs": 16},
                 {"static-2": {"kind": "static", "mtl": 2}},
                 executor=SweepExecutor(
@@ -592,7 +592,7 @@ class TestGracefulDegradation:
         }
         doomed_key = point_key(SweepPoint(workload=workload, policy=policies["static-4"]))
 
-        healthy = compare_policies_grid(workload, policies)
+        healthy = compare_policies(workload, policies)
         for seed in range(200):
             plan = FaultPlan(seed=seed, error_rate=0.35)
             if plan.decide(doomed_key, 0) == FAULT_ERROR and all(
@@ -606,7 +606,7 @@ class TestGracefulDegradation:
         else:
             pytest.fail("no seed fails only static-4")
 
-        degraded = compare_policies_grid(
+        degraded = compare_policies(
             workload,
             policies,
             executor=SweepExecutor(jobs=1, retries=0, fault_plan=plan),

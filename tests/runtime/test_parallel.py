@@ -11,6 +11,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import offline_exhaustive_search
 from repro.errors import ConfigurationError, MeasurementError, WorkloadError
@@ -20,7 +21,7 @@ from repro.runtime.cache import (
     ResultCache,
     stable_hash,
 )
-from repro.runtime.experiment import compare_policies, compare_policies_grid
+from repro.runtime.experiment import compare_policies
 from repro.runtime import parallel
 from repro.runtime.faults import PointFailure
 from repro.runtime.parallel import (
@@ -34,7 +35,7 @@ from repro.runtime.parallel import (
     point_key,
     run_point,
 )
-from repro.runtime.suite import run_suite, run_suite_grid
+from repro.runtime.suite import run_suite
 from repro.runtime.telemetry import TelemetryWriter, read_telemetry
 from repro.sim.machine import i7_860
 from repro.sim.scheduler import FixedMtlPolicy
@@ -341,6 +342,45 @@ class TestSpecBuilders:
         assert power7.context_count == 32
 
 
+#: Two spellings of one spec each: key order, and a tuple for a list.
+WORKLOAD_SPELLINGS = [
+    (
+        {"kind": "synthetic", "ratio": 0.5, "pairs": 8},
+        {"pairs": 8, "ratio": 0.5, "kind": "synthetic"},
+    ),
+    (
+        {
+            "kind": "spec",
+            "document": {
+                "name": "tiny",
+                "phases": [{"name": "a", "pairs": 8, "ratio": 0.5}],
+            },
+        },
+        {
+            "document": {
+                "phases": ({"ratio": 0.5, "pairs": 8, "name": "a"},),
+                "name": "tiny",
+            },
+            "kind": "spec",
+        },
+    ),
+]
+MACHINE_SPELLINGS = [
+    (
+        {"preset": "i7_860", "channels": 2, "smt": 2},
+        {"smt": 2, "channels": 2, "preset": "i7_860"},
+    ),
+    ({"preset": "i7_860"}, {"preset": "i7_860"}),
+]
+POLICY_SPELLINGS = [
+    (
+        {"kind": "dynamic", "window_pairs": 4},
+        {"window_pairs": 4, "kind": "dynamic"},
+    ),
+    ({"kind": "offline"}, {"kind": "offline"}),
+]
+
+
 class TestSweepPoint:
     def test_label_excluded_from_key(self):
         a = SweepPoint(workload=SYNTH, label="a")
@@ -366,6 +406,32 @@ class TestSweepPoint:
         result = run_point(SweepPoint(workload=SYNTH, policy={"kind": "offline"}))
         payload = json.loads(json.dumps(result.to_dict()))
         assert PointResult.from_dict(payload) == result
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        workload=st.sampled_from(WORKLOAD_SPELLINGS),
+        machine=st.sampled_from(MACHINE_SPELLINGS),
+        policy=st.sampled_from(POLICY_SPELLINGS),
+        seed=st.sampled_from([None, 5]),
+        flips=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        labels=st.tuples(st.text(max_size=4), st.text(max_size=4)),
+    )
+    def test_property_equal_keys_give_equal_results(
+        self, workload, machine, policy, seed, flips, labels
+    ):
+        # Two spellings of one configuration share a key, so the cache
+        # serves one's result for the other: they must run identically
+        # (the label is echoed, not part of the configuration).
+        first = SweepPoint(workload[0], machine[0], policy[0], seed, labels[0])
+        second = SweepPoint(
+            *(pair[int(flip)] for pair, flip in zip((workload, machine, policy), flips)),
+            seed,
+            labels[1],
+        )
+        assert point_key(first) == point_key(second)
+        a, b = _cold(first), _cold(second)
+        assert (a.pop("label"), b.pop("label")) == labels
+        assert a == b
 
 
 class TestGoldenCacheKeys:
@@ -472,6 +538,32 @@ def builds(monkeypatch):
     forget_last_workload()
 
 
+#: Small workloads for the reuse property, with int and float
+#: spellings of one ratio (distinct canonical forms, built apart).
+REUSE_POOL = [
+    {"kind": "synthetic", "ratio": 1.0, "pairs": 8},
+    {"kind": "synthetic", "ratio": 1, "pairs": 8},
+    {"kind": "synthetic", "ratio": 0.25, "pairs": 8},
+    {"kind": "streamcluster", "dimension": 32, "rounds": 1, "pairs_per_round": 8},
+    {
+        "kind": "spec",
+        "document": {"name": "tiny", "phases": [{"name": "a", "pairs": 8, "ratio": 1}]},
+    },
+    {
+        "kind": "spec",
+        "document": {
+            "name": "tiny",
+            "phases": [{"name": "a", "pairs": 8, "ratio": 1.0}],
+        },
+    },
+]
+REUSE_POLICIES = [
+    {"kind": "static", "mtl": 2},
+    {"kind": "dynamic", "window_pairs": 4},
+    {"kind": "offline"},
+]
+
+
 class TestWorkloadReuse:
     A = {"kind": "synthetic", "ratio": 1.0, "pairs": 16}
     B = {"kind": "synthetic", "ratio": 0.25, "pairs": 16}
@@ -525,6 +617,26 @@ class TestWorkloadReuse:
             json.dumps(spec, sort_keys=True) for spec in (self.A, self.C, self.A)
         ]
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=len(REUSE_POOL) - 1),
+                st.sampled_from(REUSE_POLICIES),
+                st.sampled_from([None, 3]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_property_remembered_workload_equals_cold(self, draws):
+        points = [
+            SweepPoint(workload=REUSE_POOL[index], policy=policy, seed=seed)
+            for index, policy, seed in draws
+        ]
+        remembered = [run_point(point).to_dict() for point in points]
+        assert remembered == [_cold(point) for point in points]
+
     def test_repeated_spec_grid_rows_match_across_jobs(self):
         grid = dict(
             workloads={"a": self.A, "b": self.B, "c": self.C},
@@ -538,8 +650,8 @@ class TestWorkloadReuse:
                 "qos": {"kind": "qos"},
             },
         )
-        serial = run_suite_grid(**grid, executor=SweepExecutor(jobs=1))
-        pooled = run_suite_grid(**grid, executor=SweepExecutor(jobs=2))
+        serial = run_suite(**grid, executor=SweepExecutor(jobs=1))
+        pooled = run_suite(**grid, executor=SweepExecutor(jobs=2))
         assert pooled.rows == serial.rows
         assert len(serial.rows) == 18
 
@@ -836,50 +948,18 @@ class TestTelemetryIO:
 
 
 class TestGridHarnesses:
-    def test_run_suite_grid_matches_run_suite(self):
-        legacy = run_suite(
-            workloads={"w": lambda: synthetic_from_ratio(0.5, pairs=16)},
-            machines=[i7_860(channels=1), i7_860(channels=2)],
-            policies={"static-1": lambda machine: FixedMtlPolicy(1)},
-        )
-        grid = run_suite_grid(
-            workloads={"w": {"kind": "synthetic", "ratio": 0.5, "pairs": 16}},
-            machines=[
-                {"preset": "i7_860", "channels": 1},
-                {"preset": "i7_860", "channels": 2},
-            ],
-            policies={"static-1": {"kind": "static", "mtl": 1}},
-        )
-        assert grid.rows == legacy.rows
-
-    def test_run_suite_grid_validation(self):
+    def test_run_suite_validation(self):
         with pytest.raises(ConfigurationError):
-            run_suite_grid({}, [{"preset": "i7_860"}], {"p": {"kind": "static", "mtl": 1}})
+            run_suite({}, [{"preset": "i7_860"}], {"p": {"kind": "static", "mtl": 1}})
         with pytest.raises(ConfigurationError, match="duplicate"):
-            run_suite_grid(
+            run_suite(
                 {"w": SYNTH},
                 [{"preset": "i7_860"}, {"preset": "i7_860"}],
                 {"p": {"kind": "static", "mtl": 1}},
             )
 
-    def test_compare_grid_matches_compare_policies_noise_free(self):
-        program = synthetic_from_ratio(0.5, pairs=16)
-        legacy = compare_policies(
-            program, {"static-2": lambda: FixedMtlPolicy(2)}
-        )
-        grid = compare_policies_grid(
-            {"kind": "synthetic", "ratio": 0.5, "pairs": 16},
-            {"static-2": {"kind": "static", "mtl": 2}},
-        )
-        assert grid.baseline_makespan == legacy.baseline_makespan
-        assert grid.speedup("static-2") == legacy.speedup("static-2")
-        assert (
-            grid.outcome("static-2").selected_mtl
-            == legacy.outcome("static-2").selected_mtl
-        )
-
     def test_compare_grid_repeated_runs_protocol(self):
-        grid = compare_policies_grid(
+        grid = compare_policies(
             {"kind": "synthetic", "ratio": 0.5, "pairs": 16},
             {"static-2": {"kind": "static", "mtl": 2}},
             repeated_runs=4,
@@ -889,7 +969,7 @@ class TestGridHarnesses:
         assert outcome.makespan > 0
         assert outcome.selected_mtl == 2
         # The repeated-run protocol is deterministic given the seeds.
-        again = compare_policies_grid(
+        again = compare_policies(
             {"kind": "synthetic", "ratio": 0.5, "pairs": 16},
             {"static-2": {"kind": "static", "mtl": 2}},
             repeated_runs=4,

@@ -2,34 +2,40 @@
 
 import pytest
 
-from repro.core import DynamicThrottlingPolicy
 from repro.errors import ConfigurationError, MeasurementError
 from repro.runtime.suite import run_suite
-from repro.sim.machine import i7_860
-from repro.sim.scheduler import FixedMtlPolicy
-from repro.workloads import synthetic_from_ratio
+from tests.runtime.test_experiment import RecordingExecutor
+
+WORKLOADS = {
+    "compute-bound": {"kind": "synthetic", "ratio": 0.2, "pairs": 24},
+    "memory-bound": {"kind": "synthetic", "ratio": 1.5, "pairs": 24},
+}
+MACHINES = [
+    {"preset": "i7_860", "channels": 1},
+    {"preset": "i7_860", "channels": 2},
+]
+POLICIES = {
+    "static-1": {"kind": "static", "mtl": 1},
+    "dynamic": {"kind": "dynamic"},
+}
 
 
-def small_suite():
-    return run_suite(
-        workloads={
-            "compute-bound": lambda: synthetic_from_ratio(0.2, pairs=24),
-            "memory-bound": lambda: synthetic_from_ratio(1.5, pairs=24),
-        },
-        machines=[i7_860(channels=1), i7_860(channels=2)],
-        policies={
-            "static-1": lambda machine: FixedMtlPolicy(1),
-            "dynamic": lambda machine: DynamicThrottlingPolicy(
-                context_count=machine.context_count
-            ),
-        },
-    )
+def small_suite(executor=None):
+    return run_suite(WORKLOADS, MACHINES, POLICIES, executor=executor)
 
 
 class TestRunSuite:
     def test_full_grid(self):
         suite = small_suite()
         assert len(suite.rows) == 2 * 2 * 2
+
+    def test_rows_in_grid_order(self):
+        assert [(r.workload, r.machine, r.policy) for r in small_suite().rows] == [
+            (workload, machine, policy)
+            for workload in WORKLOADS
+            for machine in ("i7-860/1ch", "i7-860/2ch")
+            for policy in POLICIES
+        ]
 
     def test_cell_lookup(self):
         suite = small_suite()
@@ -60,12 +66,29 @@ class TestRunSuite:
         assert lines[0].startswith("workload,machine,policy")
         assert len(lines) == 9
 
+    def test_one_batch_labelled_by_workload_and_policy(self):
+        executor = RecordingExecutor()
+        small_suite(executor)
+        (batch,) = executor.batches
+        labels = [point.label for point in batch]
+        # Per cell: the baseline, then each policy; a workload's cells
+        # stay contiguous, so consecutive points share its spec.
+        cell = ["conventional/measure", "static-1/measure", "dynamic/measure"]
+        assert labels == [
+            f"{workload}/{label}"
+            for workload in WORKLOADS
+            for _ in MACHINES
+            for label in cell
+        ]
+        assert all(point.seed is None for point in batch)
+
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_suite({}, [i7_860()], {"p": lambda m: FixedMtlPolicy(1)})
-        with pytest.raises(ConfigurationError):
+        static = {"p": {"kind": "static", "mtl": 1}}
+        with pytest.raises(ConfigurationError, match="needs workloads"):
+            run_suite({}, [{"preset": "i7_860"}], static)
+        with pytest.raises(ConfigurationError, match="duplicate machine names"):
             run_suite(
-                {"w": lambda: synthetic_from_ratio(0.2, pairs=4)},
-                [i7_860(), i7_860()],  # duplicate names
-                {"p": lambda m: FixedMtlPolicy(1)},
+                {"w": {"kind": "synthetic", "ratio": 0.2, "pairs": 4}},
+                [{"preset": "i7_860"}, {"preset": "i7_860", "channels": 1}],
+                static,
             )

@@ -51,6 +51,19 @@ class TestTaskValidation:
             with pytest.raises(ConfigurationError, match=named):
                 build()
 
+    @pytest.mark.parametrize("cpu_seconds", [1e300, 1.7976931348623157e308])
+    def test_rejects_cpu_seconds_that_overflow_work_units(self, cpu_seconds):
+        # Finite, but ``cpu_seconds * 1e9`` work units overflow to inf
+        # and the per-unit CPU demand to 0.0: the run would only die
+        # mid-simulation on a non-positive unit cost.
+        with pytest.raises(ConfigurationError, match="'c': cpu_seconds"):
+            compute_task("c", cpu_seconds=cpu_seconds)
+
+    def test_large_finite_work_is_accepted(self):
+        task = compute_task("c", cpu_seconds=1e299)
+        assert task.work_units == 1e299 * 1e9 < math.inf
+        assert task.unit_demand.cpu_seconds_per_unit > 0.0
+
 
 class TestTaskFactories:
     def test_memory_task_is_pure_memory(self):

@@ -18,7 +18,7 @@ from repro.core import (
     s_mtl_regions,
 )
 from repro.memory.calibration import calibrate_linear_model
-from repro.runtime import characterize, compare_policies, run_suite
+from repro.runtime import characterize, run_suite
 from repro.sim import Simulator, i7_860, simulate
 from repro.sim.scheduler import FixedMtlPolicy
 from repro.workloads import streamcluster, synthetic_from_ratio
@@ -99,9 +99,9 @@ class TestSuiteToCsv:
 
     def test_suite_rows_round_trip_through_csv(self):
         suite = run_suite(
-            workloads={"w": lambda: synthetic_from_ratio(0.3, pairs=16)},
-            machines=[i7_860()],
-            policies={"static-1": lambda m: FixedMtlPolicy(1)},
+            workloads={"w": {"kind": "synthetic", "ratio": 0.3, "pairs": 16}},
+            machines=[{"preset": "i7_860"}],
+            policies={"static-1": {"kind": "static", "mtl": 1}},
         )
         csv = suite.to_csv()
         header, row = csv.strip().splitlines()
