@@ -26,7 +26,7 @@ def format_comparison(
 
     With ``include_stats``, the per-plugin counter snapshots carried
     on each :class:`~repro.runtime.experiment.PolicyOutcome` (the same
-    counters the executor emits as ``policy_stat`` telemetry) follow
+    counters the executor's ``point`` telemetry carries) follow
     the table as one ``policy: stat=value ...`` line per policy that
     registered any; policies without counters are omitted.  Off by
     default so existing golden artifacts keep their exact bytes.

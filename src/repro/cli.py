@@ -271,9 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     perfbench.add_argument("--check", action="store_true",
                            help="exit 4 if engine events/sec regressed >30%% "
                                 "against the baseline's current block")
-    perfbench.add_argument("--telemetry", default=None, metavar="PATH",
-                           help="append snapshot_cache/profile telemetry "
-                                "to PATH")
     return parser
 
 
@@ -629,13 +626,9 @@ def _cmd_perfbench(args: argparse.Namespace) -> int:
         run_perfbench,
     )
 
-    telemetry = TelemetryWriter(args.telemetry) if args.telemetry else None
     baseline_path = args.baseline or DEFAULT_BASELINE_PATH
     report = run_perfbench(
-        quick=args.quick,
-        profile=args.profile,
-        baseline_path=baseline_path,
-        telemetry=telemetry,
+        quick=args.quick, profile=args.profile, baseline_path=baseline_path
     )
     output = args.output or DEFAULT_OUTPUT_PATH
     if output == "-":

@@ -16,8 +16,9 @@ uniformly.  This module brings the same shape to throttling policies:
   :meth:`~ThrottlePolicyPlugin.on_phase_change`,
   :meth:`~ThrottlePolicyPlugin.on_selection`) which the base class
   folds into per-plugin statistics.
-* :class:`PolicyStats` is the per-plugin stat registry; snapshots flow
-  into ``policy_stat`` telemetry events (see
+* :class:`PolicyStats` is the per-plugin stat registry; each sweep
+  point's snapshot travels back as ``PointResult.policy_stats`` and
+  lands in that point's ``point`` telemetry record (see
   :mod:`repro.runtime.telemetry`).
 * :func:`register_policy` + :class:`PolicyEntry` form the name-keyed
   policy registry.  Policy modules register themselves at import time;
@@ -34,7 +35,7 @@ appear in annotations only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -95,23 +96,10 @@ class PolicyStats:
             raise ConfigurationError(f"stat {name!r} registered twice")
         self._values[name] = float(initial)
 
-    def registered(self, name: str) -> bool:
-        return name in self._values
-
     def add(self, name: str, delta: float = 1.0) -> None:
         if name not in self._values:
             raise ConfigurationError(f"stat {name!r} was never registered")
         self._values[name] += delta
-
-    def set(self, name: str, value: float) -> None:
-        if name not in self._values:
-            raise ConfigurationError(f"stat {name!r} was never registered")
-        self._values[name] = float(value)
-
-    def get(self, name: str) -> float:
-        if name not in self._values:
-            raise ConfigurationError(f"stat {name!r} was never registered")
-        return self._values[name]
 
     def snapshot(self) -> Dict[str, float]:
         """Name-sorted copy of every registered stat."""
@@ -208,29 +196,6 @@ class ThrottlePolicyPlugin:
     def stats_snapshot(self) -> Dict[str, float]:
         """Name-sorted stat values for telemetry emission."""
         return self.stats.snapshot()
-
-    def selection_log(self) -> List[Dict[str, Any]]:
-        """Selection decisions as ``policy_selection`` payload fields.
-
-        Each entry carries ``time`` (float) and ``selected_mtl``
-        (int); the telemetry layer wraps them into validated records.
-        The default derives the log from a ``selections`` attribute
-        when the policy keeps one with ``time``/``selected_mtl``-like
-        events, so ported policies get it for free.
-        """
-        events = getattr(self, "selections", None)
-        if not events:
-            return []
-        log: List[Dict[str, Any]] = []
-        for event in events:
-            selected = getattr(event, "selected_mtl", None)
-            if selected is None:
-                decision = getattr(event, "decision", None)
-                selected = getattr(decision, "selected_mtl", None)
-            if selected is None:
-                continue
-            log.append({"time": float(event.time), "selected_mtl": int(selected)})
-        return log
 
 
 @dataclass(frozen=True)

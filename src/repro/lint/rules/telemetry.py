@@ -12,8 +12,8 @@ check **both** directions statically, for every emit site in the
 corpus.
 
 An *emit site* is a dict literal carrying an ``"event"`` key with a
-string value (the shape every builder in
-:mod:`repro.runtime.telemetry` uses); an ``event="..."`` keyword on a
+string value (the shape every record the executor and the result
+cache write takes); an ``event="..."`` keyword on a
 ``read_telemetry`` call is a *filter site* — it, too, must name a
 registered event, but it does not count as emitting one.
 """

@@ -230,8 +230,8 @@ class EquilibriumSolver:
     unloaded ``L(1)`` a newly arriving request would pay).
 
     Attributes:
-        hits / misses: Lookup counters for cache-effectiveness
-            telemetry (``snapshot_cache`` events).
+        hits / misses: Lookup counters for perfbench's
+            cache-effectiveness report (``BENCH_sim.json``).
     """
 
     def __init__(

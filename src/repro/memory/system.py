@@ -78,8 +78,8 @@ class MemorySystem:
 
     def equilibrium_cache_info(self) -> Dict[str, int]:
         """Counters of the shared solver (hits, misses, entries); feeds
-        ``snapshot_cache`` telemetry without handing callers the solver
-        itself."""
+        perfbench's cache-effectiveness counters without handing
+        callers the solver itself."""
         return self.equilibrium_solver().cache_info()
 
     def resolve(

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
 from repro.errors import ConfigurationError
-from repro.runtime.telemetry import TelemetryWriter, cache_quarantine_event
+from repro.runtime.telemetry import TELEMETRY_SCHEMA_VERSION, TelemetryWriter
 
 __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "ResultCache", "stable_hash"]
 
@@ -243,7 +243,13 @@ class ResultCache:
             pass  # unmarked: the next lookup quarantines it again
         if self.telemetry is not None:
             self.telemetry.emit(
-                cache_quarantine_event(key=key, path=str(bucket), reason=reason)
+                {
+                    "schema": TELEMETRY_SCHEMA_VERSION,
+                    "event": "cache_quarantine",
+                    "key": key,
+                    "path": str(bucket),
+                    "reason": reason,
+                }
             )
 
 

@@ -43,8 +43,8 @@ class PolicyOutcome:
     ``stats`` carries the policy plugin's registered-counter snapshot
     from the instrumented run (``windows_closed``, blacklist sizes,
     …) as sorted ``(stat, value)`` pairs — the same counters the
-    executor emits as ``policy_stat`` telemetry — or ``None`` for
-    runs that expose no counters (``offline`` points).
+    executor's ``point`` telemetry carries as ``policy_stats`` — or
+    ``None`` for runs that expose no counters (``offline`` points).
     """
 
     policy_name: str

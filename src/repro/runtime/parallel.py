@@ -111,15 +111,7 @@ from repro.runtime.faults import (
     PointFailure,
     backoff_schedule,
 )
-from repro.runtime.telemetry import (
-    TelemetryWriter,
-    fault_event,
-    point_event,
-    point_failure_event,
-    policy_stat_event,
-    retry_event,
-    sweep_event,
-)
+from repro.runtime.telemetry import TELEMETRY_SCHEMA_VERSION, TelemetryWriter
 from repro.sim.machine import Machine, i7_860
 from repro.sim.noise import noise_for_seed
 from repro.sim.power7 import power7
@@ -697,7 +689,11 @@ class SweepExecutor:
                 lookup_start = time.perf_counter()
                 cached = self.cache.get(key)
                 if cached is not None:
-                    results[index] = PointResult.from_dict(cached)
+                    # Labels are not part of the key: a hit echoes
+                    # this point's label, not the one stored with it.
+                    results[index] = PointResult.from_dict(
+                        {**cached, "label": points[index].label}
+                    )
                     walls[index] = time.perf_counter() - lookup_start
                     hits[index] = True
                     continue
@@ -1069,10 +1065,15 @@ class SweepExecutor:
         counts["faults"] += 1
         if self.telemetry is not None:
             self.telemetry.emit(
-                fault_event(
-                    key=key, label=label, kind=kind, attempt=attempt,
-                    jobs=self.jobs,
-                )
+                {
+                    "schema": TELEMETRY_SCHEMA_VERSION,
+                    "event": "fault",
+                    "key": key,
+                    "label": label,
+                    "kind": kind,
+                    "attempt": attempt,
+                    "jobs": self.jobs,
+                }
             )
 
     def _note_retry(
@@ -1083,10 +1084,16 @@ class SweepExecutor:
         counts["retries"] += 1
         if self.telemetry is not None:
             self.telemetry.emit(
-                retry_event(
-                    key=key, label=label, attempt=attempt,
-                    backoff_seconds=backoff, reason=reason, jobs=self.jobs,
-                )
+                {
+                    "schema": TELEMETRY_SCHEMA_VERSION,
+                    "event": "retry",
+                    "key": key,
+                    "label": label,
+                    "attempt": attempt,
+                    "backoff_seconds": backoff,
+                    "reason": reason,
+                    "jobs": self.jobs,
+                }
             )
         return backoff
 
@@ -1108,52 +1115,48 @@ class SweepExecutor:
             assert result is not None
             if isinstance(result, PointFailure):
                 self.telemetry.emit(
-                    point_failure_event(
-                        key=keys[index],
-                        label=result.label,
-                        attempts=result.attempts,
-                        reason=result.reason,
-                        jobs=self.jobs,
-                    )
+                    {
+                        "schema": TELEMETRY_SCHEMA_VERSION,
+                        "event": "point_failure",
+                        "key": keys[index],
+                        "label": result.label,
+                        "attempts": result.attempts,
+                        "reason": result.reason,
+                        "jobs": self.jobs,
+                    }
                 )
                 continue
             self.telemetry.emit(
-                point_event(
-                    key=keys[index],
-                    workload=result.workload,
-                    machine=result.machine,
-                    policy=result.policy,
-                    seed=point.seed,
-                    cache_hit=hits[index],
-                    wall_seconds=walls[index],
-                    worker=workers[index],
-                    jobs=self.jobs,
-                    makespan=result.makespan,
-                    sim_events=result.sim_events,
-                    label=point.label,
-                )
+                {
+                    "schema": TELEMETRY_SCHEMA_VERSION,
+                    "event": "point",
+                    "key": keys[index],
+                    "label": point.label,
+                    "workload": result.workload,
+                    "machine": result.machine,
+                    "policy": result.policy,
+                    "seed": point.seed,
+                    "cache_hit": hits[index],
+                    "wall_seconds": walls[index],
+                    "worker": workers[index],
+                    "jobs": self.jobs,
+                    "makespan": result.makespan,
+                    "sim_events": result.sim_events,
+                    "policy_stats": result.policy_stats,
+                }
             )
-            if result.policy_stats:
-                for stat, value in sorted(result.policy_stats.items()):
-                    self.telemetry.emit(
-                        policy_stat_event(
-                            key=keys[index],
-                            label=point.label,
-                            policy=result.policy,
-                            stat=stat,
-                            value=value,
-                        )
-                    )
         hit_count = sum(hits)
         self.telemetry.emit(
-            sweep_event(
-                points=len(points),
-                cache_hits=hit_count,
-                cache_misses=len(points) - hit_count,
-                wall_seconds=time.perf_counter() - sweep_start,
-                jobs=self.jobs,
-                faults=counts["faults"],
-                retries=counts["retries"],
-                failures=counts["failures"],
-            )
+            {
+                "schema": TELEMETRY_SCHEMA_VERSION,
+                "event": "sweep",
+                "points": len(points),
+                "cache_hits": hit_count,
+                "cache_misses": len(points) - hit_count,
+                "faults": counts["faults"],
+                "retries": counts["retries"],
+                "failures": counts["failures"],
+                "wall_seconds": time.perf_counter() - sweep_start,
+                "jobs": self.jobs,
+            }
         )

@@ -14,8 +14,7 @@ for how to read it):
   "before", since that code path is unchanged.
 * **engine** — end-to-end simulated events/sec of one Figure 13 point
   (offline search, four static-MTL runs), plus the snapshot/equilibrium
-  cache hit rates of a direct simulator run (emitted as
-  ``snapshot_cache`` telemetry when ``--telemetry`` is given).
+  cache hit rates of a direct simulator run.
 * **fig13** — wall-clock of the Figure 13 synthetic sweep at
   ``jobs=1`` (``--quick`` runs a 16-ratio subset; per-point wall makes
   the two comparable).
@@ -38,8 +37,7 @@ Numbers for the seed engine live in ``benchmarks/perf/baseline.json``
 enforces every entry of the baseline's ``"floors"`` block (seed-anchored
 hard minimums) — the CI tripwire that protects the optimization.
 ``--profile`` wraps the engine benchmark in :mod:`cProfile` and reports
-the top functions by cumulative time (also as ``profile`` telemetry
-events).
+the top functions by cumulative time (the report's ``"profile"`` rows).
 """
 
 from __future__ import annotations
@@ -67,11 +65,6 @@ from repro.runtime.parallel import (
     build_workload_from_spec,
     forget_last_workload,
     run_point,
-)
-from repro.runtime.telemetry import (
-    TelemetryWriter,
-    profile_event,
-    snapshot_cache_event,
 )
 from repro.sim.machine import i7_860
 from repro.sim.scheduler import FixedMtlPolicy
@@ -443,7 +436,6 @@ def run_perfbench(
     quick: bool = False,
     profile: bool = False,
     baseline_path: Optional[str] = DEFAULT_BASELINE_PATH,
-    telemetry: Optional[TelemetryWriter] = None,
 ) -> Dict[str, Any]:
     """Run every benchmark section and assemble the report dict."""
     baseline = _load_baseline(baseline_path)
@@ -463,33 +455,6 @@ def run_perfbench(
     if baseline is not None:
         report["baseline"] = baseline
     report["speedups"] = _speedups(report, baseline)
-
-    if telemetry is not None:
-        engine = report["engine"]
-        for cache_name, stats in (
-            ("rate_snapshot", engine["snapshot_cache"]),
-            ("equilibrium", engine["equilibrium_cache"]),
-        ):
-            telemetry.emit(
-                snapshot_cache_event(
-                    cache=cache_name,
-                    label="perfbench/engine",
-                    hits=stats["hits"],
-                    misses=stats["misses"],
-                    entries=stats["entries"],
-                )
-            )
-        for row in report.get("profile", []):
-            telemetry.emit(
-                profile_event(
-                    label="perfbench/engine",
-                    function=row["function"],
-                    rank=row["rank"],
-                    calls=row["calls"],
-                    cumulative_seconds=row["cumulative_seconds"],
-                    total_seconds=row["total_seconds"],
-                )
-            )
     return report
 
 

@@ -3,13 +3,14 @@
 Every sweep point executed (or served from cache) by the
 :class:`~repro.runtime.parallel.SweepExecutor` emits one JSON object on
 its own line — the JSON-lines format that log shippers and ``jq`` both
-consume directly.  Ten event kinds exist:
+consume directly.  Six event kinds exist:
 
 ``point``
     One record per successful sweep point: the content-address of the
     point, the human-readable workload/machine/policy names, the noise
     seed, wall time, whether the result came from the cache, which
-    worker process produced it, and the simulated-event counts.
+    worker process produced it, the simulated-event counts, and the
+    policy plugin's counters.
 
 ``point_failure``
     One record per sweep point that exhausted its retries — the
@@ -31,37 +32,20 @@ consume directly.  Ten event kinds exist:
     :class:`~repro.runtime.cache.ResultCache` (marked by an appended
     quarantine record; the corrupt line itself is never rewritten).
 
-``policy_stat``
-    One record per registered policy-plugin counter per successful
-    sweep point (emitted by the executor in the parent, after the
-    point's ``point`` record): which policy, which stat, its value.
-
-``policy_selection``
-    One record per MTL selection a policy plugin reports through its
-    selection log (:meth:`~repro.core.plugin.ThrottlePolicyPlugin.selection_log`):
-    the simulated time and the committed MTL.
-
 ``sweep``
     One trailing summary per executor run: point totals, cache
     hit/miss split, fault/retry/failure counts, and end-to-end wall
     time.
 
-``snapshot_cache``
-    One record per simulation run (emitted by the perf benchmarks):
-    hit/miss counters and hit rate of one engine cache — the rate
-    calculator's snapshot memo or the memory system's equilibrium
-    memo (see ``docs/performance.md``).
-
-``profile``
-    One record per hot function when ``perfbench --profile`` is
-    active: its rank in the cProfile top-N plus call counts and
-    cumulative/total seconds.
-
-The schema is documented in ``docs/telemetry.md`` and mirrored
-machine-readably in :data:`EVENT_SCHEMAS`; a test parses the document
-and compares it against :data:`EVENT_SCHEMAS`, so the two cannot
-drift.  Records are plain dicts so the writer stays usable from worker
-processes and tests without any setup.
+Each kind is written as one dict literal at its single emit site (the
+executor in :mod:`repro.runtime.parallel`, the quarantine in
+:mod:`repro.runtime.cache`), so :data:`EVENT_SCHEMAS` is the only list
+of fields.  The schema is documented in ``docs/telemetry.md``; a test
+parses the document and compares it against :data:`EVENT_SCHEMAS`, and
+``repro lint`` (RPR301/RPR302) checks that every emitted kind is
+registered and every registered kind is emitted.  Records are plain
+dicts so the writer stays usable from worker processes and tests
+without any setup.
 """
 
 from __future__ import annotations
@@ -79,23 +63,13 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "EVENT_SCHEMAS",
     "TelemetryWriter",
-    "point_event",
-    "point_failure_event",
-    "policy_stat_event",
-    "policy_selection_event",
-    "fault_event",
-    "retry_event",
-    "cache_quarantine_event",
-    "sweep_event",
-    "snapshot_cache_event",
-    "profile_event",
     "read_telemetry",
     "validate_record",
 ]
 
-#: Bump when a field is renamed or its meaning changes, so downstream
-#: consumers can dispatch on ``record["schema"]``.
-TELEMETRY_SCHEMA_VERSION = 1
+#: Bump when a field is added, renamed or removed, or its meaning
+#: changes, so downstream consumers can dispatch on ``record["schema"]``.
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: JSON never distinguishes 3 from 3.0, so float-typed fields accept
 #: ints too; bool is excluded from numeric fields (it subclasses int).
@@ -104,6 +78,7 @@ _INT: Tuple[type, ...] = (int,)
 _FLOAT: Tuple[type, ...] = (float, int)
 _BOOL: Tuple[type, ...] = (bool,)
 _OPT_INT: Tuple[type, ...] = (int, type(None))
+_OPT_OBJECT: Tuple[type, ...] = (dict, type(None))
 
 #: Exact field set and types of every event kind.  ``validate_record``
 #: enforces this; ``tests/runtime/test_telemetry_schema.py`` checks it
@@ -124,6 +99,7 @@ EVENT_SCHEMAS: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "jobs": _INT,
         "makespan": _FLOAT,
         "sim_events": _INT,
+        "policy_stats": _OPT_OBJECT,
     },
     "point_failure": {
         "schema": _INT,
@@ -153,24 +129,6 @@ EVENT_SCHEMAS: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "reason": _STR,
         "jobs": _INT,
     },
-    "policy_stat": {
-        "schema": _INT,
-        "event": _STR,
-        "key": _STR,
-        "label": _STR,
-        "policy": _STR,
-        "stat": _STR,
-        "value": _FLOAT,
-    },
-    "policy_selection": {
-        "schema": _INT,
-        "event": _STR,
-        "key": _STR,
-        "label": _STR,
-        "policy": _STR,
-        "time": _FLOAT,
-        "selected_mtl": _INT,
-    },
     "cache_quarantine": {
         "schema": _INT,
         "event": _STR,
@@ -190,252 +148,26 @@ EVENT_SCHEMAS: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "wall_seconds": _FLOAT,
         "jobs": _INT,
     },
-    "snapshot_cache": {
-        "schema": _INT,
-        "event": _STR,
-        "cache": _STR,
-        "label": _STR,
-        "hits": _INT,
-        "misses": _INT,
-        "hit_rate": _FLOAT,
-        "entries": _INT,
-    },
-    "profile": {
-        "schema": _INT,
-        "event": _STR,
-        "label": _STR,
-        "function": _STR,
-        "rank": _INT,
-        "calls": _INT,
-        "cumulative_seconds": _FLOAT,
-        "total_seconds": _FLOAT,
-    },
 }
-
-
-def point_event(
-    key: str,
-    workload: str,
-    machine: str,
-    policy: str,
-    seed: Optional[int],
-    cache_hit: bool,
-    wall_seconds: float,
-    worker: int,
-    jobs: int,
-    makespan: float,
-    sim_events: int,
-    label: str = "",
-) -> Dict[str, Any]:
-    """Build one ``point`` telemetry record."""
-    return {
-        "schema": TELEMETRY_SCHEMA_VERSION,
-        "event": "point",
-        "key": key,
-        "label": label,
-        "workload": workload,
-        "machine": machine,
-        "policy": policy,
-        "seed": seed,
-        "cache_hit": cache_hit,
-        "wall_seconds": wall_seconds,
-        "worker": worker,
-        "jobs": jobs,
-        "makespan": makespan,
-        "sim_events": sim_events,
-    }
-
-
-def point_failure_event(
-    key: str,
-    label: str,
-    attempts: int,
-    reason: str,
-    jobs: int,
-) -> Dict[str, Any]:
-    """Build one ``point_failure`` (exhausted retries) record."""
-    return {
-        "schema": TELEMETRY_SCHEMA_VERSION,
-        "event": "point_failure",
-        "key": key,
-        "label": label,
-        "attempts": attempts,
-        "reason": reason,
-        "jobs": jobs,
-    }
-
-
-def policy_stat_event(
-    key: str,
-    label: str,
-    policy: str,
-    stat: str,
-    value: float,
-) -> Dict[str, Any]:
-    """Build one ``policy_stat`` (plugin counter snapshot) record."""
-    return {
-        "schema": TELEMETRY_SCHEMA_VERSION,
-        "event": "policy_stat",
-        "key": key,
-        "label": label,
-        "policy": policy,
-        "stat": stat,
-        "value": value,
-    }
-
-
-def policy_selection_event(
-    key: str,
-    label: str,
-    policy: str,
-    time: float,
-    selected_mtl: int,
-) -> Dict[str, Any]:
-    """Build one ``policy_selection`` (committed MTL decision) record."""
-    return {
-        "schema": TELEMETRY_SCHEMA_VERSION,
-        "event": "policy_selection",
-        "key": key,
-        "label": label,
-        "policy": policy,
-        "time": time,
-        "selected_mtl": selected_mtl,
-    }
-
-
-def fault_event(
-    key: str,
-    label: str,
-    kind: str,
-    attempt: int,
-    jobs: int,
-) -> Dict[str, Any]:
-    """Build one ``fault`` (injected failure) record."""
-    return {
-        "schema": TELEMETRY_SCHEMA_VERSION,
-        "event": "fault",
-        "key": key,
-        "label": label,
-        "kind": kind,
-        "attempt": attempt,
-        "jobs": jobs,
-    }
-
-
-def retry_event(
-    key: str,
-    label: str,
-    attempt: int,
-    backoff_seconds: float,
-    reason: str,
-    jobs: int,
-) -> Dict[str, Any]:
-    """Build one ``retry`` (recovery action) record."""
-    return {
-        "schema": TELEMETRY_SCHEMA_VERSION,
-        "event": "retry",
-        "key": key,
-        "label": label,
-        "attempt": attempt,
-        "backoff_seconds": backoff_seconds,
-        "reason": reason,
-        "jobs": jobs,
-    }
-
-
-def cache_quarantine_event(key: str, path: str, reason: str) -> Dict[str, Any]:
-    """Build one ``cache_quarantine`` (corrupt entry isolated) record."""
-    return {
-        "schema": TELEMETRY_SCHEMA_VERSION,
-        "event": "cache_quarantine",
-        "key": key,
-        "path": path,
-        "reason": reason,
-    }
-
-
-def sweep_event(
-    points: int,
-    cache_hits: int,
-    cache_misses: int,
-    wall_seconds: float,
-    jobs: int,
-    faults: int = 0,
-    retries: int = 0,
-    failures: int = 0,
-) -> Dict[str, Any]:
-    """Build one ``sweep`` summary record."""
-    return {
-        "schema": TELEMETRY_SCHEMA_VERSION,
-        "event": "sweep",
-        "points": points,
-        "cache_hits": cache_hits,
-        "cache_misses": cache_misses,
-        "faults": faults,
-        "retries": retries,
-        "failures": failures,
-        "wall_seconds": wall_seconds,
-        "jobs": jobs,
-    }
-
-
-def snapshot_cache_event(
-    cache: str,
-    label: str,
-    hits: int,
-    misses: int,
-    entries: int,
-) -> Dict[str, Any]:
-    """Build one ``snapshot_cache`` (engine cache effectiveness) record.
-
-    ``hit_rate`` is derived here (0.0 when the cache was never
-    consulted) so every consumer computes it the same way.
-    """
-    lookups = hits + misses
-    return {
-        "schema": TELEMETRY_SCHEMA_VERSION,
-        "event": "snapshot_cache",
-        "cache": cache,
-        "label": label,
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": (hits / lookups) if lookups else 0.0,
-        "entries": entries,
-    }
-
-
-def profile_event(
-    label: str,
-    function: str,
-    rank: int,
-    calls: int,
-    cumulative_seconds: float,
-    total_seconds: float,
-) -> Dict[str, Any]:
-    """Build one ``profile`` (cProfile top-N row) record."""
-    return {
-        "schema": TELEMETRY_SCHEMA_VERSION,
-        "event": "profile",
-        "label": label,
-        "function": function,
-        "rank": rank,
-        "calls": calls,
-        "cumulative_seconds": cumulative_seconds,
-        "total_seconds": total_seconds,
-    }
 
 
 def validate_record(record: Any) -> None:
     """Check one telemetry record against :data:`EVENT_SCHEMAS`.
 
     Raises :class:`~repro.errors.MeasurementError` naming the event
-    kind and offending field on any mismatch: unknown event, missing
-    field, unexpected field, or wrong type.  Booleans never satisfy a
-    numeric field (``bool`` subclasses ``int`` in Python).
+    kind and offending field on any mismatch: another schema version,
+    unknown event, missing field, unexpected field, or wrong type.
+    Booleans never satisfy a numeric field (``bool`` subclasses ``int``
+    in Python).
     """
     if not isinstance(record, dict):
         raise MeasurementError(
             f"telemetry record must be an object, got {type(record).__name__}"
+        )
+    if "schema" in record and record["schema"] != TELEMETRY_SCHEMA_VERSION:
+        raise MeasurementError(
+            f"telemetry record has schema {record['schema']!r}; this reader "
+            f"validates schema {TELEMETRY_SCHEMA_VERSION}"
         )
     event = record.get("event")
     if event not in EVENT_SCHEMAS:

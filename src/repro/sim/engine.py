@@ -167,7 +167,8 @@ class RateCalculator:
     docstring); :meth:`snapshot` is the memoized entry point the
     simulator uses, :meth:`compute_snapshot` the always-cold path the
     memoization property tests compare against.  ``hits`` / ``misses``
-    feed the ``snapshot_cache`` telemetry events.
+    feed the engine section's ``snapshot_cache`` counters in
+    ``BENCH_sim.json`` (``python -m repro perfbench``).
     """
 
     def __init__(

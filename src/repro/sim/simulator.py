@@ -122,7 +122,7 @@ class Simulator:
     @property
     def rate_calculator(self) -> RateCalculator:
         """This simulator's (memoizing) rate calculator, exposed for
-        cache-effectiveness telemetry (``snapshot_cache`` events)."""
+        perfbench's cache-effectiveness counters."""
         return self._rates
 
     def run(self, program: StreamProgram, policy: SchedulingPolicy) -> SimulationResult:

@@ -10,21 +10,17 @@ edits.  The contract:
   that changes what the next fresh instance computes;
 * **MTL bounds** — every dispatched task sees an MTL in ``[1, n]``,
   and so does the policy's final :meth:`current_mtl`;
-* **telemetry integrity** — every stat in ``stats_snapshot()`` and
-  every entry of ``selection_log()`` builds a record that passes
-  :func:`~repro.runtime.telemetry.validate_record` against
-  ``EVENT_SCHEMAS``, and the stat *names* are identical across runs
-  (structural stability, the property the executor relies on).
+* **telemetry integrity** — ``stats_snapshot()`` maps stat names to
+  floats (it is the ``policy_stats`` object of the point's telemetry
+  record), its stat *names* are identical across runs (structural
+  stability, the property the executor relies on), and its
+  ``selections`` counter equals the number of selections the policy
+  recorded.
 """
 
 import pytest
 
 from repro.core import ThrottlePolicyPlugin, build_policy, policy_names
-from repro.runtime.telemetry import (
-    policy_selection_event,
-    policy_stat_event,
-    validate_record,
-)
 from repro.sim.machine import i7_860
 from repro.sim.simulator import simulate
 from repro.stream.program import StreamProgram, build_phase
@@ -105,33 +101,16 @@ class TestPolicyContract:
         assert list(snapshot) == sorted(snapshot)
         assert list(snapshot) == list(second_policy.stats_snapshot())
         assert snapshot == second_policy.stats_snapshot()
-        for stat, value in snapshot.items():
-            validate_record(
-                policy_stat_event(
-                    key="contract", label="contract", policy=policy_label(name),
-                    stat=stat, value=value,
-                )
-            )
+        assert all(type(value) is float for value in snapshot.values())
 
-    def test_selection_log_validates(self, name):
+    def test_selections_stat_counts_recorded_selections(self, name):
         policy, result = run_fresh(name)
-        log = policy.selection_log()
-        for entry in log:
-            assert set(entry) == {"time", "selected_mtl"}
-            assert 0.0 <= entry["time"] <= result.makespan
-            assert 1 <= entry["selected_mtl"] <= N
-            validate_record(
-                policy_selection_event(
-                    key="contract", label="contract", policy=policy_label(name),
-                    time=entry["time"], selected_mtl=entry["selected_mtl"],
-                )
-            )
-        # The log mirrors the selections stat for selecting policies.
-        assert len(log) == policy.stats_snapshot()["selections"]
-
-
-def policy_label(name):
-    return f"contract-{name}"
+        # Selecting policies keep their committed selections; the
+        # ``selections`` counter must agree with them one for one.
+        recorded = getattr(policy, "selections", [])
+        for selection in recorded:
+            assert 0.0 <= selection.time <= result.makespan
+        assert policy.stats_snapshot()["selections"] == len(recorded)
 
 
 class TestRegistryShape:

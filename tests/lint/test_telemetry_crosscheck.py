@@ -8,6 +8,7 @@ against injected schemas where the live registry would make the test
 depend on unrelated executor code.
 """
 
+import pathlib
 import textwrap
 
 from repro.lint import LintEngine, build_rules
@@ -95,6 +96,15 @@ class TestOrphanSchemaFires:
         assert not report.findings
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+def lint_repo(*dirs, schemas=None):
+    rules = build_rules(only=["RPR301", "RPR302"], telemetry_schemas=schemas)
+    engine = LintEngine(rules=rules, enabled={"RPR301", "RPR302"}, root=ROOT)
+    return engine.run([ROOT / d for d in dirs])
+
+
 class TestLiveRegistry:
     def test_rules_default_to_live_schemas(self):
         assert registered_events() == set(EVENT_SCHEMAS)
@@ -102,12 +112,17 @@ class TestLiveRegistry:
     def test_repo_sources_cover_every_schema(self):
         # The real src/ + tests/ corpus must emit (or filter on) every
         # registered event — otherwise RPR302 would fail `repro lint`.
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parents[2]
-        rules = build_rules(only=["RPR301", "RPR302"])
-        engine = LintEngine(
-            rules=rules, enabled={"RPR301", "RPR302"}, root=root
-        )
-        report = engine.run([root / "src", root / "tests"])
+        report = lint_repo("src", "tests")
         assert not report.findings, [f.message for f in report.findings]
+
+    def test_src_alone_emits_every_schema(self):
+        # Program code is the only producer that counts: a test's dict
+        # literal must not keep alive a schema no run writes.
+        report = lint_repo("src")
+        assert not report.findings, [f.message for f in report.findings]
+
+    def test_schema_without_a_src_emitter_fails(self):
+        report = lint_repo("src", schemas=set(EVENT_SCHEMAS) | {"policy_selection"})
+        (finding,) = report.findings
+        assert finding.rule == "RPR302"
+        assert "'policy_selection'" in finding.message

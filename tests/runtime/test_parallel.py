@@ -694,16 +694,37 @@ class TestSweepExecutor:
 
     def test_telemetry_schema(self):
         sink = io.StringIO()
-        SweepExecutor(jobs=1, telemetry=TelemetryWriter(sink)).run(self.POINTS[:2])
-        points = read_telemetry(io.StringIO(sink.getvalue()), event="point")
-        assert len(points) == 2
-        for record in points:
+        results = SweepExecutor(jobs=1, telemetry=TelemetryWriter(sink)).run(
+            self.POINTS[:2]
+        )
+        # One record per point, the policy counters inside it, plus the
+        # summary: nothing per counter.
+        records = read_telemetry(io.StringIO(sink.getvalue()))
+        assert [r["event"] for r in records] == ["point", "point", "sweep"]
+        for record, result in zip(records, results):
             for field in ("key", "workload", "machine", "policy", "seed",
                           "cache_hit", "wall_seconds", "worker", "jobs",
-                          "makespan", "sim_events", "label"):
+                          "makespan", "sim_events", "label", "policy_stats"):
                 assert field in record, field
-        (summary,) = read_telemetry(io.StringIO(sink.getvalue()), event="sweep")
-        assert summary["points"] == 2
+            assert record["policy_stats"] == result.policy_stats
+        assert set(records[0]["policy_stats"]) >= {
+            "phase_changes", "selections", "windows_closed"
+        }
+        assert records[-1]["points"] == 2
+
+    def test_cache_hit_takes_this_points_label(self, tmp_path):
+        # Labels are not part of the key, so a hit served from an entry
+        # another point stored must still echo the asking point's label.
+        cache = ResultCache(tmp_path)
+        SweepExecutor(cache=cache).run([SweepPoint(workload=SYNTH, label="first")])
+        sink = io.StringIO()
+        (hit,) = SweepExecutor(cache=cache, telemetry=TelemetryWriter(sink)).run(
+            [SweepPoint(workload=SYNTH, label="second")]
+        )
+        assert cache.stats.hits == 1
+        assert hit.label == "second"
+        (record,) = read_telemetry(io.StringIO(sink.getvalue()), event="point")
+        assert record["cache_hit"] and record["label"] == "second"
 
     def test_pool_workers_never_touch_cache_or_telemetry(self, tmp_path, monkeypatch):
         # Workers fork from this process, so they inherit the recording

@@ -288,9 +288,7 @@ class TestLint:
 
 
 class TestPerfbench:
-    def test_quick_report_with_profile_telemetry_and_check(
-        self, capsys, tmp_path
-    ):
+    def test_quick_report_with_profile_and_check(self, capsys, tmp_path):
         baseline = tmp_path / "baseline.json"
         # An always-passing gate: any machine beats these floors.
         baseline.write_text(json.dumps({
@@ -302,12 +300,10 @@ class TestPerfbench:
             "floors": {"engine_events_per_sec": 1.0},
         }))
         output = tmp_path / "bench.json"
-        telemetry = tmp_path / "telemetry.jsonl"
         assert main([
             "perfbench", "--quick", "--profile", "--check",
             "--output", str(output),
             "--baseline", str(baseline),
-            "--telemetry", str(telemetry),
         ]) == 0
         out = capsys.readouterr().out
         assert "perf check passed" in out
@@ -328,11 +324,6 @@ class TestPerfbench:
         assert "fig13_wall_vs_seed" in report["speedups"]
         assert "engine_events_per_sec_vs_seed" in report["speedups"]
         assert report["profile"]
-
-        kinds = [json.loads(line)["event"]
-                 for line in telemetry.read_text().splitlines()]
-        assert kinds.count("snapshot_cache") == 2
-        assert "profile" in kinds
 
     def test_check_failure_exits_4(self, capsys, tmp_path):
         baseline = tmp_path / "baseline.json"
