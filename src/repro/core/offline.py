@@ -59,19 +59,17 @@ def offline_exhaustive_search(
         noise_factory: Called once per run so every run sees an
             identically distributed, independently seeded noise stream
             (pass ``None`` for noise-free runs).
+
+    Every run simulates on ``target``, whose one rate-snapshot memo
+    (:attr:`~repro.sim.machine.Machine.rate_calculator`) therefore
+    stays warm across the whole MTL range, seeded or not.
     """
     target = machine if machine is not None else i7_860()
     by_mtl: Dict[int, SimulationResult] = {}
-    if noise_factory is None:
-        # Noise-free runs share one simulator, so the rate calculator's
-        # snapshot memo stays warm across the whole MTL range.
-        simulator = Simulator(target)
-        for mtl in range(1, target.context_count + 1):
-            by_mtl[mtl] = simulator.run(program, FixedMtlPolicy(mtl))
-    else:
-        for mtl in range(1, target.context_count + 1):
-            simulator = Simulator(target, noise=noise_factory())
-            by_mtl[mtl] = simulator.run(program, FixedMtlPolicy(mtl))
+    for mtl in range(1, target.context_count + 1):
+        noise = noise_factory() if noise_factory is not None else None
+        simulator = Simulator(target, noise=noise)
+        by_mtl[mtl] = simulator.run(program, FixedMtlPolicy(mtl))
     best_mtl = min(by_mtl, key=lambda mtl: (by_mtl[mtl].makespan, mtl))
     return OfflineSearchOutcome(
         best_mtl=best_mtl, best=by_mtl[best_mtl], by_mtl=by_mtl

@@ -50,7 +50,8 @@ the point, and cache keys include the schema version, so
 ``jobs=1`` / ``jobs=N`` / warm-cache replays / chaos runs under an
 exhausting-resistant retry budget all yield identical rows.
 
-Spec vocabulary (validated eagerly, offending key named):
+Spec vocabulary (validated eagerly, offending key named; a key a kind
+or preset does not accept is rejected, not ignored):
 
 ==========  =====================================================
 workload    ``{"kind": "registry", "name": "dft"}``
@@ -58,10 +59,11 @@ workload    ``{"kind": "registry", "name": "dft"}``
             b, "pairs": p, "llc": {"capacity_bytes": c,
             "sharers": s}}`` (``llc`` optional)
             ``{"kind": "streamcluster", "dimension": d, "rounds":
-            r, "pairs_per_round": p}``
+            r, "pairs_per_round": p, "footprint_bytes": b}``
             ``{"kind": "spec", "document": {...}}`` (a JSON
             workload spec, :mod:`repro.workloads.spec`)
-machine     ``{"preset": "i7_860", "channels": 1, "smt": 1}``
+machine     ``{"preset": "i7_860", "channels": 1, "smt": 1,
+            "llc_capacity_bytes": b}``
             ``{"preset": "power7", "smt": 4, "channels": 8}``
 policy      ``{"kind": "<registered name>", **params}`` — any name
             in :func:`repro.core.registry.policy_names`:
@@ -70,8 +72,9 @@ policy      ``{"kind": "<registered name>", **params}`` — any name
             (``window_pairs``...), ``adaptive-window``,
             ``activation-budget``; parameters are validated against
             the registry entry (offending key named).
-            ``{"kind": "offline"}`` (exhaustive static search) is
-            the one non-registry kind, handled by :func:`run_point`.
+            ``{"kind": "offline"}`` (exhaustive static search, no
+            parameters) is the one non-registry kind, handled by
+            :func:`run_point`.
 ==========  =====================================================
 """
 
@@ -85,6 +88,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Deque,
     Dict,
     List,
@@ -130,7 +134,7 @@ __all__ = [
     "SweepExecutor",
     "point_key",
     "run_point",
-    "forget_last_workload",
+    "forget_last_builds",
     "build_workload_from_spec",
     "build_machine_from_spec",
     "build_policy_from_spec",
@@ -142,15 +146,16 @@ __all__ = [
 #: and everything reachable from it — as worker-side code that must
 #: pickle cleanly, never mutate module globals, and never emit
 #: telemetry directly.  The one module state worker code may keep is a
-#: per-process memo of a pure function (:data:`_LAST_WORKLOAD`):
-#: losing it, or its differing between processes, cannot change a
-#: result.
+#: per-process memo of pure functions (:data:`_LAST_BUILT`): losing
+#: it, or its differing between processes, cannot change a result.
 POOL_BOUNDARY: Tuple[str, ...] = ("_pool_run_points",)
 
-#: The last workload :func:`run_point` built in this process, as
-#: ``{stable_hash(spec): program}`` — at most one entry, so memory
-#: stays at one program however many distinct workloads a sweep has.
-_LAST_WORKLOAD: Dict[str, StreamProgram] = {}
+#: The last workload and the last machine :func:`run_point` built in
+#: this process, as ``{"workload" | "machine": (stable_hash(spec),
+#: built)}`` — at most one of each, so memory stays at one program and
+#: one machine (with its bounded memos) however many distinct specs a
+#: sweep has.
+_LAST_BUILT: Dict[str, Tuple[str, Any]] = {}
 
 #: Consecutive pool breaks with no injected crash in flight tolerated
 #: before the executor gives up (a real, repeating environment
@@ -210,9 +215,44 @@ def _as_mapping(value: Any, key: str, what: str) -> Mapping[str, Any]:
     return value
 
 
+def _reject_unknown(
+    spec: Mapping[str, Any], accepted: Set[str], what: str
+) -> None:
+    """Reject a spec key outside ``accepted``, naming it and them."""
+    unknown = sorted(set(spec) - accepted)
+    if unknown:
+        raise ConfigurationError(
+            f"{what} spec has unknown keys {unknown}; accepted: {sorted(accepted)}"
+        )
+
+
+#: Keys each workload kind accepts.
+_WORKLOAD_KEYS: Dict[str, Set[str]] = {
+    "registry": {"kind", "name"},
+    "synthetic": {"kind", "ratio", "footprint_bytes", "pairs", "llc"},
+    "streamcluster": {
+        "kind", "dimension", "rounds", "pairs_per_round", "footprint_bytes",
+    },
+    "spec": {"kind", "document"},
+}
+_LLC_KEYS = {"capacity_bytes", "sharers"}
+#: Each machine preset's builder and the keys its spec accepts; every
+#: key but ``preset`` is an integer keyword of the builder.
+_MACHINE_PRESETS: Dict[str, Tuple[Callable[..., Machine], Set[str]]] = {
+    "i7_860": (i7_860, {"preset", "channels", "smt", "llc_capacity_bytes"}),
+    "power7": (power7, {"preset", "smt", "channels"}),
+}
+
+
 def build_workload_from_spec(spec: Mapping[str, Any]) -> StreamProgram:
     """Materialise a workload spec into a :class:`StreamProgram`."""
-    kind = _require(spec, "kind", "workload")
+    kind = _as_str(_require(spec, "kind", "workload"), "kind", "workload")
+    if kind not in _WORKLOAD_KEYS:
+        raise ConfigurationError(
+            f"unknown workload kind {kind!r}; use registry | synthetic | "
+            "streamcluster | spec"
+        )
+    _reject_unknown(spec, _WORKLOAD_KEYS[kind], f"{kind} workload")
     if kind == "registry":
         return build_workload(_as_str(_require(spec, "name", "workload"), "name", "workload"))
     if kind == "synthetic":
@@ -220,6 +260,7 @@ def build_workload_from_spec(spec: Mapping[str, Any]) -> StreamProgram:
         cache = None
         if llc is not None:
             llc = _as_mapping(llc, "llc", "workload")
+            _reject_unknown(llc, _LLC_KEYS, "llc")
             cache = LastLevelCache(
                 capacity_bytes=_as_int(
                     _require(llc, "capacity_bytes", "llc"), "capacity_bytes", "llc"
@@ -229,45 +270,38 @@ def build_workload_from_spec(spec: Mapping[str, Any]) -> StreamProgram:
         kwargs: Dict[str, Any] = {
             "ratio": _as_float(_require(spec, "ratio", "workload"), "ratio", "workload")
         }
-        for key in ("footprint_bytes", "pairs"):
+        for key in sorted(_WORKLOAD_KEYS["synthetic"] - {"kind", "ratio", "llc"}):
             if key in spec:
                 kwargs[key] = _as_int(spec[key], key, "workload")
         return SyntheticWorkload(cache=cache, **kwargs).build()
     if kind == "streamcluster":
         kwargs = {}
-        for key in ("dimension", "rounds", "pairs_per_round", "footprint_bytes"):
+        for key in sorted(_WORKLOAD_KEYS["streamcluster"] - {"kind"}):
             if key in spec:
                 kwargs[key] = _as_int(spec[key], key, "workload")
         return StreamclusterWorkload(**kwargs).build()
-    if kind == "spec":
-        document = _as_mapping(
-            _require(spec, "document", "workload"), "document", "workload"
-        )
-        return parse_workload_spec(dict(document))
-    raise ConfigurationError(
-        f"unknown workload kind {kind!r}; use registry | synthetic | "
-        "streamcluster | spec"
+    # kind == "spec"
+    document = _as_mapping(
+        _require(spec, "document", "workload"), "document", "workload"
     )
+    return parse_workload_spec(dict(document))
 
 
 def build_machine_from_spec(spec: Mapping[str, Any]) -> Machine:
     """Materialise a machine spec into a :class:`Machine`."""
-    preset = spec.get("preset", "i7_860")
-    if preset == "i7_860":
-        kwargs: Dict[str, Any] = {}
-        for key in ("channels", "smt", "llc_capacity_bytes"):
-            if key in spec:
-                kwargs[key] = _as_int(spec[key], key, "machine")
-        return i7_860(**kwargs)
-    if preset == "power7":
-        kwargs = {}
-        for key in ("smt", "channels"):
-            if key in spec:
-                kwargs[key] = _as_int(spec[key], key, "machine")
-        return power7(**kwargs)
-    raise ConfigurationError(
-        f"unknown machine preset {preset!r}; use i7_860 | power7"
-    )
+    preset = _as_str(spec.get("preset", "i7_860"), "preset", "machine")
+    if preset not in _MACHINE_PRESETS:
+        raise ConfigurationError(
+            f"unknown machine preset {preset!r}; use i7_860 | power7"
+        )
+    build, accepted = _MACHINE_PRESETS[preset]
+    _reject_unknown(spec, accepted, f"{preset} machine")
+    kwargs = {
+        key: _as_int(spec[key], key, "machine")
+        for key in sorted(accepted - {"preset"})
+        if key in spec
+    }
+    return build(**kwargs)
 
 
 def build_policy_from_spec(
@@ -430,24 +464,27 @@ class PointResult:
         )
 
 
-def forget_last_workload() -> None:
-    """Drop the workload :func:`run_point` remembers, so the next point
-    builds its own (for timing a point cold)."""
-    _LAST_WORKLOAD.clear()
+def forget_last_builds() -> None:
+    """Drop the workload and the machine :func:`run_point` remembers —
+    with the machine go its snapshot and equilibrium memos — so the
+    next point builds its own and starts cold (for timing a point
+    cold)."""
+    _LAST_BUILT.clear()
 
 
-def _workload(spec: Dict[str, Any]) -> StreamProgram:
-    """``build_workload_from_spec(spec)``, reusing the program built for
-    the previous point when ``spec`` has the same canonical form."""
+def _remembered(what: str, spec: Mapping[str, Any], build: Callable[..., Any]) -> Any:
+    """``build(spec)``, reusing what was built for the previous point's
+    ``what`` spec when ``spec`` has the same canonical form."""
     key = stable_hash(spec)
-    program = _LAST_WORKLOAD.get(key)
-    if program is None:
-        # Forget first: a failing build leaves nothing remembered, and
-        # the old program is released before the new one is built.
-        _LAST_WORKLOAD.clear()
-        program = build_workload_from_spec(spec)
-        _LAST_WORKLOAD[key] = program
-    return program
+    last = _LAST_BUILT.get(what)
+    if last is not None and last[0] == key:
+        return last[1]
+    # Forget first: a failing build leaves nothing remembered, and the
+    # old one is released before the new one is built.
+    _LAST_BUILT.pop(what, None)
+    built = build(spec)
+    _LAST_BUILT[what] = (key, built)
+    return built
 
 
 def run_point(point: SweepPoint) -> PointResult:
@@ -461,19 +498,23 @@ def run_point(point: SweepPoint) -> PointResult:
     constructed *here* — RNG state is never pickled across process
     boundaries.
 
-    The workload is the one piece reused across points: when a point's
-    workload spec has the same :func:`~repro.runtime.cache.stable_hash`
-    as the previous point run in this process, its program — and the
-    task graph the program keeps (:meth:`StreamProgram.to_task_graph`)
-    — is reused rather than rebuilt.  A program is a pure function of
-    its spec and is only read by a run, so the reuse never changes a
-    result; machines, policies, noise and simulators stay per point.
+    The workload and the machine are reused across points.  When a
+    point's workload spec has the same
+    :func:`~repro.runtime.cache.stable_hash` as the previous point's in
+    this process, the previous program is reused, with the task graph
+    it keeps (:meth:`StreamProgram.to_task_graph`).  Likewise a machine
+    spec reuses the previous machine, with its rate-snapshot and
+    equilibrium memos.  Programs and machines are pure functions of
+    their specs and are only read by a run, and their memos return
+    exactly what a cold computation would, so the reuse never changes a
+    result.  Policies, noise and simulators stay per point.
     """
-    program = _workload(point.workload)
-    machine = build_machine_from_spec(point.machine)
+    program = _remembered("workload", point.workload, build_workload_from_spec)
+    machine = _remembered("machine", point.machine, build_machine_from_spec)
     policy_kind = _require(point.policy, "kind", "policy")
 
     if policy_kind == "offline":
+        _reject_unknown(point.policy, {"kind"}, "offline policy")
         noise_factory = (
             (lambda: noise_for_seed(point.seed)) if point.seed is not None else None
         )

@@ -21,9 +21,10 @@ for how to read it):
 * **fig14** — wall-clock of one Figure 14 point (``dft`` under the
   dynamic policy).
 
-The engine and fig14 sections repeat one point, so each rep first
-forgets the workload :func:`~repro.runtime.parallel.run_point`
-remembers: every rep builds its program, as the seed numbers did.
+The fig13, engine and fig14 sections repeat their work, so each rep
+first forgets the workload and the machine
+:func:`~repro.runtime.parallel.run_point` remembers: every rep builds
+its programs and a machine with empty memos, as the seed numbers did.
 
 Every section repeats its unit of work and reports the **median** rep
 (robust to one slow rep on a noisy shared machine, where a mean is
@@ -63,7 +64,7 @@ from repro.runtime.parallel import (
     SweepExecutor,
     SweepPoint,
     build_workload_from_spec,
-    forget_last_workload,
+    forget_last_builds,
     run_point,
 )
 from repro.sim.machine import i7_860
@@ -122,10 +123,10 @@ def _fig13_point(ratio: float) -> SweepPoint:
 
 
 def _cold_run_point(point: SweepPoint) -> PointResult:
-    """:func:`run_point` with no workload remembered, so the point
-    builds its workload, as the runs behind the baseline's ``seed``
-    numbers did."""
-    forget_last_workload()
+    """:func:`run_point` with no workload or machine remembered, so the
+    point builds both and starts with empty memos, as the runs behind
+    the baseline's ``seed`` numbers did."""
+    forget_last_builds()
     return run_point(point)
 
 
@@ -225,9 +226,10 @@ def _bench_equilibrium(quick: bool) -> Dict[str, Any]:
 def _bench_engine(quick: bool) -> Dict[str, Any]:
     """End-to-end events/sec of one fig13 point, plus cache hit rates.
 
-    Every rep runs the point cold: the workload :func:`run_point`
-    remembers is forgotten first, so each rep builds the program and
-    its task graph, as the seed numbers it is compared with did.
+    Every rep runs the point cold: the workload and the machine
+    :func:`run_point` remembers are forgotten first, so each rep builds
+    the program, its task graph and a machine with empty memos, as the
+    seed numbers it is compared with did.
     """
     point = _fig13_point(1.0)
     reps = 5 if quick else 20
@@ -261,7 +263,12 @@ def _bench_engine(quick: bool) -> Dict[str, Any]:
 
 
 def _bench_fig13(quick: bool) -> Dict[str, Any]:
-    """Wall-clock of the fig13 sweep at jobs=1 (quick: 16-ratio subset)."""
+    """Wall-clock of the fig13 sweep at jobs=1 (quick: 16-ratio subset).
+
+    Every rep starts with nothing remembered, as a sweep in a fresh
+    process does: otherwise later reps would find the machine, and its
+    memos, that the previous rep's last point left behind.
+    """
     ratios = _FIG13_RATIOS[4::5] if quick else _FIG13_RATIOS
     points = [_fig13_point(ratio) for ratio in ratios]
     reps = 3
@@ -269,6 +276,7 @@ def _bench_fig13(quick: bool) -> Dict[str, Any]:
 
     def sweep() -> None:
         nonlocal events
+        forget_last_builds()
         executor = SweepExecutor(jobs=1)
         events = sum(result.sim_events for result in executor.run(points))
 

@@ -18,16 +18,20 @@ task retires one request per ``L(k)`` and each compute task runs at
 full speed, so ``T_mk = requests * L(k)`` and ``T_c`` is MTL-invariant.
 
 Hot-path structure (see ``docs/performance.md``): a snapshot is a pure
-function of the population's *signature* — per task, its context, its
-core, whether it is in the pure-CPU dispatch-overhead phase, and its
-per-unit demand.  :class:`RateCalculator` therefore memoizes whole
-:class:`RateSnapshot` objects keyed by the ordered signature tuple; an
-unchanged population (the overwhelmingly common case across a sweep's
-event pairs) costs one dict lookup instead of an equilibrium solve.
-Each :class:`RunningTask` pre-computes both of its signature entries at
-dispatch, so phase transitions and MTL changes need no explicit cache
-invalidation: they change the population's signature, which simply
-selects a different memo slot.
+function of the population's *signature* — per position, in
+population order, the number of CPU-active contexts on that task's
+core and, in the work phase, the task's per-unit demand.  Nothing else
+is read: no context id and no core id, so one signature serves a
+population wherever it is placed, and :class:`RateSnapshot` lists its
+rates by position.  :class:`RateCalculator` memoizes whole snapshots
+keyed by the signature tuple; an unchanged population (the
+overwhelmingly common case across a sweep's event pairs) costs one
+dict lookup instead of an equilibrium solve.  Each machine owns one
+calculator (:attr:`~repro.sim.machine.Machine.rate_calculator`), so
+the memo outlives a run and serves every simulator on that machine.
+Phase transitions and MTL changes need no explicit cache invalidation:
+they change the population's signature, which simply selects a
+different memo slot.
 """
 
 from __future__ import annotations
@@ -41,13 +45,22 @@ from repro.memory.system import MemorySystem
 from repro.sim.cores import Processor
 from repro.stream.task import Task
 
-__all__ = ["RunningTask", "RateSnapshot", "RateCalculator"]
+__all__ = ["RunningTask", "RateSnapshot", "RateCalculator", "snapshot_key"]
 
 #: Relative work threshold below which a task counts as finished.
 #: Historically lived in :mod:`repro.sim.simulator` (which re-exports
 #: it); it moved here so :class:`RunningTask` can precompute each
 #: task's absolute completion threshold at dispatch.
 _COMPLETION_EPSILON = 1e-9
+
+#: Snapshots a :class:`RateCalculator` keeps before it starts over.
+#: The memo lives as long as its machine, across every point a process
+#: runs on it, so it needs a bound.  On the SMT i7-860 one point of
+#: the e2ebench ``policy-mix-smt`` workload needs up to 4,028 entries,
+#: and its 70 points 10,348; at about 1 KB an entry, 8,192 keeps most
+#: of that reuse in about 8 MB (``docs/performance.md`` gives the
+#: measurements).
+MEMO_ENTRIES = 8192
 
 
 class RunningTask:
@@ -56,7 +69,7 @@ class RunningTask:
     A plain ``__slots__`` class (not a dataclass): the event loop reads
     these attributes every event, and slots keep that access — and the
     per-dispatch allocation — cheap.  The derived fields (``demand``,
-    ``total_units`` and the signature entries) are computed once at
+    ``total_units`` and ``work_uses_cpu``) are computed once at
     construction: the task is frozen, so they can never go stale.
     """
 
@@ -72,8 +85,7 @@ class RunningTask:
         "demand",
         "total_units",
         "completion_threshold",
-        "_sig_work",
-        "_sig_overhead",
+        "work_uses_cpu",
     )
 
     def __init__(
@@ -103,21 +115,11 @@ class RunningTask:
         #: event loop: the product of two per-task constants is itself
         #: constant, so precomputing it is bitwise-free.
         self.completion_threshold = _COMPLETION_EPSILON * self.total_units
-        # Signature entries for the two phases.  During the overhead
-        # phase the task is pure CPU: its demand never reaches the
-        # memory system and its speed is pinned to 0, so the entry
-        # deliberately omits the demand — overhead tasks with different
-        # demands produce identical snapshots.
-        self._sig_work = (
-            context_id,
-            core_id,
-            False,
-            self.demand.cpu_seconds_per_unit,
-            self.demand.requests_per_unit,
-        )
-        # Set unconditionally: ``overhead_remaining`` is a public slot
-        # that callers (and tests) may raise after construction.
-        self._sig_overhead = (context_id, core_id, True)
+        #: Whether the work phase keeps this task's context CPU-active
+        #: (the overhead phase always does).  Read off the per-unit
+        #: demand the signature holds, so a CPU time that underflows to
+        #: 0.0 per unit counts exactly as it keys.
+        self.work_uses_cpu = self.demand.cpu_seconds_per_unit > 0
 
     def __repr__(self) -> str:
         return (
@@ -134,28 +136,70 @@ class RunningTask:
         time before the task's real work begins."""
         return self.overhead_remaining > 0.0
 
-    def signature(self) -> Tuple:
-        """This task's contribution to the population signature."""
+    def signature(self, cpu_active_on_core: int) -> object:
+        """This task's signature entry, given the CPU-active contexts on
+        its core (itself included): the bare count in the overhead
+        phase, ``(count, cpu_seconds_per_unit, requests_per_unit)`` in
+        the work phase.
+
+        During the overhead phase the task is pure CPU: its demand never
+        reaches the memory system and its speed is pinned to 0, so the
+        entry deliberately omits the demand — overhead tasks with
+        different demands produce identical snapshots.
+        """
         if self.overhead_remaining > 0.0:
-            return self._sig_overhead
-        return self._sig_work
+            return cpu_active_on_core
+        demand = self.demand
+        return (
+            cpu_active_on_core,
+            demand.cpu_seconds_per_unit,
+            demand.requests_per_unit,
+        )
+
+
+def _cpu_active_per_core(running: Sequence[RunningTask]) -> Dict[int, int]:
+    """CPU-active contexts per core id.
+
+    A context is CPU-active when its task currently demands CPU: the
+    pure-CPU dispatch-overhead phase, or real CPU work
+    (:attr:`RunningTask.work_uses_cpu`).  Memory tasks past their
+    overhead phase sit in prefetch stalls and do not pressure the core.
+    """
+    counts: Dict[int, int] = {}
+    for rt in running:
+        if rt.overhead_remaining > 0.0 or rt.work_uses_cpu:
+            counts[rt.core_id] = counts.get(rt.core_id, 0) + 1
+    return counts
+
+
+def snapshot_key(running: Sequence[RunningTask]) -> Tuple:
+    """The population's signature, the memo key of its snapshot.
+
+    One entry per position, in population order
+    (:meth:`RunningTask.signature`).  The simulator's default loop keeps
+    the same tuple current incrementally instead of calling this.
+    """
+    active = _cpu_active_per_core(running)
+    return tuple([rt.signature(active.get(rt.core_id, 0)) for rt in running])
 
 
 @dataclass(frozen=True)
 class RateSnapshot:
-    """Rates for the current running population.
+    """Rates for the current running population, by position.
 
     Attributes:
-        speeds: Work units per second for each context id.
-        cpu_rates: Execution rate of each context id (SMT sharing).
+        speeds: Work units per second of each running task, in
+            population order.
+        cpu_rates: Execution rate of each running task's context (SMT
+            sharing), in population order.
         request_latency: Per-request memory latency every running task
             currently sees.
         memory_concurrency: Effective memory concurrency behind that
             latency.
     """
 
-    speeds: Dict[int, float]
-    cpu_rates: Dict[int, float]
+    speeds: Tuple[float, ...]
+    cpu_rates: Tuple[float, ...]
     request_latency: float
     memory_concurrency: float
 
@@ -166,16 +210,17 @@ class RateCalculator:
     Snapshots are memoized by population signature (see the module
     docstring); :meth:`snapshot` is the memoized entry point the
     simulator uses, :meth:`compute_snapshot` the always-cold path the
-    memoization property tests compare against.  ``hits`` / ``misses``
-    feed the engine section's ``snapshot_cache`` counters in
-    ``BENCH_sim.json`` (``python -m repro perfbench``).
+    memoization property tests compare against.  The memo clears when
+    it reaches ``max_entries``.  ``hits`` / ``misses`` feed the engine
+    section's ``snapshot_cache`` counters in ``BENCH_sim.json``
+    (``python -m repro perfbench``).
     """
 
     def __init__(
         self,
         processor: Processor,
         memory: MemorySystem,
-        max_entries: int = 65536,
+        max_entries: int = MEMO_ENTRIES,
     ) -> None:
         if max_entries < 1:
             raise SimulationError(f"max_entries must be >= 1, got {max_entries}")
@@ -202,14 +247,7 @@ class RateCalculator:
         """
         if not isinstance(running, (list, tuple)):
             running = list(running)
-        # Inline signature() — this runs once per task per event.
-        key = tuple(
-            [
-                rt._sig_overhead if rt.overhead_remaining > 0.0 else rt._sig_work
-                for rt in running
-            ]
-        )
-        return self.snapshot_keyed(key, running)
+        return self.snapshot_keyed(snapshot_key(running), running)
 
     def snapshot_keyed(
         self, key: Tuple, running: Sequence[RunningTask]
@@ -217,10 +255,10 @@ class RateCalculator:
         """Memoized snapshot for a caller-maintained signature key.
 
         The simulator's default event loop keeps the population
-        signature current incrementally, skipping the per-task rebuild
+        signature current incrementally, skipping the rebuild
         :meth:`snapshot` performs.  ``key`` must equal
-        ``tuple(rt.signature() for rt in running)``; both entry points
-        share one memo, so mixing them is safe.
+        ``snapshot_key(running)``; both entry points share one memo, so
+        mixing them is safe.
         """
         cached = self._memo.get(key)
         if cached is not None:
@@ -243,12 +281,11 @@ class RateCalculator:
         cpu_rates = self._cpu_rates(running)
 
         demands = []
-        for rt in running:
+        for rt, rate in zip(running, cpu_rates):
             if rt.overhead_remaining > 0.0:
                 # Overhead is pure CPU; no memory demand yet.
                 continue
             demand = rt.demand
-            rate = cpu_rates[rt.context_id]
             demands.append(
                 MemoryDemand(
                     cpu_seconds_per_unit=demand.cpu_seconds_per_unit / rate,
@@ -257,13 +294,12 @@ class RateCalculator:
             )
         concurrency, latency = self._memory.resolve(demands)
 
-        speeds: Dict[int, float] = {}
-        for rt in running:
+        speeds = []
+        for rt, rate in zip(running, cpu_rates):
             if rt.overhead_remaining > 0.0:
-                speeds[rt.context_id] = 0.0  # work phase not started
+                speeds.append(0.0)  # work phase not started
                 continue
             demand = rt.demand
-            rate = cpu_rates[rt.context_id]
             unit_cost = (
                 demand.cpu_seconds_per_unit / rate
                 + demand.requests_per_unit * latency
@@ -272,36 +308,17 @@ class RateCalculator:
                 raise SimulationError(
                     f"task {rt.task.task_id!r} has non-positive unit cost"
                 )
-            speeds[rt.context_id] = 1.0 / unit_cost
+            speeds.append(1.0 / unit_cost)
         return RateSnapshot(
-            speeds=speeds,
+            speeds=tuple(speeds),
             cpu_rates=cpu_rates,
             request_latency=latency,
             memory_concurrency=concurrency,
         )
 
-    def _cpu_rates(self, running: Iterable[RunningTask]) -> Dict[int, float]:
-        """Per-context execution rates under SMT sharing.
-
-        A context is CPU-active when its task currently demands CPU:
-        real CPU work, or the pure-CPU dispatch-overhead phase.  Memory
-        tasks past their overhead phase sit in prefetch stalls and do
-        not pressure the core.  "Real CPU work" is read off the per-unit
-        demand the memo key holds, so a CPU time that underflows to 0.0
-        per unit counts exactly as it keys.
-        """
-        cpu_active_per_core: Dict[int, int] = {}
-        for rt in running:
-            demands_cpu = (
-                rt.overhead_remaining > 0.0
-                or rt.demand.cpu_seconds_per_unit > 0
-            )
-            if demands_cpu:
-                cpu_active_per_core[rt.core_id] = (
-                    cpu_active_per_core.get(rt.core_id, 0) + 1
-                )
-        rates: Dict[int, float] = {}
+    def _cpu_rates(self, running: Sequence[RunningTask]) -> Tuple[float, ...]:
+        """Per-position execution rates under SMT sharing, from the
+        CPU-active count on each position's core (which the key holds)."""
+        active = _cpu_active_per_core(running)
         cpu_rate = self._processor.cpu_rate
-        for rt in running:
-            rates[rt.context_id] = cpu_rate(cpu_active_per_core.get(rt.core_id, 0))
-        return rates
+        return tuple([cpu_rate(active.get(rt.core_id, 0)) for rt in running])

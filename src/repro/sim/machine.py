@@ -14,11 +14,13 @@ paper's testbed (Section V) in its three studied configurations:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Dict
 
 from repro.memory.cache import LastLevelCache
 from repro.memory.contention import ContentionModel, nehalem_ddr3_contention
 from repro.memory.system import MemorySystem
 from repro.sim.cores import Processor
+from repro.sim.engine import RateCalculator
 from repro.units import mebibytes
 
 __all__ = ["Machine", "i7_860"]
@@ -26,11 +28,41 @@ __all__ = ["Machine", "i7_860"]
 
 @dataclass(frozen=True)
 class Machine:
-    """A complete simulated machine."""
+    """A complete simulated machine.
+
+    Each machine owns one :class:`~repro.sim.engine.RateCalculator`,
+    and every :class:`~repro.sim.simulator.Simulator` on the machine
+    uses it, so rate snapshots computed in one run serve the next.
+    """
 
     name: str
     processor: Processor
     memory: MemorySystem
+
+    def __post_init__(self) -> None:
+        # The snapshot memo is a cache of a pure function of the
+        # machine: the dataclass is frozen, so it is attached behind
+        # its back and excluded from equality, repr, and pickles.
+        object.__setattr__(
+            self, "_rates", RateCalculator(self.processor, self.memory)
+        )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_rates"]  # memo is a cache, never serialized
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(
+            self, "_rates", RateCalculator(self.processor, self.memory)
+        )
+
+    @property
+    def rate_calculator(self) -> RateCalculator:
+        """This machine's memoizing rate calculator."""
+        return self._rates
 
     @property
     def context_count(self) -> int:

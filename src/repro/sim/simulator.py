@@ -23,9 +23,11 @@ compatibility):
 * **Default** — one flat per-task loop: per-event costs live in
   locals, idle contexts are tracked in a sorted list instead of
   rescanned, the population's signature memo key is maintained
-  incrementally, and MTL validation/plugin no-op hooks are skipped when
-  provably inert.  It performs the reference loop's float operations
-  in the reference loop's order, so results are bit-identical.
+  incrementally (per core: only a core whose CPU-active count changed
+  has its entries rewritten), and MTL validation/plugin no-op hooks
+  are skipped when provably inert.  It performs the reference loop's
+  float operations in the reference loop's order, so results are
+  bit-identical.
 * **Reference** (``cohort_batching=False``) — the seed's per-task
   stepping, kept as the oracle for the equivalence tests
   (``tests/sim/test_cohort_advancement.py``) and for bisecting any
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.core.plugin import ThrottlePolicyPlugin
 from repro.core.policies import FixedMtlPolicy
@@ -80,6 +82,10 @@ def _plugin_hook(policy: SchedulingPolicy, name: str):
 class Simulator:
     """Reusable simulator bound to one machine and noise model.
 
+    Rate snapshots come from the machine's one memoizing
+    :attr:`~repro.sim.machine.Machine.rate_calculator`, so simulators on
+    one machine share what each run has computed.
+
     Args:
         machine: Machine to simulate.
         noise: Task-duration noise model (default: none).
@@ -115,14 +121,15 @@ class Simulator:
         self.noise: NoiseModel = noise if noise is not None else ZeroNoise()
         self.dispatch_preference = dispatch_preference
         self.cohort_batching = bool(cohort_batching)
-        self._rates = RateCalculator(machine.processor, machine.memory)
+        self._rates = machine.rate_calculator
         # Read once: the policy-validation path consults it per event.
         self._context_count = machine.context_count
 
     @property
     def rate_calculator(self) -> RateCalculator:
-        """This simulator's (memoizing) rate calculator, exposed for
-        perfbench's cache-effectiveness counters."""
+        """The machine's (memoizing) rate calculator, shared with every
+        simulator on the machine; exposed for perfbench's
+        cache-effectiveness counters."""
         return self._rates
 
     def run(self, program: StreamProgram, policy: SchedulingPolicy) -> SimulationResult:
@@ -224,10 +231,21 @@ class Simulator:
         #: loop's ``list(running.values())`` (completion processing
         #: order and downstream determinism depend on it).
         population: List[RunningTask] = []
-        #: ``signatures[i] == population[i].signature()``, kept current
-        #: by dispatches, phase flips and completions: the snapshot memo
-        #: key is a ``tuple()`` of this list, not a per-task rebuild.
-        signatures: List[tuple] = []
+        #: ``tuple(signatures) == snapshot_key(population)``, kept
+        #: current by dispatches, phase flips and completions: the
+        #: snapshot memo key is a ``tuple()`` of this list, not a
+        #: per-task rebuild.  An entry holds the CPU-active count of its
+        #: task's core.  The task whose dispatch, phase flip or
+        #: completion changes that count rewrites its own entry; if
+        #: other tasks run on the core, the core is marked ``stale``
+        #: and their entries are rewritten once before the next
+        #: snapshot.  With SMT off a core runs one task, so no rewrite
+        #: pass ever runs.
+        signatures: List[object] = []
+        #: Per core: CPU-active contexts, and running tasks.
+        active = [0] * self.machine.core_count
+        occupied = [0] * self.machine.core_count
+        stale: Set[int] = set()
         #: context_id -> position in the dispatch scan order.
         positions = {
             context.context_id: index for index, context in enumerate(contexts)
@@ -334,11 +352,13 @@ class Simulator:
                         probing() if probing is not None else False,
                     )
                     population.append(rt)
-                    signatures.append(
-                        rt._sig_overhead
-                        if rt.overhead_remaining > 0.0
-                        else rt._sig_work
-                    )
+                    core = rt.core_id
+                    if rt.overhead_remaining > 0.0 or rt.work_uses_cpu:
+                        active[core] += 1
+                        if occupied[core]:
+                            stale.add(core)
+                    occupied[core] += 1
+                    signatures.append(rt.signature(active[core]))
                     idle.remove(position)
                     if on_dispatch is not None:
                         on_dispatch(task, context_id, now)
@@ -349,16 +369,20 @@ class Simulator:
                 raise self._no_progress(graph, queue)
 
             # -- advance ----------------------------------------------
+            if stale:
+                for index, rt in enumerate(population):
+                    if rt.core_id in stale:
+                        signatures[index] = rt.signature(active[rt.core_id])
+                stale.clear()
             snapshot = snapshot_keyed(tuple(signatures), population)
             speeds = snapshot.speeds
             cpu_rates = snapshot.cpu_rates
 
             dt = inf
-            for rt in population:
+            for rt, speed, rate in zip(population, speeds, cpu_rates):
                 if rt.overhead_remaining > 0.0:
-                    step = rt.overhead_remaining / cpu_rates[rt.context_id]
+                    step = rt.overhead_remaining / rate
                 else:
-                    speed = speeds[rt.context_id]
                     if speed <= 0:
                         raise SimulationError(
                             f"task {rt.task.task_id!r} has non-positive speed"
@@ -373,16 +397,21 @@ class Simulator:
             finished = None
             for index, rt in enumerate(population):
                 if rt.overhead_remaining > 0.0:
-                    value = rt.overhead_remaining - dt * cpu_rates[rt.context_id]
+                    value = rt.overhead_remaining - dt * cpu_rates[index]
                     if value <= eps * (value if value > 1.0 else 1.0):
                         # Overhead drained: the task enters its work
                         # phase and its signature entry flips with it.
                         rt.overhead_remaining = 0.0
-                        signatures[index] = rt._sig_work
+                        core = rt.core_id
+                        if not rt.work_uses_cpu:
+                            active[core] -= 1
+                            if occupied[core] > 1:
+                                stale.add(core)
+                        signatures[index] = rt.signature(active[core])
                     else:
                         rt.overhead_remaining = value
                 else:
-                    value = rt.remaining_units - dt * speeds[rt.context_id]
+                    value = rt.remaining_units - dt * speeds[index]
                     rt.remaining_units = value
                     if value <= rt.completion_threshold:
                         if finished is None:
@@ -398,6 +427,12 @@ class Simulator:
                     task = rt.task
                     if task.is_memory:
                         release()
+                    core = rt.core_id
+                    occupied[core] -= 1
+                    if rt.work_uses_cpu:
+                        active[core] -= 1
+                        if occupied[core]:
+                            stale.add(core)
                     # Fast TaskRecord construction: allocate raw and
                     # fill the instance dict wholesale, skipping the
                     # frozen dataclass's guarded per-field
@@ -540,18 +575,17 @@ class Simulator:
     ) -> float:
         # One shared population list: the rate calculator memoizes by
         # population signature, so most events resolve to a dict hit.
+        # The snapshot lists rates by position in that list.
         population = list(running.values())
         snapshot = self._rates.snapshot(population)
         speeds = snapshot.speeds
         cpu_rates = snapshot.cpu_rates
 
         dt = math.inf
-        for rt in population:
+        for rt, speed, rate in zip(population, speeds, cpu_rates):
             if rt.overhead_remaining > 0.0:
-                rate = cpu_rates[rt.context_id]
                 step = rt.overhead_remaining / rate
             else:
-                speed = speeds[rt.context_id]
                 if speed <= 0:
                     raise SimulationError(
                         f"task {rt.task.task_id!r} has non-positive speed"
@@ -564,16 +598,14 @@ class Simulator:
 
         now += dt
         finished: List[RunningTask] = []
-        for rt in population:
+        for rt, speed, rate in zip(population, speeds, cpu_rates):
             if rt.overhead_remaining > 0.0:
-                rate = cpu_rates[rt.context_id]
                 rt.overhead_remaining -= dt * rate
                 if rt.overhead_remaining <= _COMPLETION_EPSILON * max(
                     rt.overhead_remaining, 1.0
                 ):
                     rt.overhead_remaining = 0.0
             else:
-                speed = speeds[rt.context_id]
                 rt.remaining_units -= dt * speed
                 if rt.remaining_units <= _COMPLETION_EPSILON * rt.total_units:
                     finished.append(rt)

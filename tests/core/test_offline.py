@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.offline import offline_exhaustive_search
+from repro.core.policies import FixedMtlPolicy
 from repro.sim.machine import i7_860
 from repro.sim.noise import GaussianNoise
+from repro.sim.simulator import Simulator
 from repro.stream.program import StreamProgram, build_phase
 
 REQUESTS = 8192
@@ -50,6 +52,21 @@ class TestOfflineSearch:
             noise_factory=lambda: GaussianNoise(seed=next(seeds)),
         )
         assert len(outcome.by_mtl) == 4
+
+    def test_seeded_runs_share_the_machine_memo(self):
+        """Every MTL run, seeded or not, reads the machine's one memo;
+        the results equal runs that each start cold on a new machine."""
+        program = synthetic(0.5, pairs=30)
+        machine = i7_860(smt=2)
+        shared = offline_exhaustive_search(
+            program, machine, noise_factory=lambda: GaussianNoise(seed=5)
+        )
+        assert machine.rate_calculator.hits > 0
+        for mtl, result in shared.by_mtl.items():
+            cold = Simulator(i7_860(smt=2), noise=GaussianNoise(seed=5)).run(
+                program, FixedMtlPolicy(mtl)
+            )
+            assert result.records == cold.records
 
     def test_makespan_accessor(self):
         outcome = offline_exhaustive_search(synthetic(0.5, pairs=30))

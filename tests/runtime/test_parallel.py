@@ -31,7 +31,7 @@ from repro.runtime.parallel import (
     build_machine_from_spec,
     build_policy_from_spec,
     build_workload_from_spec,
-    forget_last_workload,
+    forget_last_builds,
     point_key,
     run_point,
 )
@@ -516,8 +516,8 @@ class TestRunPoint:
 
 
 def _cold(point):
-    """The point's result with no workload remembered."""
-    forget_last_workload()
+    """The point's result with no workload or machine remembered."""
+    forget_last_builds()
     return run_point(point).to_dict()
 
 
@@ -525,7 +525,7 @@ def _cold(point):
 def builds(monkeypatch):
     """Forget any remembered workload, then record the spec of every
     build :func:`run_point` makes."""
-    forget_last_workload()
+    forget_last_builds()
     specs = []
     original = parallel.build_workload_from_spec
 
@@ -535,7 +535,7 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(parallel, "build_workload_from_spec", recording)
     yield specs
-    forget_last_workload()
+    forget_last_builds()
 
 
 #: Small workloads for the reuse property, with int and float
@@ -561,6 +561,14 @@ REUSE_POLICIES = [
     {"kind": "static", "mtl": 2},
     {"kind": "dynamic", "window_pairs": 4},
     {"kind": "offline"},
+]
+#: Machines for the reuse property: SMT on and off, and two spellings
+#: of one machine (one canonical form, so they share a machine).
+REUSE_MACHINES = [
+    {"preset": "i7_860"},
+    {"preset": "i7_860", "smt": 2},
+    {"smt": 2, "preset": "i7_860"},
+    {"preset": "i7_860", "channels": 2},
 ]
 
 
@@ -654,6 +662,92 @@ class TestWorkloadReuse:
         pooled = run_suite(**grid, executor=SweepExecutor(jobs=2))
         assert pooled.rows == serial.rows
         assert len(serial.rows) == 18
+
+
+class TestMachineReuse:
+    """``run_point`` keeps the last machine, and with it the machine's
+    rate-snapshot and equilibrium memos, for the next point on an equal
+    machine spec."""
+
+    SMT = {"preset": "i7_860", "smt": 2}
+
+    @pytest.fixture
+    def machines(self, monkeypatch):
+        """Forget what is remembered, then record every machine
+        :func:`run_point` builds with its memo counters at build time."""
+        forget_last_builds()
+        built = []
+        original = parallel.build_machine_from_spec
+
+        def recording(spec):
+            machine = original(spec)
+            built.append((
+                machine,
+                machine.rate_calculator.cache_info(),
+                machine.memory.equilibrium_cache_info(),
+            ))
+            return machine
+
+        monkeypatch.setattr(parallel, "build_machine_from_spec", recording)
+        yield built
+        forget_last_builds()
+
+    def test_equal_specs_share_one_machine_and_its_memo(self, machines):
+        for mtl in (1, 2, 4):
+            run_point(SweepPoint(
+                workload=TestWorkloadReuse.A, machine=self.SMT,
+                policy={"kind": "static", "mtl": mtl},
+            ))
+        run_point(SweepPoint(
+            workload=TestWorkloadReuse.B, machine=dict(reversed(self.SMT.items())),
+        ))
+        assert len(machines) == 1
+        rates = machines[0][0].rate_calculator.cache_info()
+        assert rates["hits"] > 0 and rates["misses"] > 0
+
+    def test_cold_reset_builds_a_machine_with_empty_memos(self, machines):
+        point = SweepPoint(
+            workload=TestWorkloadReuse.A, machine=self.SMT,
+            policy={"kind": "dynamic", "window_pairs": 4}, seed=3,
+        )
+        first = run_point(point).to_dict()
+        cold_counts = machines[0][0].rate_calculator.cache_info()
+        assert run_point(point).to_dict() == first
+        assert len(machines) == 1
+        forget_last_builds()
+        assert run_point(point).to_dict() == first
+        assert len(machines) == 2
+        machine, rates, solutions = machines[1]
+        assert machine is not machines[0][0]
+        empty = {"hits": 0, "misses": 0, "entries": 0}
+        assert rates == empty
+        assert {key: solutions[key] for key in empty} == empty
+        # The reset point starts as cold as the very first one did.
+        assert machine.rate_calculator.cache_info() == cold_counts
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=len(REUSE_POOL) - 1),
+                st.integers(min_value=0, max_value=len(REUSE_MACHINES) - 1),
+                st.sampled_from(REUSE_POLICIES),
+                st.sampled_from([None, 3]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_property_remembered_machine_equals_cold(self, draws):
+        points = [
+            SweepPoint(
+                workload=REUSE_POOL[workload], machine=REUSE_MACHINES[machine],
+                policy=policy, seed=seed,
+            )
+            for workload, machine, policy, seed in draws
+        ]
+        remembered = [run_point(point).to_dict() for point in points]
+        assert remembered == [_cold(point) for point in points]
 
 
 class TestSweepExecutor:

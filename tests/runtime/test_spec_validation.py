@@ -11,9 +11,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime.parallel import (
+    SweepPoint,
     build_machine_from_spec,
     build_policy_from_spec,
     build_workload_from_spec,
+    run_point,
 )
 from repro.sim.machine import i7_860
 
@@ -74,6 +76,54 @@ WORKLOAD_CASES = [
         "'document'",
         id="spec-document-str",
     ),
+    pytest.param({"kind": ["synthetic"], "ratio": 0.5}, "'kind'", id="kind-list"),
+    pytest.param({"kind": {"x": 1}}, "'kind'", id="kind-object"),
+    pytest.param({"kind": "synthetc", "ratio": 0.5}, "'synthetc'", id="kind-unknown"),
+]
+
+#: Keys a workload kind does not take: each one used to be ignored, so
+#: the spec built a default workload and was cached under the typo.
+UNKNOWN_WORKLOAD_KEYS = [
+    pytest.param(
+        {"kind": "synthetic", "ratio": 1.0, "pairz": 4}, "'pairz'",
+        id="synthetic-typo",
+    ),
+    pytest.param(
+        {"kind": "streamcluster", "dimenson": 4}, "'dimenson'",
+        id="streamcluster-typo",
+    ),
+    pytest.param(
+        {"kind": "registry", "name": "dft", "pairs": 8}, "'pairs'",
+        id="registry-extra",
+    ),
+    pytest.param(
+        {
+            "kind": "spec",
+            "document": {"name": "tiny", "phases": [{"pairs": 8, "ratio": 1}]},
+            "ratio": 2,
+        },
+        "'ratio'",
+        id="spec-extra",
+    ),
+    pytest.param(
+        {
+            "kind": "synthetic",
+            "ratio": 0.5,
+            "llc": {"capacity_bytes": 8388608, "sharers": 4, "ways": 16},
+        },
+        "'ways'",
+        id="synthetic-llc-extra",
+    ),
+]
+
+UNKNOWN_MACHINE_KEYS = [
+    pytest.param({"preset": "i7_860", "SMT": 2}, "'SMT'", id="i7-typo"),
+    pytest.param(
+        {"preset": "power7", "llc_capacity_bytes": 4194304},
+        "'llc_capacity_bytes'",
+        id="power7-i7-only-key",
+    ),
+    pytest.param({"channels": 2, "cores": 8}, "'cores'", id="default-preset-extra"),
 ]
 
 MACHINE_CASES = [
@@ -88,6 +138,8 @@ MACHINE_CASES = [
     pytest.param(
         {"preset": "power7", "channels": 2.0}, "'channels'", id="power7-channels-float"
     ),
+    pytest.param({"preset": ["i7_860"]}, "'preset'", id="preset-list"),
+    pytest.param({"preset": "i7-860"}, "'i7-860'", id="preset-unknown"),
 ]
 
 POLICY_CASES = [
@@ -117,6 +169,12 @@ class TestWorkloadSpecRejections:
         with pytest.raises(ConfigurationError, match="'kind'"):
             build_workload_from_spec({"ratio": 0.5})
 
+    @pytest.mark.parametrize("spec, named_key", UNKNOWN_WORKLOAD_KEYS)
+    def test_unknown_key_is_named_with_the_accepted_ones(self, spec, named_key):
+        with pytest.raises(ConfigurationError, match=named_key) as error:
+            build_workload_from_spec(spec)
+        assert "accepted" in str(error.value)
+
 
 class TestMachineSpecRejections:
     @pytest.mark.parametrize("spec, named_key", MACHINE_CASES)
@@ -124,12 +182,35 @@ class TestMachineSpecRejections:
         with pytest.raises(ConfigurationError, match=named_key):
             build_machine_from_spec(spec)
 
+    @pytest.mark.parametrize("spec, named_key", UNKNOWN_MACHINE_KEYS)
+    def test_unknown_key_is_named_with_the_accepted_ones(self, spec, named_key):
+        with pytest.raises(ConfigurationError, match=named_key) as error:
+            build_machine_from_spec(spec)
+        assert "'smt'" in str(error.value)  # an accepted key is listed
+
+    def test_unknown_key_fails_the_point(self):
+        point = SweepPoint(
+            workload={"kind": "synthetic", "ratio": 1.0, "pairs": 4},
+            machine={"preset": "i7_860", "SMT": 2},
+        )
+        with pytest.raises(ConfigurationError, match="'SMT'"):
+            run_point(point)
+
 
 class TestPolicySpecRejections:
     @pytest.mark.parametrize("spec, named_key", POLICY_CASES)
     def test_offending_key_is_named(self, spec, named_key):
         with pytest.raises(ConfigurationError, match=named_key):
             build_policy_from_spec(spec, i7_860())
+
+    def test_offline_takes_no_parameters(self):
+        point = SweepPoint(
+            workload={"kind": "synthetic", "ratio": 1.0, "pairs": 4},
+            policy={"kind": "offline", "junk": 1},
+        )
+        with pytest.raises(ConfigurationError, match="'junk'") as error:
+            run_point(point)
+        assert "'kind'" in str(error.value)  # the one accepted key
 
 
 class TestValidSpecsStillBuild:

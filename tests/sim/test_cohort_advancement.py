@@ -7,7 +7,11 @@ loop; the seed's per-task loop survives as the reference
 on every workload/policy/noise/dispatch combination — these tests pin
 it.  SMT machines matter here: sibling contexts of a core share one
 execution rate, so phase flips and completions on one sibling change
-its neighbour's speed mid-task.
+its neighbour's speed mid-task.  Both loops of a comparison run on one
+machine, so they fill and read one rate-snapshot memo.  The reference
+loop runs first: it keys each snapshot from the population itself, so
+a default-loop key that names the wrong population reads a snapshot
+of another one and the results part.
 """
 
 import pytest
@@ -16,6 +20,7 @@ from repro.core.budget import ActivationBudgetPolicy
 from repro.core.plugin import ThrottlePolicyPlugin
 from repro.core.policies import OnlineExhaustivePolicy
 from repro.core.throttle import DynamicThrottlingPolicy
+from repro.sim.engine import RateCalculator, snapshot_key
 from repro.sim.machine import i7_860
 from repro.sim.noise import noise_for_seed
 from repro.sim.scheduler import FixedMtlPolicy
@@ -59,9 +64,11 @@ POLICIES = {
 
 
 def run_both(machine_factory, program, policy_name, seed, preference):
-    results = []
-    for batching in (True, False):
-        machine = machine_factory()
+    """The default loop's result and the reference loop's, run on one
+    machine, reference first."""
+    machine = machine_factory()
+    results = {}
+    for batching in (False, True):
         simulator = Simulator(
             machine,
             noise=noise_for_seed(seed) if seed is not None else None,
@@ -69,8 +76,8 @@ def run_both(machine_factory, program, policy_name, seed, preference):
             cohort_batching=batching,
         )
         policy = POLICIES[policy_name](machine.context_count)
-        results.append(simulator.run(program, policy))
-    return results
+        results[batching] = simulator.run(program, policy)
+    return results[True], results[False]
 
 
 def assert_bit_identical(batched, reference):
@@ -139,16 +146,17 @@ class TestVetoDispatch:
     veto comes before the gate, and an empty pick moves the scan on."""
 
     def run_both(self, preference, vetoed):
-        runs = []
-        for batching in (True, False):
+        machine = i7_860(smt=2)
+        runs = {}
+        for batching in (False, True):
             policy = RecordingVeto(mtl=2, vetoed=vetoed)
             simulator = Simulator(
-                i7_860(smt=2),
+                machine,
                 dispatch_preference=preference,
                 cohort_batching=batching,
             )
-            runs.append((simulator.run(two_phase(), policy), policy.consulted))
-        return runs
+            runs[batching] = (simulator.run(two_phase(), policy), policy.consulted)
+        return runs[True], runs[False]
 
     @pytest.mark.parametrize("preference", ["compute-first", "memory-first"])
     def test_veto_is_consulted_exactly_where_the_reference_consults_it(
@@ -167,3 +175,44 @@ class TestVetoDispatch:
         # work reaches the others only if an empty pick continues.
         assert memory_contexts
         assert not memory_contexts & {0, 1}
+
+
+class TestIncrementalKey:
+    """The default loop keeps the snapshot memo key current by hand;
+    at every event it must equal the key computed from the population."""
+
+    @pytest.fixture
+    def keys(self, monkeypatch):
+        seen = []
+        original = RateCalculator.snapshot_keyed
+
+        def checked(calculator, key, running):
+            assert key == snapshot_key(running)
+            seen.append(key)
+            return original(calculator, key, running)
+
+        monkeypatch.setattr(RateCalculator, "snapshot_keyed", checked)
+        return seen
+
+    @pytest.mark.parametrize("policy_name", ["dynamic", "activation-budget"])
+    @pytest.mark.parametrize("preference", ["compute-first", "memory-first"])
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("smt", [1, 2, 4])
+    def test_key_matches_population_at_every_event(
+        self, keys, smt, seed, preference, policy_name
+    ):
+        machine = i7_860(smt=smt)
+        simulator = Simulator(
+            machine,
+            noise=noise_for_seed(seed) if seed is not None else None,
+            dispatch_preference=preference,
+        )
+        policy = POLICIES[policy_name](machine.context_count)
+        simulator.run(two_phase(), policy)
+        assert keys
+        entries = [entry for key in keys for entry in key]
+        # Overhead-phase entries (a bare count) occur exactly when noise
+        # adds dispatch overhead; SMT siblings raise some count above 1.
+        assert any(isinstance(entry, int) for entry in entries) is (seed is not None)
+        counts = [entry if isinstance(entry, int) else entry[0] for entry in entries]
+        assert (max(counts) > 1) is (smt > 1)

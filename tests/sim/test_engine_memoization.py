@@ -1,12 +1,15 @@
 """Property tests for the rate-snapshot memoization.
 
 The memo must be invisible: for any population — mixed demands,
-overhead-phase tasks, populations revisited after MTL changes — the
-memoized :meth:`RateCalculator.snapshot` must return exactly what the
+overhead-phase tasks, populations revisited after MTL changes, the same
+population placed on other contexts and cores — the memoized
+:meth:`RateCalculator.snapshot` must return exactly what the
 always-cold :meth:`RateCalculator.compute_snapshot` computes, float for
 float.  ``RateSnapshot`` is a frozen dataclass, so ``==`` compares every
-field (including the per-context dicts) exactly.
+field (including the per-position tuples) exactly.
 """
+
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,13 +18,15 @@ from repro.errors import SimulationError
 from repro.memory.contention import nehalem_ddr3_contention
 from repro.memory.system import MemorySystem
 from repro.sim.cores import Processor
-from repro.sim.engine import RateCalculator, RunningTask
+from repro.sim.engine import RateCalculator, RunningTask, snapshot_key
+from repro.sim.machine import i7_860
+from repro.sim.simulator import Simulator
 from repro.stream.task import compute_task, memory_task
 
 
-def make_calculator(max_entries: int = 65536) -> RateCalculator:
+def make_calculator(max_entries: int = 65536, smt_ways: int = 2) -> RateCalculator:
     return RateCalculator(
-        Processor(core_count=4, smt_ways=2),
+        Processor(core_count=4, smt_ways=smt_ways),
         MemorySystem(contention=nehalem_ddr3_contention()),
         max_entries=max_entries,
     )
@@ -164,14 +169,94 @@ class TestDegenerateCpuDemandsOnSmt:
             memory_task("m0", requests=1e6),
             compute_task("c0", cpu_seconds=1e-320, spilled_requests=1e6),
         ]
-        alone = calc.compute_snapshot([sibling]).speeds[4]
+        alone = calc.compute_snapshot([sibling]).speeds[0]
         for task in twins:
             population = [running(task, 0), sibling]
             cold = calc.compute_snapshot(population)
             assert calc.snapshot(population) == cold
             # The subnormal CPU time is 0.0 per work unit: neither twin
-            # takes a CPU share from its sibling.
-            assert cold.speeds[4] == alone
+            # takes a CPU share from its sibling (position 1).
+            assert cold.speeds[1] == alone
+
+
+#: One core's tasks: each a CPU demand (as in ``cpu_demands``) and
+#: whether it is in its overhead phase.
+def core_tasks(smt_ways):
+    return st.lists(
+        st.tuples(cpu_demands, st.booleans()), min_size=1, max_size=smt_ways
+    )
+
+
+@st.composite
+def placements(draw, smt_ways):
+    """Two placements of one population on a 4-core machine.
+
+    The population's tasks are grouped by core; both placements keep
+    each task's position, phase and demand and each group together on
+    one core, but move the groups to other cores and the tasks to other
+    SMT ways.  Every position thus sees the same CPU-active count on its
+    core, under different context and core ids.
+    """
+    groups = draw(st.lists(core_tasks(smt_ways), min_size=1, max_size=4))
+    slots = [(group, index) for group, tasks in enumerate(groups)
+             for index in range(len(tasks))]
+    order = draw(st.permutations(slots))
+    populations = []
+    for _ in range(2):
+        cores = draw(st.permutations(range(4)))
+        ways = [draw(st.permutations(range(smt_ways))) for _ in groups]
+        population = []
+        for group, index in order:
+            cpu_seconds, in_overhead = groups[group][index]
+            core = cores[group]
+            context_id = core * smt_ways + ways[group][index]
+            if cpu_seconds is None:
+                task = memory_task(f"m{group}.{index}", requests=250.0)
+            else:
+                task = compute_task(
+                    f"c{group}.{index}", cpu_seconds=cpu_seconds,
+                    spilled_requests=250.0,
+                )
+            population.append(RunningTask(
+                task=task, context_id=context_id, core_id=core, start=0.0,
+                remaining_units=task.work_units,
+                overhead_remaining=1e-6 if in_overhead else 0.0,
+                mtl_at_dispatch=4,
+            ))
+        populations.append(population)
+    return populations
+
+
+class TestPlacementFreeKeys:
+    """A snapshot is keyed by position, phase, demand and the CPU-active
+    count on each position's core: never by context or core id."""
+
+    @pytest.mark.parametrize("smt_ways", [2, 4])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_property_placements_share_one_entry(self, smt_ways, data):
+        first, second = data.draw(placements(smt_ways))
+        calc = make_calculator(smt_ways=smt_ways)
+        assert snapshot_key(first) == snapshot_key(second)
+        a = calc.snapshot(first)
+        b = calc.snapshot(second)
+        assert b is a
+        assert calc.cache_info() == {"hits": 1, "misses": 1, "entries": 1}
+        # repr spells every float exactly (and tells -0.0 from 0.0).
+        assert repr(a) == repr(calc.compute_snapshot(first))
+        assert repr(b) == repr(calc.compute_snapshot(second))
+
+    def test_sibling_count_is_part_of_the_key(self):
+        """The same two tasks on one core and on two cores differ only
+        in the CPU-active count each position sees."""
+        calc = make_calculator()
+        task = compute_task("c", cpu_seconds=1e-4)
+        shared = [running(task, 0), running(task, 4)]  # both on core 0
+        apart = [running(task, 0), running(task, 1)]
+        assert snapshot_key(shared) != snapshot_key(apart)
+        assert calc.snapshot(shared) == calc.compute_snapshot(shared)
+        assert calc.snapshot(apart) == calc.compute_snapshot(apart)
+        assert calc.snapshot(shared).speeds[0] < calc.snapshot(apart).speeds[0]
 
 
 class TestMemoBounds:
@@ -188,3 +273,25 @@ class TestMemoBounds:
     def test_rejects_non_positive_max_entries(self):
         with pytest.raises(SimulationError):
             make_calculator(max_entries=0)
+
+
+class TestOneMemoPerMachine:
+    def test_simulators_on_a_machine_share_its_calculator(self):
+        machine = i7_860(smt=2)
+        assert Simulator(machine).rate_calculator is machine.rate_calculator
+        assert Simulator(machine).rate_calculator is machine.rate_calculator
+        assert i7_860(smt=2).rate_calculator is not machine.rate_calculator
+
+    def test_memo_is_left_out_of_equality_repr_and_pickles(self):
+        machine = i7_860(smt=2)
+        calc = machine.rate_calculator
+        calc.snapshot(build_population([(True, 1, False)]))
+        assert machine == i7_860(smt=2)
+        assert hash(machine) == hash(i7_860(smt=2))
+        assert "_rates" not in repr(machine)
+        copy = pickle.loads(pickle.dumps(machine))
+        assert copy == machine
+        assert copy.rate_calculator is not calc
+        assert copy.rate_calculator.cache_info() == {
+            "hits": 0, "misses": 0, "entries": 0,
+        }
