@@ -34,14 +34,14 @@ are injected deterministically for testing via a
 ``docs/fault_injection.md``).
 
 Submission: one pool future carries a *chunk* of points, run in order
-by one worker.  Its size comes from the measured wall of the points
-completed so far (:func:`_chunk_size`), so a run of cheap points pays
-for one submit, one pickled reply and one ``wait`` instead of one
-each, while points costing more than ``_CHUNK_SECONDS`` keep a future
-of their own.  Fault tolerance stays per point: a point with an
-injected fault travels alone, a transient error in a chunk costs only
-its own point an attempt, and with a ``timeout`` every submission
-carries one point.
+by one worker.  Its size comes from the measured worker CPU time of
+the points completed so far (:func:`_chunk_size`), so a run of cheap
+points pays for one submit, one pickled reply and one ``wait``
+instead of one each, while points costing more than
+``_CHUNK_SECONDS`` keep a future of their own.  Fault tolerance stays
+per point: a point with an injected fault travels alone, a transient
+error in a chunk costs only its own point an attempt, and with a
+``timeout`` every submission carries one point.
 
 Determinism: results are returned in input order regardless of worker
 completion order, noise is derived per point from its seed via
@@ -562,21 +562,24 @@ def run_point(point: SweepPoint) -> PointResult:
 
 
 def _chunk_size(
-    completed_wall: float, completed: int, queued: int, limit: int
+    completed_cpu: float, completed: int, queued: int, limit: int
 ) -> int:
     """Points per pool submission, from what the parent has measured.
 
     One point until some point has completed (``completed`` points took
-    ``completed_wall`` worker seconds in all).  Then about
-    ``_CHUNK_SECONDS`` of work at their mean wall, but no more than an
-    even share of the ``queued`` points across the ``limit`` in-flight
-    submissions, so the end of a sweep stays spread over every worker.
-    Never less than one: a point costing more than ``_CHUNK_SECONDS``
-    keeps a submission of its own.
+    ``completed_cpu`` worker CPU seconds in all).  Then about
+    ``_CHUNK_SECONDS`` of work at their mean CPU time, but no more than
+    an even share of the ``queued`` points across the ``limit``
+    in-flight submissions, so the end of a sweep stays spread over
+    every worker.  Never less than one: a point costing more than
+    ``_CHUNK_SECONDS`` keeps a submission of its own.  CPU time, not
+    wall: a worker's wall includes the time it waits for a CPU, so
+    sizing from it would cut chunks, and add submissions, exactly when
+    the host is busiest.
     """
-    if completed == 0 or completed_wall <= 0.0:
+    if completed == 0 or completed_cpu <= 0.0:
         return 1
-    per_point = completed_wall / completed
+    per_point = completed_cpu / completed
     return max(1, min(int(_CHUNK_SECONDS / per_point), queued // limit))
 
 
@@ -584,13 +587,14 @@ def _pool_run_points(
     points: List[SweepPoint],
     inject: Optional[str] = None,
     hang_seconds: float = 0.0,
-) -> List[Tuple[Union[Dict[str, Any], str], float, int]]:
+) -> List[Tuple[Union[Dict[str, Any], str], float, float, int]]:
     """Worker side of one pool submission: run ``points`` in order.
 
-    Returns one ``(payload, wall seconds, worker pid)`` entry per point,
-    each timed on its own.  The payload is the result as a plain dict
-    (the same JSON form the cache stores, so the parent never depends
-    on dataclass pickling details), or the message of the
+    Returns one ``(payload, wall seconds, CPU seconds, worker pid)``
+    entry per point, each timed on its own (CPU seconds are the
+    worker's ``time.process_time()``).  The payload is the result as a
+    plain dict (the same JSON form the cache stores, so the parent
+    never depends on dataclass pickling details), or the message of the
     :class:`~repro.errors.MeasurementError` the point raised: a
     transient failure costs its own point an attempt and leaves its
     chunk-mates' results standing.  Any other exception propagates and
@@ -607,9 +611,10 @@ def _pool_run_points(
     if inject == FAULT_HANG and hang_seconds > 0.0:
         time.sleep(hang_seconds)
     pid = os.getpid()
-    outcomes: List[Tuple[Union[Dict[str, Any], str], float, int]] = []
+    outcomes: List[Tuple[Union[Dict[str, Any], str], float, float, int]] = []
     for point in points:
         start = time.perf_counter()
+        cpu_start = time.process_time()
         payload: Union[Dict[str, Any], str]
         try:
             if inject == FAULT_ERROR:
@@ -619,7 +624,12 @@ def _pool_run_points(
             payload = run_point(point).to_dict()
         except MeasurementError as exc:
             payload = str(exc)
-        outcomes.append((payload, time.perf_counter() - start, pid))
+        outcomes.append((
+            payload,
+            time.perf_counter() - start,
+            time.process_time() - cpu_start,
+            pid,
+        ))
     return outcomes
 
 
@@ -846,9 +856,10 @@ class SweepExecutor:
         pool = ProcessPoolExecutor(max_workers=capacity)
         hang = self.fault_plan.hang_seconds if self.fault_plan is not None else 0.0
         unattributed_breaks = 0
-        # Worker wall of the points completed so far, which sizes chunks.
+        # Worker CPU time of the points completed so far, which sizes
+        # chunks.
         completed = 0
-        completed_wall = 0.0
+        completed_cpu = 0.0
 
         def recover(index: int, reason: str) -> None:
             """A failed attempt: retry with backoff or degrade."""
@@ -930,7 +941,7 @@ class SweepExecutor:
                 broken = False
                 while queue and len(inflight) < limit:
                     size = (
-                        _chunk_size(completed_wall, completed, len(queue), limit)
+                        _chunk_size(completed_cpu, completed, len(queue), limit)
                         if self.timeout is None
                         else 1
                     )
@@ -996,7 +1007,7 @@ class SweepExecutor:
                         broken = True
                         requeue_after_break(chunk, fault)
                         continue
-                    for index, (payload, wall, pid) in zip(chunk, outcomes):
+                    for index, (payload, wall, cpu, pid) in zip(chunk, outcomes):
                         if isinstance(payload, str):
                             recover(index, payload)
                             continue
@@ -1005,7 +1016,7 @@ class SweepExecutor:
                         walls[index] = wall
                         workers[index] = pid
                         completed += 1
-                        completed_wall += wall
+                        completed_cpu += cpu
                         self._store(keys[index], points[index], result, counts)
                         # A completed point proves the (possibly
                         # respawned) pool works: the strike counter

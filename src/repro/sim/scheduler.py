@@ -5,7 +5,9 @@ level runtime (Section V): the main thread enqueues all memory and
 compute tasks with their dependencies into a work queue; child threads
 (hardware contexts here) dequeue tasks; "a lock and a counter are used
 to reinforce MTL restriction".  The lock-and-counter is the
-:class:`MtlGate`; the queue is :class:`WorkQueue`; policies — the
+:class:`MtlGate`; the queue is :class:`WorkQueue`, which counts
+dependencies per join of the graph (a phase barrier is one counter,
+as a ``pthread_join`` is one join); policies — the
 paper's dynamic throttler and its baselines — plug in through
 :class:`SchedulingPolicy`.  The static policies themselves
 (:class:`~repro.core.policies.FixedMtlPolicy`,
@@ -23,12 +25,21 @@ thread pinning).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import (
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 from repro.core.policies import FixedMtlPolicy, conventional_policy
 from repro.errors import ConfigurationError, SchedulingError
 from repro.sim.events import TaskRecord
-from repro.stream.graph import TaskGraph
+from repro.stream.graph import Join, TaskGraph
 from repro.stream.task import Task
 
 __all__ = [
@@ -113,14 +124,21 @@ class WorkQueue:
     with a cache-affinity fast path for compute tasks: a context
     preferentially picks the compute task whose memory task it ran
     itself, since that data sits in its cache slice.
+
+    The counts are the graph's joins (:class:`~repro.stream.graph.Join`,
+    one per distinct ``depends_on`` tuple), copied into one list per
+    queue: a completion decrements one counter per join it feeds, so a
+    compute task finishing a phase costs one decrement, not one per
+    memory task behind the barrier.  A join reaching zero releases its
+    members, already split by kind, in insertion order.
     """
 
     def __init__(self, graph: TaskGraph) -> None:
         self._graph = graph
-        self._dependents_of = graph.dependents
-        self._remaining_deps: Dict[str, int] = graph.initial_dependency_counts()
-        self._ready_memory: Deque[Task] = deque()
-        self._ready_compute: Deque[Task] = deque()
+        self._feeds = graph.feeds
+        self._remaining: List[int] = list(graph.join_counts)
+        self._ready_memory: Deque[Task] = deque(graph.root_memory)
+        self._ready_compute: Deque[Task] = deque(graph.root_compute)
         self._completed: set = set()
         self._dispatched: set = set()
         #: pair key -> context that ran the pair's memory task
@@ -129,17 +147,6 @@ class WorkQueue:
         #: mirror of ``_affinity`` so :meth:`pop_compute` can skip the
         #: ready-queue scan for contexts that own no claim at all.
         self._affinity_counts: Dict[int, int] = {}
-
-        # Dependency-free tasks enqueue in topological order — the
-        # same order the per-task scan this replaces produced.
-        for task in graph.root_tasks():
-            self._enqueue(task)
-
-    def _enqueue(self, task: Task) -> None:
-        if task.is_memory:
-            self._ready_memory.append(task)
-        else:
-            self._ready_compute.append(task)
 
     @property
     def pending_memory(self) -> int:
@@ -225,8 +232,9 @@ class WorkQueue:
             self._affinity_counts.get(context_id, 0) + 1
         )
 
-    def mark_complete(self, task: Task) -> List[Task]:
-        """Mark a task complete; returns tasks that just became ready."""
+    def mark_complete(self, task: Task) -> Sequence[Task]:
+        """Mark a task complete; returns the tasks that just became
+        ready, in insertion order (a read-only sequence)."""
         task_id = task.task_id
         if task_id in self._completed:
             raise SchedulingError(f"task {task_id!r} completed twice")
@@ -235,21 +243,31 @@ class WorkQueue:
                 f"task {task_id!r} completed without being dispatched"
             )
         self._completed.add(task_id)
-        newly_ready: List[Task] = []
-        remaining = self._remaining_deps
-        for dependent in self._dependents_of(task_id):
-            dependent_id = dependent.task_id
-            count = remaining[dependent_id] - 1
-            remaining[dependent_id] = count
+        remaining = self._remaining
+        fired: List[Join] = []
+        for join in self._feeds[task_id]:
+            index = join.index
+            count = remaining[index] - 1
+            remaining[index] = count
             if count == 0:
-                # _enqueue, inlined: this runs once per task per run.
-                if dependent.is_memory:
-                    self._ready_memory.append(dependent)
-                else:
-                    self._ready_compute.append(dependent)
-                newly_ready.append(dependent)
+                fired.append(join)
             elif count < 0:
                 raise SchedulingError(
-                    f"dependency count of {dependent_id!r} went negative"
+                    f"dependency count of {join.members[0].task_id!r} went negative"
                 )
+        if not fired:
+            return ()
+        if len(fired) == 1:
+            (join,) = fired
+            self._ready_memory.extend(join.memory)
+            self._ready_compute.extend(join.compute)
+            return join.members
+        # One completion fired several joins: release their members
+        # merged by insertion index, as per-edge counting would.
+        newly_ready = self._graph.in_insertion_order(fired)
+        for ready in newly_ready:
+            if ready.is_memory:
+                self._ready_memory.append(ready)
+            else:
+                self._ready_compute.append(ready)
         return newly_ready

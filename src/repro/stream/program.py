@@ -9,11 +9,17 @@ ratios (Table III), and each function is one phase.  A barrier
 separates phases: no task of phase ``i+1`` may start before every task
 of phase ``i`` completes, which is how ``pthread_join``-style parallel
 sections behave.
+
+A phase's pairs are identical but for their ids and pair indices, so
+:func:`build_phase` validates pair 0 and clones the rest
+(:meth:`~repro.stream.task.Task.clone`), and the graph gives every
+memory task behind one barrier the same dependency tuple, which
+:class:`~repro.stream.graph.TaskGraph` turns into one join.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, WorkloadError
@@ -92,9 +98,11 @@ class StreamProgram:
         The barrier is encoded by making every memory task of phase
         ``i+1`` depend on every compute task of phase ``i``; this is
         exactly the join semantics of consecutive parallel sections.
-        Compute tasks and the first phase's memory tasks (no barrier
-        before them) enter the graph as the program's own
-        :class:`Task` objects.
+        Those memory tasks are clones of the program's own, sharing one
+        barrier tuple per phase, so the graph holds the barrier as one
+        join with one counter.  Compute tasks and the first phase's
+        memory tasks (no barrier before them) enter the graph as the
+        program's own :class:`Task` objects.
 
         The graph is built on the first call, and every later call
         returns that same object: the phases are frozen dataclasses, so
@@ -109,8 +117,11 @@ class StreamProgram:
                 for pair in phase.pairs:
                     memory = pair.memory
                     if barrier:
-                        memory = replace(
-                            memory, depends_on=barrier + memory.depends_on
+                        own = memory.depends_on
+                        memory = memory.clone(
+                            memory.task_id,
+                            memory.pair_index,
+                            barrier + own if own else barrier,
                         )
                     tasks.append(memory)
                     tasks.append(pair.compute)
@@ -132,29 +143,36 @@ def build_phase(
 
     This is the "equally-sized and cache-friendly" decomposition the
     paper's stream rewriting produces (Section I); all memory tasks of
-    the phase are identical, as are all compute tasks.
+    the phase are identical, as are all compute tasks.  So pair 0 is
+    constructed (and validated) and pairs ``1..pair_count-1`` are its
+    clones; each pair still goes through :class:`TaskPair`'s checks.
     """
     if pair_count <= 0:
         raise ConfigurationError(f"pair_count must be positive, got {pair_count}")
-    pairs: List[TaskPair] = []
-    for i in range(pair_count):
+    memory_id = f"M[{phase_index}.0]"
+    mem = memory_task(
+        memory_id,
+        requests=requests_per_memory_task,
+        footprint_bytes=footprint_bytes,
+        pair_index=0,
+        phase_index=phase_index,
+    )
+    comp = compute_task(
+        f"C[{phase_index}.0]",
+        cpu_seconds=compute_seconds_per_task,
+        spilled_requests=compute_spill_requests,
+        footprint_bytes=footprint_bytes,
+        pair_index=0,
+        phase_index=phase_index,
+        depends_on=(memory_id,),
+    )
+    pairs: List[TaskPair] = [TaskPair(memory=mem, compute=comp)]
+    for i in range(1, pair_count):
         memory_id = f"M[{phase_index}.{i}]"
-        compute_id = f"C[{phase_index}.{i}]"
-        mem = memory_task(
-            memory_id,
-            requests=requests_per_memory_task,
-            footprint_bytes=footprint_bytes,
-            pair_index=i,
-            phase_index=phase_index,
+        pairs.append(
+            TaskPair(
+                memory=mem.clone(memory_id, i, ()),
+                compute=comp.clone(f"C[{phase_index}.{i}]", i, (memory_id,)),
+            )
         )
-        comp = compute_task(
-            compute_id,
-            cpu_seconds=compute_seconds_per_task,
-            spilled_requests=compute_spill_requests,
-            footprint_bytes=footprint_bytes,
-            pair_index=i,
-            phase_index=phase_index,
-            depends_on=(memory_id,),
-        )
-        pairs.append(TaskPair(memory=mem, compute=comp))
     return ProgramPhase(name=name, pairs=tuple(pairs))

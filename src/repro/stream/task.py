@@ -132,6 +132,31 @@ class Task:
             ),
         )
 
+    def clone(
+        self, task_id: str, pair_index: int, depends_on: Tuple[str, ...]
+    ) -> "Task":
+        """This task under another id, pair index and dependency tuple.
+
+        Equal to the :class:`Task` constructed with the same fields,
+        but it skips ``__post_init__``: the demands, kind and phase are
+        this validated task's, so only the changed fields need checking
+        (the id must be non-empty; pair indices and dependencies are
+        never checked).  The derived fields are copied, so every clone
+        shares this task's :attr:`unit_demand`.  A phase of identical
+        pairs validates its first pair and clones the rest.
+        """
+        if not task_id:
+            raise ConfigurationError("task_id must be non-empty")
+        clone = object.__new__(type(self))
+        fields = clone.__dict__
+        # The template's dict order (the field order), so a clone
+        # pickles exactly as a constructed task does.
+        fields.update(self.__dict__)
+        fields["task_id"] = task_id
+        fields["pair_index"] = pair_index
+        fields["depends_on"] = depends_on
+        return clone
+
     @property
     def is_compute(self) -> bool:
         return not self.is_memory

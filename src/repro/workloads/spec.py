@@ -19,7 +19,9 @@ Example::
     }
 
 Load with :func:`load_workload_spec` (a path or an already-parsed
-dict).  Validation is eager and names the offending phase.
+dict).  Validation is eager and names the offending phase; a key the
+document or a phase does not take is rejected, not ignored, and a
+JSON ``true``/``false`` is not a number.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from repro.units import cache_lines
 from repro.workloads.base import DEFAULT_FOOTPRINT_BYTES, compute_time_for_ratio
 
 __all__ = ["load_workload_spec", "parse_workload_spec"]
+
+_DOCUMENT_KEYS = {"name", "phases"}
 
 _PHASE_KEYS = {
     "name",
@@ -69,6 +73,12 @@ def parse_workload_spec(document: Dict[str, Any]) -> StreamProgram:
     name = document.get("name")
     if not name or not isinstance(name, str):
         raise WorkloadError("workload spec needs a non-empty string 'name'")
+    unknown = set(document) - _DOCUMENT_KEYS
+    if unknown:
+        raise WorkloadError(
+            f"workload {name!r} has unknown keys {sorted(unknown)}; "
+            f"accepted: {sorted(_DOCUMENT_KEYS)}"
+        )
     raw_phases = document.get("phases")
     if not isinstance(raw_phases, list) or not raw_phases:
         raise WorkloadError(
@@ -79,6 +89,19 @@ def parse_workload_spec(document: Dict[str, Any]) -> StreamProgram:
     for index, raw in enumerate(raw_phases):
         phases.append(_parse_phase(name, index, raw))
     return StreamProgram(name, phases)
+
+
+def _is_int(value: Any) -> bool:
+    # ``bool`` subclasses ``int``: a JSON true would read as 1.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_number(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 < value < math.inf
+    )
 
 
 def _parse_phase(workload: str, index: int, raw: Any) -> ProgramPhase:
@@ -95,12 +118,12 @@ def _parse_phase(workload: str, index: int, raw: Any) -> ProgramPhase:
         )
     phase_name = raw.get("name", f"phase{index}")
     pairs = raw.get("pairs")
-    if not isinstance(pairs, int) or pairs < 1:
+    if not _is_int(pairs) or pairs < 1:
         raise WorkloadError(
             f"{workload!r} phase {phase_name!r} needs integer 'pairs' >= 1"
         )
     footprint = raw.get("footprint_bytes", DEFAULT_FOOTPRINT_BYTES)
-    if not isinstance(footprint, int) or footprint <= 0:
+    if not _is_int(footprint) or footprint <= 0:
         raise WorkloadError(
             f"{workload!r} phase {phase_name!r}: 'footprint_bytes' must be a "
             "positive integer"
@@ -116,7 +139,7 @@ def _parse_phase(workload: str, index: int, raw: Any) -> ProgramPhase:
 
     if has_ratio:
         ratio = raw["ratio"]
-        if not isinstance(ratio, (int, float)) or not 0 < ratio < math.inf:
+        if not _is_positive_number(ratio):
             raise WorkloadError(
                 f"{workload!r} phase {phase_name!r}: 'ratio' must be positive "
                 f"and finite, got {ratio!r}"
@@ -126,14 +149,12 @@ def _parse_phase(workload: str, index: int, raw: Any) -> ProgramPhase:
     else:
         requests = raw.get("requests")
         compute_seconds = raw.get("compute_seconds")
-        if not isinstance(requests, (int, float)) or not 0 < requests < math.inf:
+        if not _is_positive_number(requests):
             raise WorkloadError(
                 f"{workload!r} phase {phase_name!r}: needs positive finite "
                 "'requests' (or use 'ratio')"
             )
-        if not isinstance(compute_seconds, (int, float)) or not (
-            0 < compute_seconds < math.inf
-        ):
+        if not _is_positive_number(compute_seconds):
             raise WorkloadError(
                 f"{workload!r} phase {phase_name!r}: needs positive finite "
                 "'compute_seconds' (or use 'ratio')"

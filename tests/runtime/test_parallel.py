@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import re
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -921,10 +922,11 @@ class TestChunkedSubmission:
         assert builds == [
             json.dumps(spec, sort_keys=True) for spec in (self.A, self.B, self.A)
         ]
-        assert [payload for payload, _, _ in outcomes] == [
+        assert [payload for payload, _, _, _ in outcomes] == [
             _cold(point) for point in points
         ]
-        assert {pid for _, _, pid in outcomes} == {os.getpid()}
+        assert {pid for _, _, _, pid in outcomes} == {os.getpid()}
+        assert all(0.0 <= cpu for _, _, cpu, _ in outcomes)
 
     def test_repeated_specs_in_chunks_match_serial(self, submissions):
         specs = [self.A, self.A, self.A, self.B, self.B, self.A] * 25
@@ -989,6 +991,24 @@ class TestChunkedSubmission:
         results = SweepExecutor(jobs=2).run(points)
         assert [r.label for r in results] == [p.label for p in points]
         assert submissions == [[p.label] for p in points]
+
+    def test_chunks_are_sized_from_cpu_time_not_wall(
+        self, monkeypatch, submissions
+    ):
+        # Each point waits 30 ms off the CPU, as a worker does on a
+        # busy host: its wall exceeds _CHUNK_SECONDS, its CPU time does
+        # not, so points still share submissions.
+        real_run_point = parallel.run_point
+
+        def waiting(point):
+            time.sleep(0.03)
+            return real_run_point(point)
+
+        monkeypatch.setattr(parallel, "run_point", waiting)
+        points = _tiny(40)
+        results = SweepExecutor(jobs=2).run(points)
+        assert [r.label for r in results] == [p.label for p in points]
+        assert max(len(chunk) for chunk in submissions) > 1
 
     def test_a_timeout_means_one_point_per_submission(self, submissions):
         points = _tiny(60)

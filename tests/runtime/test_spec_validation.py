@@ -9,7 +9,7 @@ in ``tests/runtime/test_parallel.py``; this file owns the rejections.
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.runtime.parallel import (
     SweepPoint,
     build_machine_from_spec,
@@ -174,6 +174,19 @@ class TestWorkloadSpecRejections:
         with pytest.raises(ConfigurationError, match=named_key) as error:
             build_workload_from_spec(spec)
         assert "accepted" in str(error.value)
+
+    def test_unknown_document_key_is_named_with_the_accepted_ones(self):
+        # The document's own keys are the spec parser's to check: a
+        # typo used to build the program and cache it under the typo.
+        spec = {
+            "kind": "spec",
+            "document": {
+                "name": "t", "phases": [{"pairs": 4, "ratio": 1}], "pairz": 9,
+            },
+        }
+        with pytest.raises(WorkloadError, match="'pairz'") as error:
+            build_workload_from_spec(spec)
+        assert "accepted: ['name', 'phases']" in str(error.value)
 
 
 class TestMachineSpecRejections:

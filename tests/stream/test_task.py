@@ -149,3 +149,46 @@ class TestTaskPair:
         orphan = compute_task("c", cpu_seconds=1e-3)
         with pytest.raises(ConfigurationError):
             TaskPair(memory=mem, compute=orphan)
+
+
+class TestTaskClone:
+    @pytest.mark.parametrize(
+        "template",
+        [
+            memory_task("M[1.0]", requests=8192, footprint_bytes=1 << 19,
+                        phase_index=1),
+            compute_task("C[1.0]", cpu_seconds=2e-4, spilled_requests=512.0,
+                         footprint_bytes=1 << 19, phase_index=1,
+                         depends_on=("M[1.0]",)),
+        ],
+    )
+    def test_clone_equals_the_constructed_task(self, template):
+        clone = template.clone("X[1.7]", 7, ("a", "b", "a"))
+        built = Task(
+            task_id="X[1.7]",
+            kind=template.kind,
+            cpu_seconds=template.cpu_seconds,
+            memory_requests=template.memory_requests,
+            footprint_bytes=template.footprint_bytes,
+            pair_index=7,
+            phase_index=template.phase_index,
+            depends_on=("a", "b", "a"),
+        )
+        assert clone == built
+        assert hash(clone) == hash(built)
+        assert repr(clone) == repr(built)
+        assert clone.is_memory == built.is_memory
+        assert clone.is_compute == built.is_compute
+        assert clone.work_units == built.work_units
+        assert clone.unit_demand == built.unit_demand
+        assert clone.demand() == built.demand()
+        assert list(vars(clone)) == list(vars(built))
+        # The per-unit demand is the template's own instance.
+        assert clone.unit_demand is template.unit_demand
+        # The template is untouched.
+        assert template.pair_index == 0
+        assert template.task_id != clone.task_id
+
+    def test_clone_rejects_an_empty_id(self):
+        with pytest.raises(ConfigurationError, match="task_id must be non-empty"):
+            memory_task("m", requests=10).clone("", 1, ())

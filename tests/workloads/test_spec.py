@@ -74,6 +74,18 @@ class TestValidation:
                                       "mystery": 1}]},
             {"name": "w", "phases": [{"pairs": 1, "ratio": 1.0,
                                       "footprint_bytes": 0}]},
+            # An unknown top-level key, like an unknown phase key.
+            {"name": "t", "phases": [{"pairs": 4, "ratio": 1}], "pairz": 9},
+            # JSON true/false is not a number, though bool subclasses int.
+            {"name": "w", "phases": [{"pairs": True, "ratio": True}]},
+            {"name": "w", "phases": [{"pairs": True, "ratio": 1.0}]},
+            {"name": "w", "phases": [{"pairs": 1, "ratio": True}]},
+            {"name": "w", "phases": [{"pairs": 1, "ratio": 1.0,
+                                      "footprint_bytes": True}]},
+            {"name": "w", "phases": [{"pairs": 1, "requests": True,
+                                      "compute_seconds": 0.5}]},
+            {"name": "w", "phases": [{"pairs": 1, "requests": 100,
+                                      "compute_seconds": True}]},
         ],
     )
     def test_rejects_malformed_documents(self, document):
