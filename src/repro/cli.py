@@ -18,8 +18,8 @@ without writing Python:
 * ``lint`` — AST-based static invariant checks (determinism,
   memo-safety, telemetry-schema integrity, plus the call-graph-based
   transitive-determinism, pool-safety, dimensional-consistency,
-  plugin-contract, mutation-after-freeze, and exception-flow
-  families; see ``docs/static_analysis.md``).  ``--jobs N`` fans the
+  plugin-contract, and exception-flow families; see
+  ``docs/static_analysis.md``).  ``--jobs N`` fans the
   per-file pass over worker processes with identical output;
   ``--cache-dir DIR`` makes warm runs skip unchanged files;
   ``--format sarif`` renders SARIF 2.1.0; ``--explain RPR###`` prints

@@ -24,9 +24,9 @@ Layout:
   on;
 * :mod:`repro.lint.effects` — per-function effect signatures
   (mutations, captures, escaping exception types) extracted per file
-  and closed over the call graph; the plugin-contract,
-  mutation-after-freeze, and exception-flow families consume them via
-  ``consume_effects``;
+  and closed over the call graph; the plugin-contract and
+  exception-flow families consume them via ``consume_effects``, and
+  the memo-key rule reads the local facts;
 * :mod:`repro.lint.dimflow` — per-function *unit* signatures
   (per-parameter/return dimensions under a small algebra of seconds,
   bytes, counts, and derived rates) closed over the same graph; the
@@ -36,9 +36,9 @@ Layout:
   with a stable id (``RPR###``), a severity, and an ``autofixable``
   flag; rules are grouped into families (determinism, memo-safety,
   telemetry, executor hygiene, API hygiene, transitive determinism,
-  pool safety, plugin-contract, mutation-after-freeze,
-  exception-flow, dimflow), and ids of folded rules stay accepted as
-  aliases (:data:`~repro.lint.engine.RULE_ALIASES`);
+  pool safety, plugin-contract, exception-flow, dimflow), and ids of
+  folded rules stay accepted as aliases
+  (:data:`~repro.lint.engine.RULE_ALIASES`);
 * :mod:`repro.lint.reporters` — ``text``, ``json``, and ``sarif``
   renderers plus baseline read/write (fingerprints are
   whitespace-normalized, so baselines survive reformatting);

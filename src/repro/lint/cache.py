@@ -43,7 +43,8 @@ __all__ = ["LINT_CACHE_VERSION", "ScanCache", "cache_token"]
 #: v4: one per-file walk — one ``CallRef`` per call carries the
 #: argument aliases and unit terms, and each function summary carries
 #: its effect and unit facts; imports are bound up front.
-LINT_CACHE_VERSION = 4
+#: v5: a class summary carries its ``MEMO_KEY`` fields, not its slots.
+LINT_CACHE_VERSION = 5
 
 
 def cache_token(

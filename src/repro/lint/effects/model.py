@@ -106,8 +106,8 @@ class RaiseSite:
 class CaptureMutation:
     """A local captured into ``self.<attr>`` and mutated *afterwards*.
 
-    The flow-sensitive core of the mutation-after-freeze rules: once
-    ``self._sig_x = work`` runs, ``work`` and the stored reference are
+    The flow-sensitive core of the memo-key rule's capture check: once
+    ``self.parts = work`` runs, ``work`` and the stored reference are
     one object, so any later ``work.append(...)`` edits state a memo
     key already hashed.  ``name`` is the mutated local, ``via`` the
     alias chain from the captured name to it.

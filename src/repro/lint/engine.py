@@ -77,6 +77,8 @@ RULE_ALIASES: Dict[str, str] = {
     "RPR104": "RPR604",
     "RPR801": "RPR813",
     "RPR802": "RPR813",
+    "RPR904": "RPR202",
+    "RPR905": "RPR202",
 }
 
 #: Directory names the recursive walker never descends into.  The lint

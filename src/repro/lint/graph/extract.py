@@ -79,7 +79,7 @@ from repro.lint.graph.summary import (
     FunctionSummary,
     ImportTable,
     ModuleSummary,
-    class_slots,
+    class_strings,
     dotted,
     is_type_checking_test,
 )
@@ -465,7 +465,7 @@ class _Scope:
                             child, (ast.FunctionDef, ast.AsyncFunctionDef)
                         )
                     ),
-                    slots=class_slots(node),
+                    memo_key=class_strings(node, "MEMO_KEY") or (),
                 )
             )
         saved = (
@@ -1113,7 +1113,7 @@ def _class_attrs(tree: ast.Module, file: _File) -> List[ClassAttr]:
                 if name == "__slots__":
                     out.extend(
                         ClassAttr(node.name, slot, statement.lineno, None)
-                        for slot in class_slots(node) or ()
+                        for slot in class_strings(node, "__slots__") or ()
                     )
                 continue
             term = probe.term_of(value) if value is not None else None

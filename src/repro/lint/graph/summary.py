@@ -12,7 +12,7 @@ library, so the engine, the rules, the builder, and the analyses can
 all depend on it without cycles.  It holds the records, the file's one
 import table (:class:`ImportTable`) and the small AST helpers the
 rules share (:func:`dotted`, :func:`is_type_checking_test`,
-:func:`class_slots`).  The one per-file walk that fills the records
+:func:`class_strings`).  The one per-file walk that fills the records
 lives in :mod:`repro.lint.graph.extract`.
 
 What a summary records per scope (``<module>`` stands for module-level
@@ -40,7 +40,7 @@ __all__ = [
     "ImportTable",
     "ModuleSummary",
     "MODULE_SCOPE",
-    "class_slots",
+    "class_strings",
     "dotted",
     "is_type_checking_test",
     "module_name_for_path",
@@ -125,16 +125,16 @@ class FunctionSummary:
 @dataclass(frozen=True)
 class ClassSummary:
     """One module-level class: its bases (canonical when imported),
-    the names of its directly defined methods, and its ``__slots__``
-    entries (``None`` when the class declares none — the
-    mutation-after-freeze rules scope memo-field protection to slotted
-    classes, exactly like RPR202)."""
+    the names of its directly defined methods, and the fields its
+    ``MEMO_KEY = ("a", ...)`` class attribute declares as memo-key
+    inputs (empty when it declares none; the memo-safety rule RPR202
+    protects exactly these)."""
 
     name: str
     lineno: int
     bases: Tuple[str, ...]
     methods: Tuple[str, ...]
-    slots: Optional[Tuple[str, ...]] = None
+    memo_key: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -289,8 +289,9 @@ def dotted(node: ast.AST) -> Optional[str]:
     return ".".join(reversed(chain))
 
 
-def class_slots(node: ast.ClassDef) -> Optional[Tuple[str, ...]]:
-    """String entries of a class's ``__slots__``, or ``None``."""
+def class_strings(node: ast.ClassDef, name: str) -> Optional[Tuple[str, ...]]:
+    """String entries of the class attribute ``name`` (``__slots__``,
+    ``MEMO_KEY``), or ``None`` when the class body never assigns it."""
     for statement in node.body:
         targets: List[ast.expr] = []
         value: Optional[ast.expr] = None
@@ -299,7 +300,7 @@ def class_slots(node: ast.ClassDef) -> Optional[Tuple[str, ...]]:
         elif isinstance(statement, ast.AnnAssign) and statement.value is not None:
             targets, value = [statement.target], statement.value
         for target in targets:
-            if isinstance(target, ast.Name) and target.id == "__slots__":
+            if isinstance(target, ast.Name) and target.id == name:
                 names: List[str] = []
                 if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
                     for element in value.elts:

@@ -24,8 +24,6 @@ from repro.lint.rules.effects import (
     PolicyHookArgumentMutationRule,
     PolicyHookGlobalWriteRule,
     PolicyHookReferenceRetentionRule,
-    PostCaptureMutationRule,
-    SignatureInteriorMutationRule,
     WorkerExceptionEscapeRule,
 )
 from repro.lint.rules.hygiene import (
@@ -88,8 +86,6 @@ RULE_CLASSES: Tuple[type, ...] = (
     PolicyHookArgumentMutationRule,
     PolicyHookReferenceRetentionRule,
     PolicyHookGlobalWriteRule,
-    PostCaptureMutationRule,
-    SignatureInteriorMutationRule,
     WorkerExceptionEscapeRule,
     DeterministicBareExceptionRule,
     ArgumentUnitMismatchRule,
@@ -116,7 +112,6 @@ RULE_FAMILIES: Dict[str, str] = {
     "transitive-determinism": "no call path from the model layers to a sink",
     "pool-safety": "everything crossing the process pool pickles cleanly",
     "plugin-contract": "policy hooks observe simulator state, never edit it",
-    "mutation-after-freeze": "captured memo-signature objects stay frozen",
     "exception-flow": "only repro.errors types cross process boundaries",
     "dimflow": "seconds, bytes, and counts never mix, across calls too",
 }

@@ -1,6 +1,6 @@
-"""Effect-signature rule families (RPR901–RPR907).
+"""Effect-signature rule families (RPR901–RPR903, RPR906–RPR907).
 
-Three families built on the transitive
+Two families built on the transitive
 :class:`~repro.lint.effects.fixpoint.EffectAnalysis` (rules that set
 ``needs_effects``), on graph reachability (RPR903, like the pool-safety
 global-write rule), or directly on each function summary's
@@ -17,14 +17,6 @@ whose invariant is local to one function body):
   reference, or writes module globals breaks replay: the simulator
   hands hooks live ``RunningTask``/machine state and assumes it comes
   back untouched.
-* **mutation-after-freeze** (RPR904–RPR905): objects stored into
-  memo-signature slots (``_sig*`` / the
-  :data:`~repro.lint.rules.memosafety.MEMO_KEY_FIELDS` slots of a
-  ``__slots__`` class) are hashed once; mutating the stored object
-  afterwards — through any alias — silently desynchronizes the memo
-  key from the state it describes.  RPR202 owns the *direct*
-  ``self._sig... = x`` reassignment; these rules own what it cannot
-  see: capture-then-mutate flows and interior/aliased mutation.
 * **exception-flow** (RPR906–RPR907): exceptions crossing the
   process-pool boundary must be ``repro.errors`` types (builtin
   tracebacks pickle poorly and lose run context), and deterministic
@@ -44,14 +36,11 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 from repro.lint.engine import Finding
 from repro.lint.rules.base import CorpusRule, ReachabilityRule
 from repro.lint.rules.determinism import DETERMINISTIC_LAYERS
-from repro.lint.rules.memosafety import _REBUILD_METHODS, is_memo_key_slot
 
 __all__ = [
     "PolicyHookArgumentMutationRule",
     "PolicyHookReferenceRetentionRule",
     "PolicyHookGlobalWriteRule",
-    "PostCaptureMutationRule",
-    "SignatureInteriorMutationRule",
     "WorkerExceptionEscapeRule",
     "DeterministicBareExceptionRule",
 ]
@@ -76,17 +65,6 @@ _SANCTIONED_WORKER_EXCEPTIONS = frozenset(
         "GeneratorExit",
     }
 )
-
-#: Direct ``self.<slot> = x`` / ``self.<slot> += x`` reassignment is
-#: RPR202's, syntactically; RPR905 owns every other mutation shape.
-_DIRECT_REASSIGN_KINDS = frozenset({"store-attr", "augstore"})
-
-
-def _protected_slots(cls) -> FrozenSet[str]:
-    """Memo-signature slot names of one class (RPR202's scoping)."""
-    if cls.slots is None:
-        return frozenset()
-    return frozenset(name for name in cls.slots if is_memo_key_slot(name))
 
 
 def _ancestors(
@@ -287,117 +265,6 @@ class PolicyHookGlobalWriteRule(ReachabilityRule):
             "belongs on the instance (module globals survive across runs "
             f"and break replay isolation) — call path: {chain}"
         )
-
-
-class _MemoEffectRule(CorpusRule):
-    """Shared scoping for RPR904–RPR905: per-class protected slots."""
-
-    def consume_summary(self, summary) -> None:
-        if summary.layer in _SKIPPED_LAYERS:
-            return
-        protected_by_class = {
-            cls.name: _protected_slots(cls) for cls in summary.classes
-        }
-        for function in summary.functions:
-            if function.effects is None or function.class_name is None:
-                continue
-            protected = protected_by_class.get(function.class_name)
-            if not protected:
-                continue
-            self._collect(summary, function, protected)
-
-    def _collect(self, summary, function, protected: FrozenSet[str]) -> None:
-        raise NotImplementedError
-
-
-class PostCaptureMutationRule(_MemoEffectRule):
-    """RPR904: object mutated after capture into a signature slot."""
-
-    id = "RPR904"
-    title = "object mutated after capture into a memo-signature slot"
-    family = "mutation-after-freeze"
-    severity = "error"
-
-    def _collect(self, summary, function, protected: FrozenSet[str]) -> None:
-        # Applies in constructors too: capture-then-mutate is ordering
-        # sensitive, and a ctor that appends after storing has already
-        # handed the memo a moving target.
-        for cm in function.effects.capture_mutations:
-            if cm.attr not in protected:
-                continue
-            chain = cm.chain()
-            self._findings.append(
-                Finding(
-                    rule=self.id,
-                    severity=self.severity,
-                    path=summary.path,
-                    line=cm.lineno,
-                    col=0,
-                    message=(
-                        f"self.{cm.attr} captured {cm.name!r} at line "
-                        f"{cm.capture_lineno}, and the captured object is "
-                        f"mutated here ({cm.kind}); the stored signature "
-                        "now aliases mutable state — store a copy, or "
-                        "finish building the object before capturing it — "
-                        f"alias chain: {chain}"
-                    ),
-                    source_line=(
-                        f"{function.qualname}: {cm.kind} on {cm.name} after "
-                        f"capture into self.{cm.attr} via {chain}"
-                    ),
-                )
-            )
-
-
-class SignatureInteriorMutationRule(_MemoEffectRule):
-    """RPR905: interior or aliased mutation of a signature slot."""
-
-    id = "RPR905"
-    title = "memo-signature slot mutated in place or through an alias"
-    family = "mutation-after-freeze"
-    severity = "error"
-
-    def _collect(self, summary, function, protected: FrozenSet[str]) -> None:
-        method = function.qualname.rpartition(".")[2]
-        if method in _REBUILD_METHODS:
-            return  # construction/unpickle legitimately build the slots
-        receiver = function.params[0] if function.params else None
-        if receiver is None:
-            return
-        for mutation in function.effects.mutations:
-            if mutation.param != receiver:
-                continue
-            if mutation.field not in protected:
-                continue
-            direct = mutation.via == (receiver,)
-            if direct and mutation.kind in _DIRECT_REASSIGN_KINDS:
-                continue  # the syntactic reassignment is RPR202's
-            chain = mutation.chain()
-            shape = (
-                f"in-place ({mutation.kind})"
-                if not (mutation.kind in _DIRECT_REASSIGN_KINDS)
-                else f"through an alias ({mutation.kind})"
-            )
-            self._findings.append(
-                Finding(
-                    rule=self.id,
-                    severity=self.severity,
-                    path=summary.path,
-                    line=mutation.lineno,
-                    col=0,
-                    message=(
-                        f"{function.class_name}.{mutation.field} feeds a memo "
-                        f"signature but is mutated {shape} in {method}(); "
-                        "signature slots are frozen after construction "
-                        "(the snapshot memo has no invalidation path) — "
-                        f"alias chain: {chain}"
-                    ),
-                    source_line=(
-                        f"{function.qualname}: {mutation.kind} on "
-                        f"{function.class_name}.{mutation.field} via {chain}"
-                    ),
-                )
-            )
 
 
 class WorkerExceptionEscapeRule(CorpusRule):

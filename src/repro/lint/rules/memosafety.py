@@ -1,34 +1,25 @@
 """Memo-safety rules (RPR201–RPR202).
 
-PR 3's caches are sound only because their keys are immutable once
-built: the :class:`~repro.memory.equilibrium.EquilibriumSolver` and
-:class:`~repro.sim.engine.RateCalculator` memos key on demand
-signatures computed at construction/dispatch, with **no invalidation
-path** — a field that feeds a signature and is later reassigned would
-silently serve stale snapshots.  These rules freeze that contract in
-the source.
+The :class:`~repro.memory.equilibrium.EquilibriumSolver` and
+:class:`~repro.sim.engine.RateCalculator` memos are sound only because
+their keys are immutable once built: they key on demand signatures
+computed at construction or dispatch, with **no invalidation path** —
+a field that feeds a signature and is later written would silently
+serve stale snapshots.  RPR201 holds frozen dataclasses to that
+contract; RPR202 holds the fields a class declares in ``MEMO_KEY`` to
+it, wherever the write happens (it absorbed RPR904 and RPR905).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set
+from typing import Iterator, Tuple
 
 from repro.lint.engine import FileContext, Finding
-from repro.lint.graph.summary import class_slots
-from repro.lint.rules.base import Rule, dotted_name
+from repro.lint.rules.base import CorpusRule, Rule, dotted_name
+from repro.lint.rules.effects import _SKIPPED_LAYERS
 
-__all__ = [
-    "FrozenMutationRule",
-    "MemoFieldMutationRule",
-    "MEMO_KEY_FIELDS",
-    "is_memo_key_slot",
-]
-
-#: Field names treated as memo-signature inputs on ``__slots__``
-#: classes besides anything spelled ``_sig*``: the dispatch-cached
-#: derived fields of :class:`~repro.sim.engine.RunningTask`.
-MEMO_KEY_FIELDS = frozenset({"demand", "total_units"})
+__all__ = ["FrozenMutationRule", "MemoFieldMutationRule"]
 
 _CONSTRUCTORS = frozenset({"__init__", "__post_init__"})
 #: Methods allowed to rebuild internal state wholesale: construction
@@ -53,12 +44,6 @@ def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def is_memo_key_slot(name: str) -> bool:
-    """Whether a ``__slots__`` name feeds a memo signature: ``_sig*``
-    (signature tuple entries) or one of :data:`MEMO_KEY_FIELDS`."""
-    return name.startswith("_sig") or name in MEMO_KEY_FIELDS
-
-
 def _methods(node: ast.ClassDef) -> Iterator[ast.FunctionDef]:
     for statement in node.body:
         if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -73,8 +58,9 @@ class FrozenMutationRule(Rule):
     pickle rebuild hooks) it is the documented idiom, anywhere else it
     is a mutation of an object the rest of the system assumes
     immutable — exactly what memo keys and content-addressed cache
-    hashes cannot survive.  A deliberate write-once lazy memo attach
-    can be annotated with ``# repro: lint-ok RPR201 -- reason``.
+    hashes cannot survive.  A memo a frozen instance owns is attached
+    in ``__post_init__``, dropped in ``__getstate__`` and rebuilt in
+    ``__setstate__`` (``Machine``, ``MemorySystem``), never lazily.
     """
 
     id = "RPR201"
@@ -109,62 +95,124 @@ class FrozenMutationRule(Rule):
                         )
 
 
-class MemoFieldMutationRule(Rule):
-    """RPR202: memo-signature field of a ``__slots__`` class reassigned.
+class MemoFieldMutationRule(CorpusRule):
+    """RPR202: a declared memo-key input written after construction.
 
-    On a ``__slots__`` class, slots named ``_sig*`` (signature tuple
-    entries) or listed in :data:`MEMO_KEY_FIELDS` (``demand``,
-    ``total_units``) feed the rate-snapshot/equilibrium memo keys.
-    They are computed once at dispatch; reassigning one after
-    ``__init__`` would let a cached snapshot describe a population
-    that no longer exists.
+    A class names the fields its memo key reads in one class attribute,
+    ``MEMO_KEY = ("core_id", "demand", ...)``.  Those fields are fixed
+    at construction; the rule flags, in every layer but ``tests`` and
+    ``unknown``:
+
+    * a direct or augmented store on the receiver outside
+      ``__init__``/``__post_init__``;
+    * an in-place or aliased mutation of the field outside the rebuild
+      methods (construction and the pickle hooks);
+    * an object mutated after its capture into the field, constructors
+      included (the capture already happened);
+    * a store through a local bound to the class's constructor, in any
+      module (``rt = RunningTask(...); rt.demand = d``).
+
+    Not attributed: a write through another function's parameter (its
+    class is unknown), and a write in a subclass that does not repeat
+    the declaration.
     """
 
     id = "RPR202"
-    title = "memo-signature field assigned after construction"
+    title = "memo-key field written after construction"
     family = "memo-safety"
     severity = "error"
+    needs_graph = True
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for class_node in ast.walk(ctx.tree):
-            if not isinstance(class_node, ast.ClassDef):
+    def consume_graph(self, graph) -> None:
+        modules = graph.module_summaries()
+        declared = {
+            f"{namespace}.{cls.name}": cls.memo_key
+            for namespace, summary in modules.items()
+            for cls in summary.classes
+            if cls.memo_key
+        }
+        if not declared:
+            return
+        for namespace in sorted(modules):
+            summary = modules[namespace]
+            if summary.layer in _SKIPPED_LAYERS:
                 continue
-            slots = class_slots(class_node)
-            if slots is None:
-                continue
-            protected = {name for name in slots if is_memo_key_slot(name)}
-            if not protected:
-                continue
-            for method in _methods(class_node):
-                if method.name in _CONSTRUCTORS:
-                    continue
-                yield from self._assignments(ctx, class_node, method, protected)
-
-    def _assignments(
-        self,
-        ctx: FileContext,
-        class_node: ast.ClassDef,
-        method: ast.FunctionDef,
-        protected: Set[str],
-    ) -> Iterator[Finding]:
-        for node in ast.walk(method):
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    and target.attr in protected
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{class_node.name}.{target.attr} feeds a memo "
-                        f"signature but is assigned in {method.name}(); "
-                        "signature fields are write-once at dispatch "
-                        "(the snapshot memo has no invalidation path)",
+            for function in summary.functions:
+                if function.class_name is not None:
+                    own = declared.get(
+                        graph.resolve_type(namespace, function.class_name), ()
                     )
+                    if own:
+                        self._receiver_writes(summary.path, function, own)
+                for write in function.units.attr_writes:
+                    if write.class_name == function.class_name:
+                        continue  # a store on the receiver: judged above
+                    target = graph.resolve_type(namespace, write.class_name)
+                    if write.attr in declared.get(target, ()):
+                        self._report(
+                            summary.path,
+                            write.lineno,
+                            f"{target}.{write.attr}",
+                            f"written through a local built by its "
+                            f"constructor in {function.qualname}()",
+                            f"{function.qualname}: store on "
+                            f"{target}.{write.attr}",
+                        )
+
+    def _receiver_writes(self, path, function, own: Tuple[str, ...]) -> None:
+        method = function.qualname.rpartition(".")[2]
+        for cm in function.effects.capture_mutations:
+            if cm.attr in own:
+                chain = cm.chain()
+                self._report(
+                    path,
+                    cm.lineno,
+                    f"{function.class_name}.{cm.attr}",
+                    f"bound to {cm.name!r} (line {cm.capture_lineno}), "
+                    f"which is mutated here ({cm.kind}; alias chain: "
+                    f"{chain}) — store a copy",
+                    f"{function.qualname}: {cm.kind} on {cm.name} after "
+                    f"capture into self.{cm.attr} via {chain}",
+                )
+        receiver = function.params[0] if function.params else None
+        for mutation in function.effects.mutations:
+            if mutation.param != receiver or mutation.field not in own:
+                continue
+            direct = mutation.via == (receiver,) and mutation.kind in (
+                "store-attr",
+                "augstore",
+            )
+            if method in (_CONSTRUCTORS if direct else _REBUILD_METHODS):
+                continue
+            chain = mutation.chain()
+            shape = "reassigned" if direct else (
+                f"mutated in place or through an alias ({mutation.kind}; "
+                f"alias chain: {chain})"
+            )
+            self._report(
+                path,
+                mutation.lineno,
+                f"{function.class_name}.{mutation.field}",
+                f"{shape} in {method}()",
+                f"{function.qualname}: {mutation.kind} on "
+                f"{function.class_name}.{mutation.field} via {chain}",
+            )
+
+    def _report(
+        self, path: str, line: int, field: str, how: str, source: str
+    ) -> None:
+        self._findings.append(
+            Finding(
+                rule=self.id,
+                severity=self.severity,
+                path=path,
+                line=line,
+                col=0,
+                message=(
+                    f"{field} is a memo-key input (MEMO_KEY) but is {how}; "
+                    "memo-key inputs are fixed at construction (the "
+                    "snapshot memo has no invalidation path)"
+                ),
+                source_line=source,
+            )
+        )

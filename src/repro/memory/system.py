@@ -43,44 +43,36 @@ class MemorySystem:
     def __post_init__(self) -> None:
         if self.channels < 1:
             raise ConfigurationError(f"channels must be >= 1, got {self.channels}")
-        # Per-instance equilibrium solution memo, built lazily (the
-        # dataclass is frozen, so it is attached behind its back and
-        # excluded from equality, repr, and pickles).
-        object.__setattr__(self, "_solver", None)
+        # The equilibrium memo is a cache of a pure function of the
+        # memory system, shared by every rate calculator (and so every
+        # offline-search MTL run) bound to it: the dataclass is frozen,
+        # so it is attached behind its back and excluded from
+        # equality, repr, and pickles.
+        object.__setattr__(
+            self, "_solver", EquilibriumSolver(self.request_latency)
+        )
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
-        state["_solver"] = None  # memo is a cache, never serialized
+        del state["_solver"]  # memo is a cache, never serialized
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         for name, value in state.items():
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_solver", None)
+        object.__setattr__(
+            self, "_solver", EquilibriumSolver(self.request_latency)
+        )
 
     def request_latency(self, concurrency: float) -> float:
         """Per-request latency at a given effective concurrency."""
         return self.contention.request_latency(concurrency, channels=self.channels)
 
-    def equilibrium_solver(self) -> EquilibriumSolver:
-        """This instance's memoizing equilibrium solver.
-
-        Shared by every :class:`~repro.sim.engine.RateCalculator` (and
-        therefore every offline-search MTL run) bound to this memory
-        system, so repeat populations across runs hit the same memo.
-        """
-        solver = self._solver
-        if solver is None:
-            solver = EquilibriumSolver(self.request_latency)
-            # repro: lint-ok RPR201 -- write-once lazy memo attach; excluded from eq/repr/pickle
-            object.__setattr__(self, "_solver", solver)
-        return solver
-
     def equilibrium_cache_info(self) -> Dict[str, int]:
         """Counters of the shared solver (hits, misses, entries); feeds
         perfbench's cache-effectiveness counters without handing
         callers the solver itself."""
-        return self.equilibrium_solver().cache_info()
+        return self._solver.cache_info()
 
     def resolve(
         self,
@@ -99,7 +91,7 @@ class MemorySystem:
             running the concurrency is 0 and the latency is the
             unloaded ``L(1)`` (what a newly arriving request would pay).
         """
-        return self.equilibrium_solver().solve(demands, key=key)
+        return self._solver.solve(demands, key=key)
 
     def miss_fraction(self, footprint_bytes: int) -> float:
         """Off-chip fraction of a compute task's accesses."""

@@ -119,15 +119,6 @@ class CacheStats:
     stores: int = 0
     quarantined: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    def hit_rate(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
 
 @dataclass
 class ResultCache:

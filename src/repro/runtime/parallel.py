@@ -62,6 +62,10 @@ workload    ``{"kind": "registry", "name": "dft"}``
             r, "pairs_per_round": p, "footprint_bytes": b}``
             ``{"kind": "spec", "document": {...}}`` (a JSON
             workload spec, :mod:`repro.workloads.spec`)
+            At most ``MAX_WORKLOAD_TASKS`` (100,000) tasks, two a
+            pair: ``pairs``, ``rounds * pairs_per_round`` or the
+            phases' summed ``pairs``; more raises ``WorkloadError``
+            before any task is built.
 machine     ``{"preset": "i7_860", "channels": 1, "smt": 1,
             "llc_capacity_bytes": b}``
             ``{"preset": "power7", "smt": 4, "channels": 8}``

@@ -73,6 +73,14 @@ class RunningTask:
     construction: the task is frozen, so they can never go stale.
     """
 
+    #: The dispatch-fixed fields :func:`snapshot_key` and
+    #: :meth:`RateCalculator.compute_snapshot` read.  The snapshot memo
+    #: has no invalidation path, so these are never written after
+    #: construction (lint rule RPR202 holds every module to that).
+    #: ``overhead_remaining`` is read too, but it is state the loop
+    #: tracks: its drain to 0 rewrites the task's signature entry.
+    MEMO_KEY = ("core_id", "demand", "work_uses_cpu")
+
     __slots__ = (
         "task",
         "context_id",
@@ -129,12 +137,6 @@ class RunningTask:
             f"overhead_remaining={self.overhead_remaining}, "
             f"mtl_at_dispatch={self.mtl_at_dispatch}, probe={self.probe})"
         )
-
-    @property
-    def in_overhead_phase(self) -> bool:
-        """Dispatch overhead (dequeue, locking) is consumed as pure CPU
-        time before the task's real work begins."""
-        return self.overhead_remaining > 0.0
 
     def signature(self, cpu_active_on_core: int) -> object:
         """This task's signature entry, given the CPU-active contexts on

@@ -72,11 +72,6 @@ class Machine:
     def core_count(self) -> int:
         return self.processor.core_count
 
-    def solo_request_latency(self) -> float:
-        """Unloaded per-request latency ``L(1)`` — the basis of the
-        ``T_m1`` column in the paper's workload tables."""
-        return self.memory.request_latency(1.0)
-
 
 def i7_860(
     channels: int = 1,

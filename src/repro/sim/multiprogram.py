@@ -60,7 +60,15 @@ def merge_programs(
     phase_offset = 0
     for program in programs:
         prefix = f"{program.name}::"
+        # One prefixed copy per distinct dependency tuple: a barrier's
+        # members share one tuple object, as they do in the program.
+        prefixed: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         for task in program.to_task_graph():
+            depends_on = prefixed.get(task.depends_on)
+            if depends_on is None:
+                depends_on = prefixed[task.depends_on] = tuple(
+                    prefix + dep for dep in task.depends_on
+                )
             merged.append(
                 Task(
                     task_id=prefix + task.task_id,
@@ -70,7 +78,7 @@ def merge_programs(
                     footprint_bytes=task.footprint_bytes,
                     pair_index=task.pair_index,
                     phase_index=task.phase_index + phase_offset,
-                    depends_on=tuple(prefix + dep for dep in task.depends_on),
+                    depends_on=depends_on,
                 )
             )
         phase_ranges[program.name] = (
@@ -87,10 +95,6 @@ class CoScheduleResult:
 
     combined: SimulationResult
     phase_ranges: Dict[str, Tuple[int, int]]
-
-    @property
-    def program_names(self) -> Tuple[str, ...]:
-        return tuple(self.phase_ranges)
 
     def program_records(self, name: str):
         if name not in self.phase_ranges:

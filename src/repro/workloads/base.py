@@ -24,6 +24,8 @@ __all__ = [
     "Workload",
     "REFERENCE_SOLO_LATENCY",
     "DEFAULT_FOOTPRINT_BYTES",
+    "MAX_WORKLOAD_TASKS",
+    "check_task_count",
     "compute_time_for_ratio",
 ]
 
@@ -36,6 +38,11 @@ REFERENCE_SOLO_LATENCY = nehalem_ddr3_contention().request_latency(1.0)
 #: (Section V: "always less than the last-level cache size per core").
 DEFAULT_FOOTPRINT_BYTES = mebibytes(0.5)
 
+#: The most tasks (two per pair) a synthetic, streamcluster or spec
+#: workload may have: 45x SIFT's 2,208, so a mistyped size fails at
+#: once instead of building for minutes.
+MAX_WORKLOAD_TASKS = 100_000
+
 
 @runtime_checkable
 class Workload(Protocol):
@@ -47,6 +54,16 @@ class Workload(Protocol):
 
     def build(self) -> StreamProgram:
         """Materialise the workload as a stream program."""
+
+
+def check_task_count(name: str, pairs: int) -> None:
+    """Reject a workload of more than :data:`MAX_WORKLOAD_TASKS` tasks,
+    before any task is built."""
+    if 2 * pairs > MAX_WORKLOAD_TASKS:
+        raise WorkloadError(
+            f"workload {name!r} has {pairs} pairs ({2 * pairs} tasks); "
+            f"at most {MAX_WORKLOAD_TASKS} tasks are accepted"
+        )
 
 
 def compute_time_for_ratio(

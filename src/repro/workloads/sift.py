@@ -16,7 +16,7 @@ smaller images, reflected in the decreasing pair counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.errors import WorkloadError
 from repro.stream.program import ProgramPhase, StreamProgram, build_phase
@@ -96,9 +96,6 @@ class SiftWorkload:
     @property
     def name(self) -> str:
         return "SIFT"
-
-    def function_names(self) -> Tuple[str, ...]:
-        return tuple(SIFT_FUNCTION_RATIOS)
 
     def build(self) -> StreamProgram:
         phases: List[ProgramPhase] = []

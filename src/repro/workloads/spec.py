@@ -34,7 +34,11 @@ from typing import Any, Dict, List, Union
 from repro.errors import WorkloadError
 from repro.stream.program import ProgramPhase, StreamProgram, build_phase
 from repro.units import cache_lines
-from repro.workloads.base import DEFAULT_FOOTPRINT_BYTES, compute_time_for_ratio
+from repro.workloads.base import (
+    DEFAULT_FOOTPRINT_BYTES,
+    check_task_count,
+    compute_time_for_ratio,
+)
 
 __all__ = ["load_workload_spec", "parse_workload_spec"]
 
@@ -85,6 +89,9 @@ def parse_workload_spec(document: Dict[str, Any]) -> StreamProgram:
             f"workload {name!r} needs a non-empty 'phases' list"
         )
 
+    # Malformed phases fail below, naming themselves.
+    pairs = [raw.get("pairs") for raw in raw_phases if isinstance(raw, dict)]
+    check_task_count(name, sum(p for p in pairs if _is_int(p) and p > 0))
     phases: List[ProgramPhase] = []
     for index, raw in enumerate(raw_phases):
         phases.append(_parse_phase(name, index, raw))

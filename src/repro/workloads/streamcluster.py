@@ -32,7 +32,11 @@ from typing import Dict, List
 from repro.errors import WorkloadError
 from repro.stream.program import StreamProgram, build_phase
 from repro.units import cache_lines
-from repro.workloads.base import DEFAULT_FOOTPRINT_BYTES, compute_time_for_ratio
+from repro.workloads.base import (
+    DEFAULT_FOOTPRINT_BYTES,
+    check_task_count,
+    compute_time_for_ratio,
+)
 
 __all__ = [
     "STREAMCLUSTER_RATIOS",
@@ -83,6 +87,7 @@ class StreamclusterWorkload:
             raise WorkloadError(
                 f"pairs_per_round must be >= 1, got {self.pairs_per_round}"
             )
+        check_task_count(self.name, self.rounds * self.pairs_per_round)
 
     @property
     def name(self) -> str:

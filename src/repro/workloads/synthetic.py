@@ -30,6 +30,7 @@ from repro.stream.program import StreamProgram, build_phase
 from repro.units import cache_lines, mebibytes
 from repro.workloads.base import (
     DEFAULT_FOOTPRINT_BYTES,
+    check_task_count,
     compute_time_for_ratio,
 )
 
@@ -77,6 +78,7 @@ class SyntheticWorkload:
             )
         if self.pairs < 1:
             raise WorkloadError(f"pairs must be >= 1, got {self.pairs}")
+        check_task_count(self.name, self.pairs)
 
     @property
     def name(self) -> str:

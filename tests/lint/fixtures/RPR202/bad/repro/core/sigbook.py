@@ -1,10 +1,10 @@
-"""Known-bad: a signature slot mutated in place outside construction."""
-
+"""Known-bad: a memo-key field mutated in place outside construction."""
 __all__ = ["SignatureBook"]
 
 
 class SignatureBook:
     __slots__ = ("_sig_entries",)
+    MEMO_KEY = ("_sig_entries",)
 
     def __init__(self, entries):
         self._sig_entries = list(entries)

@@ -1,0 +1,12 @@
+"""Known-bad: a declared field written through a constructor-bound local."""
+
+from repro.sim.running import RunningTask
+
+__all__ = ["dispatch"]
+
+
+def dispatch(population, core_id, demand):
+    rt = RunningTask(core_id, demand, 0.0)
+    rt.work_uses_cpu = True
+    population.append(rt)
+    return rt

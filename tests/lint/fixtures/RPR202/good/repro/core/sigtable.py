@@ -1,10 +1,10 @@
-"""Known-good: the signature slot freezes its input at the boundary."""
-
+"""Known-good: the memo-key field freezes its input at the boundary."""
 __all__ = ["SignatureTable"]
 
 
 class SignatureTable:
     __slots__ = ("_sig_parts", "count")
+    MEMO_KEY = ("_sig_parts",)
 
     def __init__(self, parts):
         staged = list(parts)

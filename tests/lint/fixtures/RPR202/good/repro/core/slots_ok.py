@@ -1,15 +1,14 @@
-"""Known-bad: memo-signature slot reassigned after construction."""
+"""Known-good: memo-key fields are write-once; live state may change."""
 __all__ = []
-
 
 class Running:
     __slots__ = ("remaining", "demand", "_sig_work")
+    MEMO_KEY = ("demand", "_sig_work")
 
     def __init__(self, demand):
         self.remaining = 1.0
         self.demand = demand
         self._sig_work = (demand,)
 
-    def rebind(self, demand):
-        self.demand = demand
-        self._sig_work = (demand,)
+    def advance(self, units):
+        self.remaining -= units

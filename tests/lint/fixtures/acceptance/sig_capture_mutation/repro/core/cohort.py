@@ -1,10 +1,10 @@
 """Acceptance corpus: a list mutated after capture into a memo key."""
-
 __all__ = ["CohortKey"]
 
 
 class CohortKey:
     __slots__ = ("_sig_parts", "count")
+    MEMO_KEY = ("_sig_parts",)
 
     def __init__(self, parts):
         self._sig_parts = parts

@@ -16,8 +16,8 @@ that no other rule false-positives on otherwise-clean code:
   ``task.demand`` through a local alias (``t = task``), caught by the
   effect analysis with the alias chain in the message;
 * ``acceptance/sig_capture_mutation`` — a list mutated *after* being
-  captured into a ``_sig_*`` slot, inside ``__init__`` where the
-  direct-assignment rule (RPR202) cannot see it;
+  captured into a declared memo-key field (``MEMO_KEY``), inside
+  ``__init__``, where a direct store would still be allowed;
 * ``acceptance/worker_bare_valueerror`` — a ``POOL_BOUNDARY`` worker
   entry raising a builtin ``ValueError`` that would cross the process
   pool raw.
@@ -96,11 +96,11 @@ class TestPostCaptureSignatureMutation:
             f"{f.rule}: {f.message}" for f in report.findings
         ]
 
-    def test_finding_is_rpr904_with_capture_context(self):
+    def test_finding_is_rpr202_with_capture_context(self):
         (finding,) = run_full(ACCEPTANCE / "sig_capture_mutation").findings
-        assert finding.rule == "RPR904"
-        assert "_sig_parts" in finding.message
-        assert "captured 'parts'" in finding.message
+        assert finding.rule == "RPR202"
+        assert "CohortKey._sig_parts" in finding.message
+        assert "bound to 'parts' (line 10)" in finding.message
         assert "call:append" in finding.message
 
     def test_finding_lands_on_the_mutation_not_the_capture(self):

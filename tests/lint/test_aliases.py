@@ -1,13 +1,17 @@
 """Folded rule ids stay accepted where users type them.
 
 RPR101/RPR103/RPR104 are the zero-length-path case of
-RPR601/RPR603/RPR604, and RPR801/RPR802 are RPR813.  The one alias
-table (``RULE_ALIASES``) maps them for ``# repro: lint-ok`` comments,
-``--rule`` and ``--explain``; the catalogue (``--list-rules``, the
-SARIF driver, the docs) lists only the surviving ids.
+RPR601/RPR603/RPR604, RPR801/RPR802 are RPR813, and RPR904/RPR905
+(capture-then-mutate, in-place mutation) are write shapes of the
+memo-key rule RPR202.  The one alias table (``RULE_ALIASES``) maps
+them for ``# repro: lint-ok`` comments, ``--rule`` and ``--explain``;
+the catalogue (``--list-rules``, the SARIF driver, the docs) lists
+only the surviving ids.
 """
 
 import json
+
+import pytest
 
 from repro.cli import main
 from repro.lint import (
@@ -25,6 +29,26 @@ WALL_CLOCK_SOURCE = (
     "def stamp():\n"
     "    return time.time()  # repro: lint-ok RPR" "101 -- {reason}\n"
 )
+
+
+#: A declared memo-key field mutated in place outside construction.
+MEMO_SOURCE = (
+    '"""Core layer."""\n\n__all__ = ["Book"]\n\n\n'
+    "class Book:\n"
+    '    MEMO_KEY = ("parts",)\n\n'
+    "    def __init__(self, parts):\n"
+    "        self.parts = list(parts)\n\n"
+    "    def widen(self, part):\n"
+    "        self.parts.append(part){comment}\n"
+)
+
+
+def memo_file(tmp_path, comment=""):
+    spine = tmp_path / "repro" / "core"
+    spine.mkdir(parents=True)
+    target = spine / "book.py"
+    target.write_text(MEMO_SOURCE.format(comment=comment))
+    return target
 
 
 def det_layer_file(tmp_path, source):
@@ -59,6 +83,31 @@ class TestSuppressionAliases:
         assert sorted(f.rule for f in report.findings) == ["RPR002", "RPR601"]
         (meta,) = [f for f in report.findings if f.rule == "RPR002"]
         assert "RPR601" in meta.message
+
+
+@pytest.mark.parametrize("old", ["RPR904", "RPR905"])
+class TestMemoKeyAliases:
+    def test_old_id_silences_rpr202(self, tmp_path, old):
+        target = memo_file(tmp_path, f"  # repro: lint-ok {old} -- fixture")
+        report = LintEngine(rules=build_rules(), root=tmp_path).run([target])
+        assert report.findings == []
+        assert report.suppressed == 1
+
+    def test_rule_flag_runs_rpr202(self, tmp_path, capsys, old):
+        memo_file(tmp_path)
+        code = main(["lint", str(tmp_path), "--rule", old, "--output", "-"])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [(f["rule"], f["line"]) for f in report["findings"]] == [
+            ("RPR202", 13)
+        ]
+
+    def test_explain_prints_the_memo_safety_section(self, old):
+        surviving = explain_rule("RPR202").splitlines()
+        assert "### Memo safety (RPR201–RPR202)" in surviving
+        assert explain_rule(old).splitlines() == (
+            surviving[:1] + [f"({old} was folded into RPR202)"] + surviving[1:]
+        )
 
 
 class TestRuleAndExplainAliases:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import repro.lint.cache as cache_module
 from repro.lint import LintEngine, build_rules, render_json
 from repro.lint.cache import ScanCache, cache_token
@@ -13,6 +15,45 @@ def make_corpus(tmp_path):
     (corpus / "clean.py").write_text("__all__ = []\n")
     (corpus / "dirty.py").write_text("def f(x=[]):\n    return x\n")
     return corpus
+
+
+#: Declared memo-key fields written in place and from another module:
+#: RPR202 reads ``MEMO_KEY`` off the class summary, so a summary field
+#: the cache or the pool's pickling dropped would lose both findings.
+MEMO_FILES = {
+    "repro/core/book.py": (
+        '__all__ = ["Book"]\n\n\n'
+        "class Book:\n"
+        '    MEMO_KEY = ("parts",)\n\n'
+        "    def __init__(self, parts):\n"
+        "        self.parts = list(parts)\n\n"
+        "    def widen(self, part):\n"
+        "        self.parts.append(part)\n"
+    ),
+    "repro/sim/loop.py": (
+        "from repro.core.book import Book\n\n"
+        '__all__ = ["reset"]\n\n\n'
+        "def reset():\n"
+        "    book = Book([])\n"
+        "    book.parts = []\n"
+        "    return book\n"
+    ),
+}
+
+
+def make_memo_corpus(tmp_path):
+    corpus = make_corpus(tmp_path)
+    for relative, text in MEMO_FILES.items():
+        path = corpus / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return corpus
+
+
+#: Corpus builder -> RPR202 findings it holds.
+CORPORA = pytest.mark.parametrize(
+    "build, memo_findings", [(make_corpus, 0), (make_memo_corpus, 2)]
+)
 
 
 def run_cached(corpus, cache_dir, jobs=1):
@@ -30,13 +71,17 @@ def comparable(report):
 
 
 class TestWarmRuns:
-    def test_warm_run_is_byte_identical_and_all_hits(self, tmp_path):
-        corpus = make_corpus(tmp_path)
+    @CORPORA
+    def test_warm_run_is_byte_identical_and_all_hits(
+        self, tmp_path, build, memo_findings
+    ):
+        corpus = build(tmp_path)
         cache_dir = tmp_path / "cache"
         cold = run_cached(corpus, cache_dir)
         warm = run_cached(corpus, cache_dir)
         assert cold.cache_hits == 0
-        assert warm.cache_hits == 2
+        assert warm.cache_hits == len(list(corpus.rglob("*.py")))
+        assert [f.rule for f in cold.findings].count("RPR202") == memo_findings
         assert comparable(cold) == comparable(warm)
 
     def test_editing_one_file_invalidates_only_it(self, tmp_path):
@@ -47,14 +92,18 @@ class TestWarmRuns:
         warm = run_cached(corpus, cache_dir)
         assert warm.cache_hits == 1
 
-    def test_cache_composes_with_jobs_fanout(self, tmp_path):
-        corpus = make_corpus(tmp_path)
+    @CORPORA
+    def test_cache_composes_with_jobs_fanout(
+        self, tmp_path, build, memo_findings
+    ):
+        corpus = build(tmp_path)
         for index in range(4):
             (corpus / f"extra{index}.py").write_text("__all__ = []\n")
         cache_dir = tmp_path / "cache"
         cold = run_cached(corpus, cache_dir, jobs=3)
         warm = run_cached(corpus, cache_dir, jobs=3)
-        assert warm.cache_hits == 6
+        assert warm.cache_hits == len(list(corpus.rglob("*.py")))
+        assert [f.rule for f in cold.findings].count("RPR202") == memo_findings
         assert comparable(cold) == comparable(warm)
 
     def test_uncached_run_reports_zero_hits(self, tmp_path):

@@ -1,70 +1,123 @@
-"""One memo-slot predicate scopes RPR202 and RPR904 alike.
+"""RPR202 protects exactly the fields a class declares in ``MEMO_KEY``.
 
-:func:`~repro.lint.rules.memosafety.is_memo_key_slot` decides which
-``__slots__`` fields feed a memo signature.  The reassignment rule
-(RPR202) and the mutation-after-freeze rule (RPR904) both import it, so
-they must protect exactly the same slots.
+One case per write shape the rule covers: a direct or augmented store
+on the receiver, an in-place or aliased mutation, capture-then-mutate
+(in a constructor), and a store in another module through a local
+bound to the class's constructor.  Each is flagged for a declared
+field and silent for an undeclared one, so a shape the rule stops
+seeing, or a field it protects without a declaration, fails here.
 """
 
 import pytest
 
 from repro.lint import LintEngine, build_rules
-from repro.lint.rules.memosafety import is_memo_key_slot
 
-#: A slot reassigned outside ``__init__`` (RPR202's pattern).
-REASSIGNED = '''\
-__all__ = []
+CLASS = '''\
+__all__ = ["Running"]
 
 
 class Running:
-    __slots__ = ("{slot}",)
+    MEMO_KEY = ("key",)
 
     def __init__(self, value):
-        self.{slot} = value
-
-    def rebind(self, value):
-        self.{slot} = value
+        self.key = value
+        self.tracked = value
+{method}
 '''
 
-#: A list captured into a slot, then mutated (RPR904's pattern).
-CAPTURED = '''\
-__all__ = []
+#: Write shapes on the receiver, as a method of ``Running``.
+RECEIVER_SHAPES = {
+    "direct store": "    def rebind(self, value):\n        self.{field} = value\n",
+    "augmented store": "    def bump(self):\n        self.{field} += 1\n",
+    "in-place mutation": (
+        "    def widen(self, value):\n        self.{field}.append(value)\n"
+    ),
+    "aliased store": (
+        "    def poke(self, value):\n"
+        "        alias = self\n"
+        "        alias.{field} = value\n"
+    ),
+    "capture then mutate in the constructor": (
+        "    def __post_init__(self, parts):\n"
+        "        self.{field} = parts\n"
+        "        parts.append('late')\n"
+    ),
+}
+
+#: A store through a constructor-bound local, in another module.
+OTHER_MODULE = '''\
+from repro.sim.running import Running
+
+__all__ = ["dispatch"]
 
 
-class Table:
-    __slots__ = ("{slot}",)
-
-    def __init__(self, parts):
-        self.{slot} = parts
-        parts.append("late")
+def dispatch(value):
+    rt = Running(value)
+    rt.{field} = value
+    return rt
 '''
 
 
-def findings(rule_id, root, source):
-    path = root / "repro" / "core" / "slots.py"
-    path.parent.mkdir(parents=True)
-    path.write_text(source)
+def lint(root, files):
+    for relative, source in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
     engine = LintEngine(
-        rules=build_rules(only=[rule_id]), enabled={rule_id}, root=root
+        rules=build_rules(only=["RPR202"]), enabled={"RPR202"}, root=root
     )
     return engine.run([root]).findings
 
 
-@pytest.mark.parametrize("name, expected", [
-    ("_sig_work", True),
-    ("_sig_overhead", True),
-    ("demand", True),
-    ("total_units", True),
-    ("remaining_units", False),
-    ("_cohort_key", False),
-])
-def test_memo_key_slot_predicate(name, expected):
-    assert is_memo_key_slot(name) is expected
+def running(method=""):
+    return {"repro/sim/running.py": CLASS.format(method=method)}
 
 
-@pytest.mark.parametrize("slot", ["_sig_parts", "demand", "_cohort_parts", "count"])
-def test_reassignment_and_capture_rules_agree(tmp_path, slot):
-    reassigned = findings("RPR202", tmp_path / "a", REASSIGNED.format(slot=slot))
-    mutated = findings("RPR904", tmp_path / "b", CAPTURED.format(slot=slot))
-    assert bool(reassigned) is is_memo_key_slot(slot)
-    assert bool(mutated) is is_memo_key_slot(slot)
+@pytest.mark.parametrize("field, flagged", [("key", True), ("tracked", False)])
+class TestEveryWriteShape:
+    @pytest.mark.parametrize("shape", sorted(RECEIVER_SHAPES))
+    def test_receiver_shape(self, tmp_path, shape, field, flagged):
+        method = "\n" + RECEIVER_SHAPES[shape].format(field=field)
+        findings = lint(tmp_path, running(method))
+        assert len(findings) == int(flagged), [f.message for f in findings]
+        if flagged:
+            assert "Running.key" in findings[0].message
+
+    def test_store_from_another_module(self, tmp_path, field, flagged):
+        files = running()
+        files["repro/sim/loop.py"] = OTHER_MODULE.format(field=field)
+        findings = lint(tmp_path, files)
+        assert [(f.path.rpartition("/")[2], f.line) for f in findings] == (
+            [("loop.py", 8)] if flagged else []
+        )
+
+
+class TestConstructionAndRebuild:
+    def test_constructor_stores_are_construction(self, tmp_path):
+        assert lint(tmp_path, running()) == []
+
+    def test_setstate_may_rebuild_in_place_but_not_reassign(self, tmp_path):
+        method = (
+            "\n    def __setstate__(self, state):\n"
+            "        self.key.clear()\n"
+            "        self.key = state\n"
+        )
+        findings = lint(tmp_path, running(method))
+        assert [f.line for f in findings] == [13]
+
+
+class TestScope:
+    def test_tests_layer_is_not_checked(self, tmp_path):
+        method = "\n" + RECEIVER_SHAPES["direct store"].format(field="key")
+        files = {"tests/running.py": CLASS.format(method=method)}
+        assert lint(tmp_path, files) == []
+
+    def test_a_write_through_a_parameter_is_not_attributed(self, tmp_path):
+        # The parameter's class is unknown to the per-file walk.
+        files = running()
+        files["repro/sim/loop.py"] = (
+            '__all__ = ["reset"]\n\n\n'
+            "def reset(rt, value):\n"
+            "    rt.key = value\n"
+        )
+        assert lint(tmp_path, files) == []

@@ -18,6 +18,9 @@ from repro.runtime.parallel import (
     run_point,
 )
 from repro.sim.machine import i7_860
+from repro.stream.task import Task
+from repro.workloads import SyntheticWorkload
+from repro.workloads.base import MAX_WORKLOAD_TASKS
 
 WORKLOAD_CASES = [
     pytest.param({"kind": "registry", "name": 3}, "'name'", id="registry-name-int"),
@@ -187,6 +190,46 @@ class TestWorkloadSpecRejections:
         with pytest.raises(WorkloadError, match="'pairz'") as error:
             build_workload_from_spec(spec)
         assert "accepted: ['name', 'phases']" in str(error.value)
+
+
+#: Specs one pair over the bound (``MAX_WORKLOAD_TASKS``, two tasks a
+#: pair), each counted its own way.
+OVERSIZED_SPECS = [
+    pytest.param(
+        {"kind": "synthetic", "ratio": 1.0, "pairs": 50_001}, id="synthetic"
+    ),
+    pytest.param(
+        {"kind": "streamcluster", "rounds": 3, "pairs_per_round": 16_667},
+        id="streamcluster",
+    ),
+    pytest.param(
+        {
+            "kind": "spec",
+            "document": {
+                "name": "big",
+                "phases": [
+                    {"pairs": 25_000, "ratio": 1},
+                    {"pairs": 25_001, "ratio": 1},
+                ],
+            },
+        },
+        id="spec-document",
+    ),
+]
+
+
+class TestWorkloadSizeBound:
+    @pytest.mark.parametrize("spec", OVERSIZED_SPECS)
+    def test_oversized_spec_fails_before_building(self, spec, monkeypatch):
+        assert MAX_WORKLOAD_TASKS == 100_000
+        built = []
+        monkeypatch.setattr(Task, "__post_init__", built.append)
+        with pytest.raises(WorkloadError, match="at most 100000 tasks"):
+            build_workload_from_spec(spec)
+        assert built == []
+
+    def test_the_bound_itself_is_accepted(self):
+        assert SyntheticWorkload(ratio=1.0, pairs=50_000).pairs == 50_000
 
 
 class TestMachineSpecRejections:

@@ -24,6 +24,22 @@ from repro.sim.simulator import Simulator
 from repro.stream.task import compute_task, memory_task
 
 
+#: Data attributes of :class:`RunningTask` read through a
+#: :class:`RecordingTask`.
+READS = set()
+
+
+class RecordingTask(RunningTask):
+    """A running task that records every data attribute read."""
+
+    __slots__ = ()
+
+    def __getattribute__(self, name):
+        if name in RunningTask.__slots__:
+            READS.add(name)
+        return super().__getattribute__(name)
+
+
 def make_calculator(max_entries: int = 65536, smt_ways: int = 2) -> RateCalculator:
     return RateCalculator(
         Processor(core_count=4, smt_ways=smt_ways),
@@ -295,3 +311,28 @@ class TestOneMemoPerMachine:
         assert copy.rate_calculator.cache_info() == {
             "hits": 0, "misses": 0, "entries": 0,
         }
+
+
+class TestMemoKeyDeclaration:
+    """``RunningTask.MEMO_KEY`` names exactly the fields the key and the
+    cold path read, besides the loop-tracked ``overhead_remaining``.
+    A new key input, or a declared field the key stops reading, fails
+    here; lint rule RPR202 protects whatever the declaration names."""
+
+    def test_declaration_equals_the_read_set(self):
+        memory = memory_task("m", requests=250.0)
+        compute = compute_task("c", cpu_seconds=1e-4, spilled_requests=250.0)
+        population = [
+            RecordingTask(task, context_id, context_id % 4, 0.0,
+                          task.work_units, overhead, 4)
+            for context_id, (task, overhead) in enumerate([
+                (memory, 1e-6), (compute, 1e-6),   # overhead phase
+                (memory, 0.0), (compute, 0.0),     # work phase
+                (memory, 0.0), (compute, 1e-6),    # SMT siblings of 0, 1
+            ])
+        ]
+        READS.clear()
+        snapshot_key(population)
+        make_calculator(smt_ways=2).compute_snapshot(population)
+        assert "overhead_remaining" in READS
+        assert READS - {"overhead_remaining"} == set(RunningTask.MEMO_KEY)

@@ -8,6 +8,7 @@ from repro.sim.multiprogram import co_schedule, merge_programs
 from repro.sim.scheduler import FixedMtlPolicy, conventional_policy
 from repro.sim.simulator import simulate
 from repro.stream.program import StreamProgram, build_phase
+from repro.workloads import build_workload
 from repro.workloads.base import REFERENCE_SOLO_LATENCY
 
 
@@ -44,6 +45,16 @@ class TestMergePrograms:
             prefix = task.task_id.split("::")[0]
             for dep in task.depends_on:
                 assert dep.startswith(prefix + "::")
+
+    def test_one_prefixed_tuple_per_distinct_barrier(self):
+        # SIFT's and jpeg-decode's 1,728 barrier members wait on 28
+        # distinct dependency tuples; the merge builds each once.
+        graph, _ = merge_programs(
+            [build_workload("SIFT"), build_workload("jpeg-decode")]
+        )
+        barriers = [t.depends_on for t in graph if t.is_memory and t.depends_on]
+        assert len(barriers) == 1728
+        assert len({id(deps) for deps in barriers}) == len(set(barriers)) == 28
 
     def test_rejects_empty_and_duplicate_mixes(self):
         with pytest.raises(ConfigurationError):
