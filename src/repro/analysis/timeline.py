@@ -9,8 +9,9 @@ profile, e.g.::
     mem  |44444422222122222212222221222222122222212222221222|
           0 ms                                        206 ms
 
-Reading the two rows together verifies the gate visually: the ``mem``
-row never exceeds the ``MTL`` row.
+The gate is checked in code by ``SimulationResult.verify``; here a
+``mem`` column exceeds the ``MTL`` column only while a lowered limit
+drains, since lowering the MTL never preempts a running memory task.
 """
 
 from __future__ import annotations
@@ -48,18 +49,10 @@ def render_timeline(result: SimulationResult, width: int = 60) -> str:
     if span <= 0:
         return f"{result.program_name}: empty timeline"
 
-    mtl_segments = []
-    for i, change in enumerate(result.mtl_changes):
-        end = (
-            result.mtl_changes[i + 1].time
-            if i + 1 < len(result.mtl_changes)
-            else span
-        )
-        mtl_segments.append((change.time, end, change.new_mtl))
-    mtl_row = _sample_step(mtl_segments, span, width, default=0)
-
-    concurrency_segments = result.memory_concurrency_profile()
-    mem_row = _sample_step(concurrency_segments, span, width, default=0)
+    mtl_row = _sample_step(result.mtl_profile(), span, width, default=0)
+    mem_row = _sample_step(
+        result.memory_concurrency_profile(), span, width, default=0
+    )
 
     def row_text(values: List[int]) -> str:
         return "".join(str(min(v, 9)) if v > 0 else "." for v in values)

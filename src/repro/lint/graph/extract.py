@@ -572,17 +572,11 @@ class _Scope:
         elif isinstance(target, ast.Attribute):
             self._store(target, "store-attr", lineno)
             base = target.value
-            owner: Optional[str] = None
-            if isinstance(base, ast.Name):
-                if base.id in ("self", "cls"):
-                    owner = self.class_name
-                    self._self_attr_store(target, value, lineno)
-                else:
-                    owner = self.ctor_locals.get(base.id)
-            if owner is not None and value is not None:
-                self.attr_writes.append(
-                    AttrWrite(owner, target.attr, lineno, self.term_of(value))
-                )
+            if isinstance(base, ast.Name) and base.id in ("self", "cls"):
+                self._self_attr_store(target, value, lineno)
+            self._attr_write(
+                target, lineno, None if value is None else self.term_of(value)
+            )
         elif isinstance(target, ast.Subscript):
             self._store(target, "store-index", lineno)
             base = target.value
@@ -617,6 +611,8 @@ class _Scope:
             self.captured.pop(target.id, None)
         else:
             self._store(target, "augstore", node.lineno)
+            if isinstance(target, ast.Attribute):
+                self._attr_write(target, node.lineno, None)
         if isinstance(node.op, (ast.Add, ast.Sub)):
             left = self._target_term(target)
             right = self.term_of(node.value)
@@ -630,6 +626,21 @@ class _Scope:
                         right=right,
                     )
                 )
+
+    def _attr_write(
+        self, target: ast.Attribute, lineno: int, term: Optional[UnitTerm]
+    ) -> None:
+        """Record a store on the receiver or a constructor-bound local;
+        an augmented or unpacking store has no ``term``."""
+        base = target.value
+        if not isinstance(base, ast.Name):
+            return
+        if base.id in ("self", "cls"):
+            owner: Optional[str] = self.class_name
+        else:
+            owner = self.ctor_locals.get(base.id)
+        if owner is not None:
+            self.attr_writes.append(AttrWrite(owner, target.attr, lineno, term))
 
     # -- effect stores -------------------------------------------------
 

@@ -14,6 +14,7 @@ for an MTL token, space = no work available.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List
 
 from repro.errors import ConfigurationError
@@ -41,16 +42,14 @@ def render_gantt(result: SimulationResult, width: int = 80) -> str:
         f"{result.program_name} on {result.machine_name} under "
         f"{result.policy_name} — makespan {format_time(span)}",
     ]
-    for context_id in range(result.context_count):
-        row = [" "] * width
-        for record in result.context_timeline(context_id):
-            begin = min(int(record.start * scale), width - 1)
-            end = min(int(record.end * scale), width)
-            end = max(end, begin + 1)  # at least one cell per task
-            symbol = "M" if record.is_memory else "C"
-            for column in range(begin, end):
-                row[column] = symbol
-        lines.append(f"P{context_id} |{''.join(row)}|")
+    rows = [[" "] * width for _ in range(result.context_count)]
+    # In start order: a later task paints over an earlier one's cell.
+    for record in sorted(result.records, key=attrgetter("start")):
+        begin = min(int(record.start * scale), width - 1)
+        end = max(min(int(record.end * scale), width), begin + 1)  # >= 1 cell
+        symbol = "M" if record.is_memory else "C"
+        rows[record.context_id][begin:end] = symbol * (end - begin)
+    lines += [f"P{context} |{''.join(row)}|" for context, row in enumerate(rows)]
     legend = "    M=memory  C=compute  (blank=idle)"
     lines.append(legend)
     return "\n".join(lines)

@@ -5,15 +5,20 @@ quantities the paper reports are derived from it: makespan (the basis
 of every speedup), per-kind mean task durations grouped by the MTL in
 force (``T_mk`` and ``T_c``), core utilisation, the MTL timeline of a
 dynamic policy, and the share of execution spent in monitoring windows.
+:meth:`SimulationResult.verify` checks the MTL gate and the barriers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import MeasurementError
 from repro.sim.events import MtlChange, TaskRecord
+from repro.stream.graph import TaskGraph
 from repro.stream.task import TaskKind
 
 __all__ = ["SimulationResult"]
@@ -46,7 +51,6 @@ class SimulationResult:
         kind: Optional[TaskKind] = None,
         mtl: Optional[int] = None,
         phase_index: Optional[int] = None,
-        include_probes: bool = True,
     ) -> List[float]:
         """Durations of records matching the given filters."""
         out = []
@@ -56,8 +60,6 @@ class SimulationResult:
             if mtl is not None and record.mtl_at_dispatch != mtl:
                 continue
             if phase_index is not None and record.phase_index != phase_index:
-                continue
-            if not include_probes and record.probe:
                 continue
             out.append(record.duration)
         return out
@@ -99,12 +101,6 @@ class SimulationResult:
         """Context-seconds spent idle (the cost of over-throttling)."""
         return self.makespan * self.context_count - self.busy_time()
 
-    def context_timeline(self, context_id: int) -> List[TaskRecord]:
-        """Records of one context, ordered by start time."""
-        rows = [r for r in self.records if r.context_id == context_id]
-        rows.sort(key=lambda r: r.start)
-        return rows
-
     def probe_task_time_fraction(self) -> float:
         """Share of task-execution time inside monitoring windows.
 
@@ -120,7 +116,16 @@ class SimulationResult:
 
     def final_mtl(self) -> int:
         """MTL in force at the end of the run."""
+        if not self.mtl_changes:
+            raise MeasurementError("no MTL timeline recorded")
         return self.mtl_changes[-1].new_mtl
+
+    def mtl_profile(self) -> List[Tuple[float, float, int]]:
+        """The MTL constraint as ``(start, end, mtl)`` steps, one per
+        entry of :attr:`mtl_changes`, the last ending at the makespan."""
+        changes = self.mtl_changes
+        ends = [change.time for change in changes[1:]] + [self.makespan]
+        return [(c.time, end, c.new_mtl) for c, end in zip(changes, ends)]
 
     def mtl_residency(self) -> Dict[int, float]:
         """Seconds spent under each MTL value.
@@ -129,19 +134,9 @@ class SimulationResult:
         mode of this distribution is the *D-MTL* reported in the
         paper's per-workload figures.
         """
-        if not self.mtl_changes:
-            return {}
         residency: Dict[int, float] = {}
-        span = self.makespan
-        for i, change in enumerate(self.mtl_changes):
-            end = (
-                self.mtl_changes[i + 1].time
-                if i + 1 < len(self.mtl_changes)
-                else span
-            )
-            residency[change.new_mtl] = residency.get(change.new_mtl, 0.0) + max(
-                end - change.time, 0.0
-            )
+        for start, end, mtl in self.mtl_profile():
+            residency[mtl] = residency.get(mtl, 0.0) + max(end - start, 0.0)
         return residency
 
     def dominant_mtl(self) -> int:
@@ -151,46 +146,117 @@ class SimulationResult:
             raise MeasurementError("no MTL timeline recorded")
         return max(residency, key=lambda k: residency[k])
 
-    def memory_concurrency_profile(self) -> List[Tuple[float, float, int]]:
-        """Piecewise-constant memory-task concurrency over time.
+    @staticmethod
+    def _sweep(
+        records: Sequence[TaskRecord],
+    ) -> Iterator[Tuple[float, int, list]]:
+        """Walk ``records`` in time order, ends before starts at equal
+        times, yielding ``(time, in_flight, started)`` per distinct time:
+        the memory records running until the next time (never a
+        zero-length one), and ``(record, occupant)`` for each record
+        starting at ``time``, ``occupant`` being what its context runs
+        across ``time`` (zero-length records start first) or ``None``."""
+        events = []
+        for index, record in enumerate(records):
+            if record.end > record.start:
+                events += [(record.start, 2, index), (record.end, 0, index)]
+            else:
+                events.append((record.start, 1, index))
+        running: Dict[int, TaskRecord] = {}
+        in_flight = 0
+        for time, group in groupby(sorted(events), key=itemgetter(0)):
+            started = []
+            for _, rank, index in group:
+                record = records[index]
+                context = record.context_id
+                if rank == 0:
+                    running.pop(context, None)
+                    in_flight -= record.is_memory
+                    continue
+                started.append((record, running.get(context)))
+                if rank == 2:
+                    running[context] = record
+                    in_flight += record.is_memory
+            yield time, in_flight, started
 
-        Returns ``(start, end, concurrent)`` segments covering the
-        makespan; the maximum ``concurrent`` over all segments is the
-        peak memory concurrency, which an MTL-respecting schedule keeps
-        at or below the gate limit in force.
-        """
+    def memory_concurrency_profile(self) -> List[Tuple[float, float, int]]:
+        """Memory-task concurrency as ``(start, end, concurrent)`` steps
+        from the first memory-task start to the last end, split at every
+        memory-task start and end."""
         memory = [r for r in self.records if r.is_memory]
-        if not memory:
-            return []
-        boundaries = sorted({r.start for r in memory} | {r.end for r in memory})
-        profile: List[Tuple[float, float, int]] = []
-        for begin, end in zip(boundaries, boundaries[1:]):
-            midpoint = (begin + end) / 2
-            live = sum(1 for r in memory if r.start <= midpoint < r.end)
-            profile.append((begin, end, live))
-        return profile
+        steps = [(time, live) for time, live, _ in self._sweep(memory)]
+        return [(t, end, n) for (t, n), (end, _) in zip(steps, steps[1:])]
 
     def peak_memory_concurrency(self) -> int:
         """Largest number of simultaneously running memory tasks."""
-        profile = self.memory_concurrency_profile()
-        if not profile:
-            return 0
-        return max(live for _, _, live in profile)
+        memory = [r for r in self.records if r.is_memory]
+        return max((live for _, live, _ in self._sweep(memory)), default=0)
 
-    def verify_consistency(self) -> None:
-        """Internal invariants; raises :class:`MeasurementError` on
-        violation.  Exercised by the test suite after every scenario.
-        """
-        seen = set()
+    def verify(self, graph: TaskGraph) -> None:
+        """Check this run of ``graph`` against the mechanism's invariants
+        (``docs/simulator.md``, "Determinism and bounds"), raising
+        :class:`MeasurementError` at the first record or MTL change to
+        break coverage, a dependency, the MTL timeline, one core and one
+        record per context, the gate (the memory tasks in flight at a
+        memory task's start, itself included, at most its
+        ``mtl_at_dispatch``) or that MTL being in force at the start."""
+        by_id: Dict[str, TaskRecord] = {}
+        cores: Dict[int, int] = {}
         for record in self.records:
-            if record.task_id in seen:
-                raise MeasurementError(f"task {record.task_id!r} recorded twice")
-            seen.add(record.task_id)
-        for context_id in range(self.context_count):
-            timeline = self.context_timeline(context_id)
-            for earlier, later in zip(timeline, timeline[1:]):
-                if later.start < earlier.end - 1e-12:
+            name = record.task_id
+            if name in by_id or name not in graph:
+                problem = "recorded twice" if name in by_id else "unknown"
+                raise MeasurementError(f"task {name!r} {problem}")
+            by_id[name] = record
+            core = cores.setdefault(record.context_id, record.core_id)
+            if record.core_id != core:
+                raise MeasurementError(
+                    f"task {name!r} ran on core {record.core_id}, not {core}"
+                )
+        for task in graph:
+            if task.task_id not in by_id:
+                raise MeasurementError(f"task {task.task_id!r} has no record")
+        for join in graph.joins:
+            # Every member lists the same tuple.
+            ready = max(by_id[dep].end for dep in join.members[0].depends_on)
+            for task in join.members:
+                if by_id[task.task_id].start < ready:
                     raise MeasurementError(
-                        f"context {context_id} ran {earlier.task_id!r} and "
-                        f"{later.task_id!r} concurrently"
+                        f"task {task.task_id!r} started before its dependencies ended"
+                    )
+
+        changes = self.mtl_changes
+        if not changes or changes[0].time != 0.0:
+            raise MeasurementError("the MTL timeline does not open at time 0")
+        mtls = range(1, self.context_count + 1)
+        for change in changes:
+            if change.old_mtl not in mtls or change.new_mtl not in mtls:
+                raise MeasurementError(f"{change} leaves [1, {len(mtls)}]")
+        for previous, change in zip(changes, changes[1:]):
+            if change.old_mtl != previous.new_mtl or change.time < previous.time:
+                raise MeasurementError(f"{change} does not follow {previous}")
+
+        times = [change.time for change in changes]
+        for time, in_flight, started in self._sweep(self.records):
+            # The MTL just before ``time``, and every MTL set at it.
+            first = max(bisect_left(times, time) - 1, 0)
+            last = bisect_right(times, time)
+            in_force = {change.new_mtl for change in changes[first:last]}
+            for record, occupant in started:
+                name, mtl = record.task_id, record.mtl_at_dispatch
+                if occupant is not None:
+                    raise MeasurementError(
+                        f"context {record.context_id} ran "
+                        f"{occupant.task_id!r} and {name!r} concurrently"
+                    )
+                live = in_flight + (record.end == record.start)
+                if record.is_memory and live > mtl:
+                    raise MeasurementError(
+                        f"memory task {name!r} started with {live} memory "
+                        f"tasks in flight, over its MTL {mtl}"
+                    )
+                if mtl not in in_force:
+                    raise MeasurementError(
+                        f"task {name!r} ran under MTL {mtl}, not in force "
+                        f"at {time!r}"
                     )

@@ -3,9 +3,9 @@
 The main thread of the paper's runtime "enqueues all the memory and
 compute tasks into the work queue, and sets up the dependency between
 tasks" (Section V).  :class:`TaskGraph` is that dependency structure:
-a validated DAG over :class:`~repro.stream.task.Task` objects with the
-queries a scheduler needs — which tasks are ready given a completed
-set, and a topological order for sequential (functional) execution.
+a validated DAG over :class:`~repro.stream.task.Task` objects with what
+a work queue needs to release tasks as their dependencies complete,
+and a topological order for sequential (functional) execution.
 
 Dependencies are held as *joins*, not edges.  Every task with the
 same ``depends_on`` tuple becomes ready at the same moment, when the
@@ -183,21 +183,6 @@ class TaskGraph:
         # at most one).
         return {tid: index for index, tid in enumerate(self._tasks)}
 
-    def ready_tasks(self, completed: AbstractSet[str]) -> List[Task]:
-        """Tasks whose dependencies are all in ``completed``.
-
-        Already-completed tasks are excluded.  The result preserves
-        insertion (enqueue) order, matching the FIFO work queue of the
-        paper's runtime.
-        """
-        ready = []
-        for task in self._tasks.values():
-            if task.task_id in completed:
-                continue
-            if all(dep in completed for dep in task.depends_on):
-                ready.append(task)
-        return ready
-
     def root_tasks(self) -> List[Task]:
         """Dependency-free tasks in topological (enqueue) order.
 
@@ -239,30 +224,3 @@ class TaskGraph:
             )
             raise TaskGraphError(f"dependency cycle involving tasks {stuck}")
         return order
-
-    def critical_path_ids(self) -> List[str]:
-        """Longest dependency chain, by task count.
-
-        Useful for diagnosing workloads whose parallelism is too
-        shallow to benefit from throttling.
-        """
-        depth: Dict[str, int] = {}
-        parent: Dict[str, str] = {}
-        for task in self._order:
-            best_dep = None
-            best = 0
-            for dep in task.depends_on:
-                if depth[dep] >= best:
-                    best = depth[dep]
-                    best_dep = dep
-            depth[task.task_id] = best + 1
-            if best_dep is not None:
-                parent[task.task_id] = best_dep
-        if not depth:
-            return []
-        tail = max(depth, key=lambda tid: depth[tid])
-        path = [tail]
-        while path[-1] in parent:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path

@@ -1,4 +1,4 @@
-"""Known-bad: a declared field written through a constructor-bound local."""
+"""Known-bad: declared fields stored through a constructor-bound local."""
 
 from repro.sim.running import RunningTask
 
@@ -8,5 +8,7 @@ __all__ = ["dispatch"]
 def dispatch(population, core_id, demand):
     rt = RunningTask(core_id, demand, 0.0)
     rt.work_uses_cpu = True
+    rt.core_id += 1
+    rt.demand, spare = divmod(demand, 2)
     population.append(rt)
-    return rt
+    return rt, spare

@@ -9,7 +9,9 @@ in ``tests/runtime/test_parallel.py``; this file owns the rejections.
 
 import pytest
 
+from repro.core.registry import policy_names
 from repro.errors import ConfigurationError, WorkloadError
+from repro.runtime import parallel
 from repro.runtime.parallel import (
     SweepPoint,
     build_machine_from_spec,
@@ -296,3 +298,18 @@ class TestValidSpecsStillBuild:
             {"kind": "dynamic", "window_pairs": 8}, i7_860()
         )
         assert policy.name
+
+
+class TestSpecVocabularyTable:
+    def test_docstring_table_names_everything_the_parser_accepts(self):
+        # Pinned like docs/telemetry.md to EVENT_SCHEMAS: every workload
+        # kind, machine preset, spec key and registered policy.
+        table = parallel.__doc__.split("Spec vocabulary", 1)[1]
+        keys = set(parallel._LLC_KEYS)
+        for kind, accepted in parallel._WORKLOAD_KEYS.items():
+            keys |= {kind} | accepted
+        for preset, (_, accepted) in parallel._MACHINE_PRESETS.items():
+            keys |= {preset} | accepted
+        missing = sorted(key for key in keys if f'"{key}"' not in table)
+        missing += [name for name in policy_names() if f"``{name}``" not in table]
+        assert missing == []

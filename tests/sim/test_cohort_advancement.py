@@ -65,7 +65,7 @@ POLICIES = {
 
 def run_both(machine_factory, program, policy_name, seed, preference):
     """The default loop's result and the reference loop's, run on one
-    machine, reference first."""
+    machine, reference first, each verified against the graph."""
     machine = machine_factory()
     results = {}
     for batching in (False, True):
@@ -77,6 +77,7 @@ def run_both(machine_factory, program, policy_name, seed, preference):
         )
         policy = POLICIES[policy_name](machine.context_count)
         results[batching] = simulator.run(program, policy)
+        results[batching].verify(program.to_task_graph())
     return results[True], results[False]
 
 
@@ -155,7 +156,9 @@ class TestVetoDispatch:
                 dispatch_preference=preference,
                 cohort_batching=batching,
             )
-            runs[batching] = (simulator.run(two_phase(), policy), policy.consulted)
+            program = two_phase()
+            runs[batching] = (simulator.run(program, policy), policy.consulted)
+            runs[batching][0].verify(program.to_task_graph())
         return runs[True], runs[False]
 
     @pytest.mark.parametrize("preference", ["compute-first", "memory-first"])

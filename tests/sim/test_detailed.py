@@ -51,21 +51,23 @@ class TestValidation:
 
 class TestExecution:
     def test_all_tasks_complete_consistently(self):
-        result = DetailedSimulator().run(program(pairs=6), FixedMtlPolicy(2))
+        stream = program(pairs=6)
+        result = DetailedSimulator().run(stream, FixedMtlPolicy(2))
         assert result.task_count == 12
-        result.verify_consistency()
+        result.verify(stream.to_task_graph())
 
     def test_mtl_gate_respected(self):
-        result = DetailedSimulator().run(program(pairs=8), FixedMtlPolicy(2))
-        assert result.peak_memory_concurrency() <= 2
+        stream = program(pairs=8)
+        result = DetailedSimulator().run(stream, FixedMtlPolicy(2))
+        result.verify(stream.to_task_graph())
+        assert result.peak_memory_concurrency() == 2
 
     def test_phase_barriers_respected(self):
-        result = DetailedSimulator().run(
-            program(pairs=4, phases=2), FixedMtlPolicy(2)
+        # The barrier is one join of the graph, which ``verify`` checks.
+        stream = program(pairs=4, phases=2)
+        DetailedSimulator().run(stream, FixedMtlPolicy(2)).verify(
+            stream.to_task_graph()
         )
-        phase0_end = max(r.end for r in result.records if r.phase_index == 0)
-        phase1_start = min(r.start for r in result.records if r.phase_index == 1)
-        assert phase1_start >= phase0_end - 1e-12
 
     def test_deterministic(self):
         a = DetailedSimulator().run(program(), FixedMtlPolicy(2))

@@ -7,7 +7,6 @@ from repro.sim.machine import i7_860
 from repro.sim.scheduler import FixedMtlPolicy
 from repro.sim.simulator import Simulator
 from repro.stream.program import StreamProgram, build_phase
-from repro.stream.task import TaskKind
 
 
 def program(pairs=16, requests=8192, t_c=1e-3):
@@ -25,9 +24,10 @@ class TestKnob:
     def test_both_orders_complete_all_work(self):
         for preference in ("compute-first", "memory-first"):
             sim = Simulator(i7_860(), dispatch_preference=preference)
-            result = sim.run(program(), FixedMtlPolicy(2))
+            stream = program()
+            result = sim.run(stream, FixedMtlPolicy(2))
             assert result.task_count == 32
-            result.verify_consistency()
+            result.verify(stream.to_task_graph())
 
     def test_memory_first_starts_memory_earlier_after_a_pair(self):
         # With one context eligible for both a ready compute task and a
@@ -47,11 +47,8 @@ class TestKnob:
         assert cf_placement != mf_placement
         # ...but both respect the MTL gate.
         for result in (compute_first, memory_first):
-            memory = [r for r in result.records if r.kind is TaskKind.MEMORY]
-            points = sorted({r.start for r in memory} | {r.end for r in memory})
-            for begin, end in zip(points, points[1:]):
-                mid = (begin + end) / 2
-                assert sum(1 for r in memory if r.start <= mid < r.end) <= 1
+            result.verify(program().to_task_graph())
+            assert result.peak_memory_concurrency() == 1
 
     def test_makespans_are_close_either_way(self):
         # The ablation benchmark quantifies the gap; here we only pin

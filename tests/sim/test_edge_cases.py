@@ -26,31 +26,28 @@ class TestDegenerateShapes:
         program = StreamProgram("one", [build_phase("p", 0, 1, 1024, 1e-4)])
         result = simulate(program, FixedMtlPolicy(1))
         assert result.task_count == 2
-        # Fully serial: memory then compute on one context.
-        memory, compute = sorted(result.records, key=lambda r: r.start)
-        assert memory.is_memory and not compute.is_memory
-        assert compute.start >= memory.end - 1e-15
+        result.verify(program.to_task_graph())  # memory, then compute
 
     def test_fewer_pairs_than_cores(self):
         program = StreamProgram("two", [build_phase("p", 0, 2, 1024, 1e-4)])
         result = simulate(program, conventional_policy(4))
         used = {r.context_id for r in result.records}
         assert len(used) <= 2
-        result.verify_consistency()
+        result.verify(program.to_task_graph())
 
     def test_single_core_machine_serialises_everything(self):
         machine = single_core_machine()
         program = StreamProgram("uni", [build_phase("p", 0, 4, 1024, 1e-4)])
         result = Simulator(machine).run(program, FixedMtlPolicy(1))
-        timeline = result.context_timeline(0)
-        assert len(timeline) == 8
+        result.verify(program.to_task_graph())
+        assert {r.context_id for r in result.records} == {0}
         assert result.utilization() == pytest.approx(1.0, abs=1e-6)
 
     def test_many_tiny_pairs(self):
         program = StreamProgram("tiny", [build_phase("p", 0, 200, 1, 1e-7)])
         result = simulate(program, FixedMtlPolicy(2))
         assert result.task_count == 400
-        result.verify_consistency()
+        result.verify(program.to_task_graph())
 
     def test_extreme_ratio_values(self):
         for ratio in (0.001, 100.0):

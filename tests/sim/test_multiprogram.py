@@ -109,21 +109,13 @@ class TestCoSchedule:
     def test_global_mtl_gate_spans_programs(self):
         # Two memory-hungry programs under a global MTL=1: never more
         # than one memory task in flight across the whole mix.
-        result = co_schedule(
-            [program("a", 2.0, pairs=8, phases=1),
-             program("b", 2.0, pairs=8, phases=1)],
-            FixedMtlPolicy(1),
-            machine=i7_860(),
-        )
-        memory = [r for r in result.combined.records if r.is_memory]
-        boundaries = sorted({r.start for r in memory} | {r.end for r in memory})
-        for begin, end in zip(boundaries, boundaries[1:]):
-            midpoint = (begin + end) / 2
-            live = sum(1 for r in memory if r.start <= midpoint < r.end)
-            assert live <= 1
+        mix = [program("a", 2.0, pairs=8, phases=1),
+               program("b", 2.0, pairs=8, phases=1)]
+        result = co_schedule(mix, FixedMtlPolicy(1), machine=i7_860())
+        result.combined.verify(merge_programs(mix)[0])
+        assert result.combined.peak_memory_concurrency() == 1
 
     def test_combined_result_is_consistent(self):
-        result = co_schedule(
-            [program("a", 0.3), program("b", 0.7)], FixedMtlPolicy(2)
-        )
-        result.combined.verify_consistency()
+        mix = [program("a", 0.3), program("b", 0.7)]
+        result = co_schedule(mix, FixedMtlPolicy(2))
+        result.combined.verify(merge_programs(mix)[0])

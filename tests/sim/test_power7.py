@@ -1,7 +1,5 @@
 """Tests for the POWER7-class machine preset (the paper's future work)."""
 
-import pytest
-
 from repro.sim.machine import i7_860
 from repro.sim.power7 import power7
 from repro.sim.scheduler import FixedMtlPolicy, conventional_policy
@@ -39,18 +37,13 @@ class TestPreset:
 class TestExecution:
     def test_conventional_run_uses_all_contexts(self):
         machine = power7()
-        result = Simulator(machine).run(
-            synthetic(pairs=128), conventional_policy(32)
-        )
+        program = synthetic(pairs=128)
+        result = Simulator(machine).run(program, conventional_policy(32))
         assert {r.context_id for r in result.records} == set(range(32))
-        result.verify_consistency()
+        result.verify(program.to_task_graph())
 
     def test_throttling_still_constrains_memory(self):
-        machine = power7()
-        result = Simulator(machine).run(synthetic(pairs=64), FixedMtlPolicy(4))
-        memory = [r for r in result.records if r.is_memory]
-        boundaries = sorted({r.start for r in memory} | {r.end for r in memory})
-        for begin, end in zip(boundaries, boundaries[1:]):
-            midpoint = (begin + end) / 2
-            concurrent = sum(1 for r in memory if r.start <= midpoint < r.end)
-            assert concurrent <= 4
+        program = synthetic(pairs=64)
+        result = Simulator(power7()).run(program, FixedMtlPolicy(4))
+        result.verify(program.to_task_graph())
+        assert result.peak_memory_concurrency() == 4

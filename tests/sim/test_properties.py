@@ -1,11 +1,11 @@
 """Property-based tests of the simulation loop.
 
 Hypothesis generates random (but valid) stream programs, machines,
-and static MTLs; every run must satisfy the scheduler's structural
-invariants and the physics' bounds, regardless of the parameters.
+and static MTLs; every run must pass ``SimulationResult.verify`` (the
+gate, the barriers, one task per context) and the physics' bounds,
+regardless of the parameters.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.budget import ActivationBudgetPolicy
@@ -14,7 +14,6 @@ from repro.sim.machine import i7_860
 from repro.sim.scheduler import FixedMtlPolicy
 from repro.sim.simulator import Simulator
 from repro.stream.program import StreamProgram, build_phase
-from repro.stream.task import TaskKind
 
 
 @st.composite
@@ -39,14 +38,33 @@ def machine_and_mtl(draw):
     return machine, mtl
 
 
+def run(simulator, program, policy):
+    """Run ``program`` and verify the result against its graph."""
+    result = simulator.run(program, policy)
+    result.verify(program.to_task_graph())
+    return result
+
+
+def midpoint_profile(result):
+    """The memory-concurrency profile as first written, kept as a
+    reference: every memory record recounted at each boundary midpoint."""
+    memory = [r for r in result.records if r.is_memory]
+    boundaries = sorted({r.start for r in memory} | {r.end for r in memory})
+    profile = []
+    for begin, end in zip(boundaries, boundaries[1:]):
+        midpoint = (begin + end) / 2
+        live = sum(1 for r in memory if r.start <= midpoint < r.end)
+        profile.append((begin, end, live))
+    return profile
+
+
 @settings(max_examples=40, deadline=None)
 @given(program=programs(), setup=machine_and_mtl())
 def test_property_every_run_is_structurally_consistent(program, setup):
     machine, mtl = setup
-    result = Simulator(machine).run(program, FixedMtlPolicy(mtl))
-    # Every task completes exactly once; no context overlaps.
+    # Every task completes exactly once, and ``verify`` passes.
+    result = run(Simulator(machine), program, FixedMtlPolicy(mtl))
     assert result.task_count == 2 * program.total_pairs
-    result.verify_consistency()
 
 
 def make_policy(kind, machine, mtl):
@@ -79,27 +97,20 @@ def test_property_mtl_gate_never_violated(
         dispatch_preference=preference,
         cohort_batching=cohort_batching,
     )
-    result = simulator.run(program, make_policy(policy_kind, machine, mtl))
+    # ``verify`` checks each memory dispatch against the limit it was
+    # granted under: adaptive policies move it, never preempting.
+    result = run(simulator, program, make_policy(policy_kind, machine, mtl))
     if policy_kind == "fixed":
         assert result.peak_memory_concurrency() <= mtl
-    # Adaptive policies move the limit, and lowering it never preempts,
-    # so check each memory dispatch against the limit it was granted
-    # under: the memory tasks in flight at its start, itself included.
-    memory = [r for r in result.records if r.is_memory]
-    for record in memory:
-        in_flight = 1 + sum(
-            1
-            for other in memory
-            if other is not record and other.start <= record.start < other.end
-        )
-        assert in_flight <= record.mtl_at_dispatch
+    # The sweep's profile is the midpoint reference's, SMT on and off.
+    assert result.memory_concurrency_profile() == midpoint_profile(result)
 
 
 @settings(max_examples=40, deadline=None)
 @given(program=programs(), setup=machine_and_mtl())
 def test_property_makespan_respects_work_bounds(program, setup):
     machine, mtl = setup
-    result = Simulator(machine).run(program, FixedMtlPolicy(mtl))
+    result = run(Simulator(machine), program, FixedMtlPolicy(mtl))
 
     # Lower bound 1: total compute work cannot be parallelised beyond
     # the context count (memory time only adds).
@@ -130,27 +141,12 @@ def test_property_makespan_respects_work_bounds(program, setup):
 
 
 @settings(max_examples=30, deadline=None)
-@given(program=programs(), setup=machine_and_mtl())
-def test_property_phase_barriers_hold(program, setup):
-    machine, mtl = setup
-    result = Simulator(machine).run(program, FixedMtlPolicy(mtl))
-    for phase_index in range(1, len(program.phases)):
-        previous_end = max(
-            r.end for r in result.records if r.phase_index == phase_index - 1
-        )
-        this_start = min(
-            r.start for r in result.records if r.phase_index == phase_index
-        )
-        assert this_start >= previous_end - 1e-12
-
-
-@settings(max_examples=30, deadline=None)
 @given(program=programs())
 def test_property_tighter_throttle_never_speeds_memory_tasks_up(program):
     """Mean memory-task time is non-decreasing in the MTL."""
     machine = i7_860()
     means = []
     for mtl in (1, 4):
-        result = Simulator(machine).run(program, FixedMtlPolicy(mtl))
+        result = run(Simulator(machine), program, FixedMtlPolicy(mtl))
         means.append(result.mean_memory_duration())
     assert means[0] <= means[1] + 1e-12

@@ -27,6 +27,13 @@ def manual_result(records, changes=None, contexts=2):
     )
 
 
+def untimed_result():
+    return SimulationResult(
+        program_name="p", machine_name="m", policy_name="pol",
+        context_count=1, records=(), mtl_changes=(),
+    )
+
+
 class TestTaskRecord:
     def test_duration(self):
         r = record("a", TaskKind.MEMORY, 0, 1.0, 3.0)
@@ -103,33 +110,39 @@ class TestMtlTimeline:
         assert result.final_mtl() == 1
 
     def test_dominant_mtl_requires_timeline(self):
-        result = SimulationResult(
-            program_name="p", machine_name="m", policy_name="pol",
-            context_count=1, records=(), mtl_changes=(),
-        )
-        with pytest.raises(MeasurementError):
-            result.dominant_mtl()
+        with pytest.raises(MeasurementError, match="no MTL timeline"):
+            untimed_result().dominant_mtl()
+
+    def test_final_mtl_requires_timeline(self):
+        with pytest.raises(MeasurementError, match="no MTL timeline"):
+            untimed_result().final_mtl()
 
 
 class TestConsistencyChecks:
+    # Two pairs, run on two contexts at MTL 2.
+    PROGRAM = StreamProgram("p", [build_phase("p", 0, 2, 2048, 1e-4)])
+
     def test_detects_duplicate_records(self):
         result = manual_result([
-            record("m", TaskKind.MEMORY, 0, 0.0, 1.0),
-            record("m", TaskKind.MEMORY, 1, 0.0, 1.0),
+            record("M[0.0]", TaskKind.MEMORY, 0, 0.0, 1.0, mtl=2),
+            record("M[0.0]", TaskKind.MEMORY, 1, 0.0, 1.0, mtl=2),
         ])
-        with pytest.raises(MeasurementError):
-            result.verify_consistency()
+        with pytest.raises(MeasurementError, match=r"'M\[0\.0\]' recorded twice"):
+            result.verify(self.PROGRAM.to_task_graph())
 
     def test_detects_context_overlap(self):
         result = manual_result([
-            record("a", TaskKind.MEMORY, 0, 0.0, 2.0),
-            record("b", TaskKind.COMPUTE, 0, 1.0, 3.0),
+            record("M[0.0]", TaskKind.MEMORY, 0, 0.0, 2.0, mtl=2),
+            record("M[0.1]", TaskKind.MEMORY, 0, 1.0, 3.0, mtl=2),
+            record("C[0.0]", TaskKind.COMPUTE, 1, 2.0, 3.0, mtl=2),
+            record("C[0.1]", TaskKind.COMPUTE, 1, 3.0, 4.0, mtl=2),
         ])
-        with pytest.raises(MeasurementError):
-            result.verify_consistency()
+        with pytest.raises(MeasurementError, match="context 0 ran .* concurrently"):
+            result.verify(self.PROGRAM.to_task_graph())
 
     def test_real_simulation_is_consistent(self):
         program = StreamProgram(
             "p", [build_phase("p", 0, 12, 2048, 1e-4)]
         )
-        simulate(program, FixedMtlPolicy(2)).verify_consistency()
+        simulate(program, FixedMtlPolicy(2)).verify(program.to_task_graph())
+

@@ -9,7 +9,6 @@ from repro.sim.noise import GaussianNoise
 from repro.sim.scheduler import FixedMtlPolicy, conventional_policy
 from repro.sim.simulator import Simulator, simulate
 from repro.stream.program import StreamProgram, build_phase
-from repro.stream.task import TaskKind
 
 REQUESTS = 8192  # one 0.5 MB footprint of 64 B lines
 
@@ -81,34 +80,27 @@ class TestSteadyState:
 
 
 class TestSchedulingInvariants:
+    # ``verify`` checks coverage, dependencies, contexts and the gate.
     def test_all_tasks_complete_exactly_once(self):
-        result = simulate(synthetic(0.5, pairs=16), FixedMtlPolicy(2))
+        program = synthetic(0.5, pairs=16)
+        result = simulate(program, FixedMtlPolicy(2))
         assert result.task_count == 32
-        result.verify_consistency()
+        result.verify(program.to_task_graph())
 
     @pytest.mark.parametrize("mtl", [1, 2, 3, 4])
     def test_memory_concurrency_never_exceeds_mtl(self, mtl):
-        result = simulate(synthetic(1.0, pairs=16), FixedMtlPolicy(mtl))
-        memory_records = [r for r in result.records if r.kind is TaskKind.MEMORY]
-        boundaries = sorted(
-            {r.start for r in memory_records} | {r.end for r in memory_records}
-        )
-        for begin, end in zip(boundaries, boundaries[1:]):
-            midpoint = (begin + end) / 2
-            concurrent = sum(
-                1 for r in memory_records if r.start <= midpoint < r.end
-            )
-            assert concurrent <= mtl
+        program = synthetic(1.0, pairs=16)
+        result = simulate(program, FixedMtlPolicy(mtl))
+        result.verify(program.to_task_graph())
+        assert result.peak_memory_concurrency() == mtl
 
     def test_phase_barrier_is_respected(self):
-        result = simulate(synthetic(0.5, pairs=8, phases=2), FixedMtlPolicy(2))
-        phase0_end = max(r.end for r in result.records if r.phase_index == 0)
-        phase1_start = min(r.start for r in result.records if r.phase_index == 1)
-        assert phase1_start >= phase0_end - 1e-12
+        program = synthetic(0.5, pairs=8, phases=2)
+        simulate(program, FixedMtlPolicy(2)).verify(program.to_task_graph())
 
     def test_contexts_never_run_two_tasks_at_once(self):
-        result = simulate(synthetic(0.7, pairs=24), FixedMtlPolicy(3))
-        result.verify_consistency()
+        program = synthetic(0.7, pairs=24)
+        simulate(program, FixedMtlPolicy(3)).verify(program.to_task_graph())
 
     def test_compute_follows_its_memory_task(self):
         result = simulate(synthetic(0.5, pairs=8), FixedMtlPolicy(2))

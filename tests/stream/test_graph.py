@@ -62,30 +62,6 @@ class TestQueries:
         with pytest.raises(TaskGraphError):
             graph.dependents("ghost")
 
-    def test_ready_tasks_initially_only_roots(self):
-        graph = TaskGraph(chain(3))
-        assert [t.task_id for t in graph.ready_tasks(frozenset())] == ["M0"]
-
-    def test_ready_tasks_after_completion(self):
-        graph = TaskGraph(chain(2))
-        ready = graph.ready_tasks(frozenset({"M0"}))
-        assert [t.task_id for t in ready] == ["C0"]
-
-    def test_ready_tasks_excludes_completed(self):
-        graph = TaskGraph(chain(1))
-        assert graph.ready_tasks(frozenset({"M0", "C0"})) == []
-
-    def test_independent_pairs_all_memory_tasks_ready(self):
-        tasks = []
-        for i in range(4):
-            tasks.append(memory_task(f"M{i}", requests=10))
-            tasks.append(
-                compute_task(f"C{i}", cpu_seconds=1e-3, depends_on=(f"M{i}",))
-            )
-        graph = TaskGraph(tasks)
-        ready_ids = {t.task_id for t in graph.ready_tasks(frozenset())}
-        assert ready_ids == {"M0", "M1", "M2", "M3"}
-
 
 class TestOrdering:
     def test_topological_order_respects_dependencies(self):
@@ -96,22 +72,7 @@ class TestOrdering:
             for dep in task.depends_on:
                 assert position[dep] < position[task.task_id]
 
-    def test_critical_path_of_chain_is_whole_chain(self):
-        graph = TaskGraph(chain(3))
-        assert graph.critical_path_ids() == ["M0", "C0", "M1", "C1", "M2", "C2"]
-
-    def test_critical_path_of_parallel_pairs_is_one_pair(self):
-        tasks = [
-            memory_task("M0", requests=10),
-            compute_task("C0", cpu_seconds=1e-3, depends_on=("M0",)),
-            memory_task("M1", requests=10),
-            compute_task("C1", cpu_seconds=1e-3, depends_on=("M1",)),
-        ]
-        path = TaskGraph(tasks).critical_path_ids()
-        assert len(path) == 2
-
     def test_empty_graph(self):
         graph = TaskGraph([])
         assert len(graph) == 0
         assert graph.topological_order() == []
-        assert graph.critical_path_ids() == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import ConfigurationError
 from repro.stream.program import ProgramPhase, StreamProgram, build_phase
 
 
@@ -111,8 +111,8 @@ class TestTaskGraphConversion:
 
     def test_first_phase_memory_tasks_are_roots(self):
         graph = two_phase_program().to_task_graph()
-        ready = {t.task_id for t in graph.ready_tasks(frozenset())}
-        assert ready == {f"M[0.{i}]" for i in range(4)}
+        roots = {t.task_id for t in graph.root_tasks()}
+        assert roots == {f"M[0.{i}]" for i in range(4)}
 
     def test_graph_is_acyclic_and_orderable(self):
         order = two_phase_program().to_task_graph().topological_order()
