@@ -121,7 +121,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.telemetry import TELEMETRY_SCHEMA_VERSION, TelemetryWriter
 from repro.sim.machine import Machine, i7_860
-from repro.sim.noise import noise_for_seed
+from repro.sim.noise import noise_for_seed, seeded_generator
 from repro.sim.power7 import power7
 from repro.sim.scheduler import SchedulingPolicy
 from repro.sim.simulator import Simulator
@@ -342,8 +342,8 @@ class SweepPoint:
         workload: Workload spec (see module docstring).
         machine: Machine spec; defaults to the paper's 1-DIMM i7-860.
         policy: Policy spec; defaults to the conventional baseline.
-        seed: Noise seed; ``None`` runs noise-free (the deterministic
-            evaluation mode every figure uses).
+        seed: Noise seed, a non-negative int; ``None`` runs noise-free
+            (the deterministic evaluation mode every figure uses).
         label: Free-form caller bookkeeping carried into telemetry.
             Deliberately **excluded** from the cache key: two labels
             for the same configuration share one cached result.
@@ -359,8 +359,13 @@ class SweepPoint:
         object.__setattr__(self, "workload", _frozen(self.workload))
         object.__setattr__(self, "machine", _frozen(self.machine))
         object.__setattr__(self, "policy", _frozen(self.policy))
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise ConfigurationError(f"seed must be an int or None, got {self.seed!r}")
+        seed = self.seed
+        if seed is not None and (
+            isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
+        ):
+            raise ConfigurationError(
+                f"seed must be a non-negative int or None, got {seed!r}"
+            )
 
     def describe(self) -> Dict[str, Any]:
         """The content that addresses this point (label excluded)."""
@@ -857,6 +862,11 @@ class SweepExecutor:
         inflight: Dict[Future, List[int]] = {}
         deadlines: Dict[Future, float] = {}
         capacity = min(self.jobs, len(pending))
+        if any(points[index].seed is not None for index in pending):
+            # Seeded points need numpy.  Load it here, once, so the
+            # workers forked below (and any respawned pool) inherit it
+            # instead of each importing it.
+            seeded_generator(0)
         pool = ProcessPoolExecutor(max_workers=capacity)
         hang = self.fault_plan.hang_seconds if self.fault_plan is not None else 0.0
         unattributed_breaks = 0

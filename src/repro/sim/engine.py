@@ -57,8 +57,8 @@ _COMPLETION_EPSILON = 1e-9
 #: The memo lives as long as its machine, across every point a process
 #: runs on it, so it needs a bound.  On the SMT i7-860 one point of
 #: the e2ebench ``policy-mix-smt`` workload needs up to 4,028 entries,
-#: and its 70 points 10,348; at about 1 KB an entry, 8,192 keeps most
-#: of that reuse in about 8 MB (``docs/performance.md`` gives the
+#: and its 70 points 10,348; at about 600 B an entry, 8,192 keeps most
+#: of that reuse in about 5 MB (``docs/performance.md`` gives the
 #: measurements).
 MEMO_ENTRIES = 8192
 
@@ -189,6 +189,11 @@ def snapshot_key(running: Sequence[RunningTask]) -> Tuple:
 class RateSnapshot:
     """Rates for the current running population, by position.
 
+    Slotted by hand (``dataclass(slots=True)`` needs Python 3.10),
+    since a calculator's memo holds thousands of these.  A frozen
+    slotted instance does not unpickle, and none needs to: a pickled
+    machine drops its calculator.
+
     Attributes:
         speeds: Work units per second of each running task, in
             population order.
@@ -199,6 +204,8 @@ class RateSnapshot:
         memory_concurrency: Effective memory concurrency behind that
             latency.
     """
+
+    __slots__ = ("speeds", "cpu_rates", "request_latency", "memory_concurrency")
 
     speeds: Tuple[float, ...]
     cpu_rates: Tuple[float, ...]
@@ -230,6 +237,9 @@ class RateCalculator:
         self._memory = memory
         self._max_entries = max_entries
         self._memo: Dict[Tuple, RateSnapshot] = {}
+        # One tuple per distinct ``cpu_rates`` value, shared by every
+        # snapshot that has it; cleared with the memo.
+        self._shared_rates: Dict[Tuple[float, ...], Tuple[float, ...]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -267,20 +277,26 @@ class RateCalculator:
             self.hits += 1
             return cached
         self.misses += 1
-        snap = self.compute_snapshot(running)
         if len(self._memo) >= self._max_entries:
             # Populations recur in tight cycles; overflowing the table
             # means the working set outgrew it — start over rather than
             # track recency on the per-event path.
             self._memo.clear()
+            self._shared_rates.clear()
+        snap = self.compute_snapshot(running)
         self._memo[key] = snap
         return snap
 
     def compute_snapshot(self, running: Iterable[RunningTask]) -> RateSnapshot:
-        """The cold path: compute a snapshot without touching the memo."""
+        """The cold path: compute a snapshot without touching the memo.
+
+        Its ``cpu_rates`` tuple is the calculator's shared one for that
+        value, so equal rates cost one tuple however many snapshots
+        hold them."""
         if not isinstance(running, (list, tuple)):
             running = list(running)
         cpu_rates = self._cpu_rates(running)
+        cpu_rates = self._shared_rates.setdefault(cpu_rates, cpu_rates)
 
         demands = []
         for rt, rate in zip(running, cpu_rates):

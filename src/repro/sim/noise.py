@@ -11,19 +11,47 @@ overhead per task.
 
 All noise is deterministic given the seed, so experiments are exactly
 repeatable.
+
+numpy is imported by :func:`seeded_generator`, on the first seeded
+stream a process builds, and not with this module: the noise-free
+runs behind Figure 13 and the model checks never load it.  Parameters
+are validated before that import, so a bad seed or a non-finite
+parameter fails as a :class:`~repro.errors.ConfigurationError` naming
+its field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
 from repro.units import MICROSECONDS
 
-__all__ = ["NoiseModel", "ZeroNoise", "GaussianNoise", "noise_for_seed"]
+if TYPE_CHECKING:
+    import numpy
+
+__all__ = [
+    "NoiseModel",
+    "ZeroNoise",
+    "GaussianNoise",
+    "noise_for_seed",
+    "seeded_generator",
+]
+
+
+def seeded_generator(seed: int) -> "numpy.random.Generator":
+    """numpy's default generator seeded with ``seed``, the stream
+    behind every :class:`GaussianNoise`.
+
+    numpy is imported here, at the first call, not with this module.
+    A pool parent calls this before forking workers for seeded points,
+    so they inherit numpy instead of each importing it.
+    """
+    import numpy
+
+    return numpy.random.default_rng(seed)
 
 
 @runtime_checkable
@@ -61,7 +89,8 @@ class GaussianNoise:
     ~1 us dequeue-and-lock cost per task.
 
     Attributes:
-        seed: RNG seed; equal seeds give identical noise streams.
+        seed: RNG seed, a non-negative int; equal seeds give identical
+            noise streams.
         sigma: Relative standard deviation of task-duration jitter.
         spike_probability: Chance a task absorbs an OS-noise spike
             (daemon wakeup, interrupt storm) that inflates it.
@@ -76,21 +105,20 @@ class GaussianNoise:
     overhead_seconds: float = 1.0 * MICROSECONDS
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ConfigurationError(f"sigma must be non-negative, got {self.sigma}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative int, got {seed!r}")
+        for name in ("sigma", "spike_magnitude", "overhead_seconds"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
         if not 0.0 <= self.spike_probability <= 1.0:
             raise ConfigurationError(
                 f"spike_probability must be in [0, 1], got {self.spike_probability}"
             )
-        if self.spike_magnitude < 0:
-            raise ConfigurationError(
-                f"spike_magnitude must be non-negative, got {self.spike_magnitude}"
-            )
-        if self.overhead_seconds < 0:
-            raise ConfigurationError(
-                f"overhead_seconds must be non-negative, got {self.overhead_seconds}"
-            )
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = seeded_generator(seed)
 
     def duration_factor(self) -> float:
         factor = 1.0 + self.sigma * float(self._rng.standard_normal())

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.model import AnalyticalModel, predict_speedup_curve
 from repro.errors import ModelError
-from repro.memory.contention import LinearContentionModel, nehalem_ddr3_contention
+from repro.memory.contention import nehalem_ddr3_contention
 
 QUAD = AnalyticalModel(core_count=4)
 

@@ -7,7 +7,6 @@ from repro.core.throttle import DynamicThrottlingPolicy
 from repro.errors import ConfigurationError
 from repro.sim.machine import i7_860
 from repro.sim.noise import GaussianNoise
-from repro.sim.scheduler import conventional_policy
 from repro.sim.simulator import simulate
 from repro.stream.program import StreamProgram, build_phase
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.model import predict_speedup_curve
-from repro.core.regions import SMtlRegion, s_mtl_regions
+from repro.core.regions import s_mtl_regions
 from repro.errors import ModelError
 from repro.memory.contention import (
     LinearContentionModel,

@@ -1,7 +1,5 @@
 """Unit tests of the throttler's internal machinery."""
 
-import pytest
-
 from repro.core.throttle import DynamicThrottlingPolicy, PairAssembler
 from repro.sim.events import TaskRecord
 from repro.sim.simulator import simulate

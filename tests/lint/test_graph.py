@@ -8,10 +8,7 @@ builder never crashes and never fabricates an edge it cannot justify.
 
 import ast
 import json
-import pathlib
 import textwrap
-
-import pytest
 
 from repro.lint import LintEngine, build_rules
 from repro.lint.graph import ArgRef, ProjectGraph, extract_summary

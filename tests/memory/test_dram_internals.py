@@ -1,7 +1,5 @@
 """Tests of the DRAM controller's internal mechanisms."""
 
-import pytest
-
 from repro.memory.dram import AddressMapper, DramSimulator
 from repro.memory.timing import DDR3_1066
 

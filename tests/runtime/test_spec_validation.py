@@ -271,6 +271,25 @@ class TestPolicySpecRejections:
         assert "'kind'" in str(error.value)  # the one accepted key
 
 
+#: Seeds a point rejects.  -1 used to die in numpy with a bare
+#: ``ValueError`` (aborting a pool sweep), and ``True`` ran as seed 1
+#: under another cache key.
+INVALID_SEEDS = [
+    pytest.param(-1, id="negative"),
+    pytest.param(True, id="bool-true"),
+    pytest.param(False, id="bool-false"),
+    pytest.param(1.0, id="float"),
+    pytest.param("1", id="str"),
+]
+
+
+class TestSeedRejections:
+    @pytest.mark.parametrize("seed", INVALID_SEEDS)
+    def test_seed_is_named(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            SweepPoint({"kind": "synthetic", "ratio": 1.0, "pairs": 4}, seed=seed)
+
+
 class TestValidSpecsStillBuild:
     """Strict validation must not reject the documented vocabulary."""
 

@@ -291,6 +291,40 @@ class TestMemoBounds:
             make_calculator(max_entries=0)
 
 
+class TestSharedCpuRates:
+    """Snapshots with equal ``cpu_rates`` hold one tuple, and the table
+    of shared tuples clears with the memo."""
+
+    #: Populations with distinct keys and equal rates: no core is shared.
+    SHAPES = [
+        [(True, 1, False), (False, 1, False)],
+        [(False, 1, False), (True, 1, False)],
+        [(True, 1, True), (False, 2, False)],
+    ]
+
+    def test_equal_rates_share_one_tuple(self):
+        calc = make_calculator()
+        a, b = (calc.snapshot(build_population(shape)) for shape in self.SHAPES[:2])
+        assert a != b and a.cpu_rates == b.cpu_rates == (1.0, 1.0)
+        assert b.cpu_rates is a.cpu_rates
+        cold = calc.compute_snapshot(build_population(self.SHAPES[2]))
+        assert cold.cpu_rates is a.cpu_rates
+
+    def test_table_clears_with_the_memo(self):
+        calc = make_calculator(max_entries=2)
+        first, second, third = (
+            calc.snapshot(build_population(shape)) for shape in self.SHAPES
+        )
+        assert second.cpu_rates is first.cpu_rates
+        assert calc.cache_info()["entries"] == 1  # the third cleared the memo
+        assert third.cpu_rates == first.cpu_rates
+        assert third.cpu_rates is not first.cpu_rates
+
+    def test_snapshots_are_slotted(self):
+        snap = make_calculator().snapshot(build_population(self.SHAPES[0]))
+        assert not hasattr(snap, "__dict__")
+
+
 class TestOneMemoPerMachine:
     def test_simulators_on_a_machine_share_its_calculator(self):
         machine = i7_860(smt=2)

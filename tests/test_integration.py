@@ -8,8 +8,7 @@ import json
 
 import pytest
 
-from repro.analysis import result_to_dict, series_to_csv
-from repro.analysis.figures import Series
+from repro.analysis import result_to_dict
 from repro.core import (
     AnalyticalModel,
     DynamicThrottlingPolicy,
@@ -19,7 +18,7 @@ from repro.core import (
 )
 from repro.memory.calibration import calibrate_linear_model
 from repro.runtime import characterize, run_suite
-from repro.sim import Simulator, i7_860, simulate
+from repro.sim import i7_860, simulate
 from repro.sim.scheduler import FixedMtlPolicy
 from repro.workloads import streamcluster, synthetic_from_ratio
 from repro.workloads.spec import parse_workload_spec
