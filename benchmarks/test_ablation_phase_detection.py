@@ -24,8 +24,7 @@ import pytest
 from _helpers import run_once, save_artifact
 from repro.analysis import format_percent, format_speedup, render_table
 from repro.core import DynamicThrottlingPolicy, conventional_policy
-from repro.core.phase import PairSample
-from repro.core.selection import MtlSelector
+from repro.core.phase import WindowStats
 from repro.sim import i7_860, simulate
 from repro.stream.program import StreamProgram, build_phase
 from repro.workloads.base import REFERENCE_SOLO_LATENCY
@@ -49,23 +48,16 @@ class NaiveRatioTriggerPolicy(DynamicThrottlingPolicy):
     def name(self) -> str:
         return "naive-ratio-trigger"
 
-    def _monitor(self, sample: PairSample, now: float) -> None:
-        window = self._detector.observe(sample)
-        if window is None:
-            return
+    def _triggers(self, window: WindowStats) -> bool:
         ratio = window.t_m / window.t_c if window.t_c > 0 else float("inf")
         reference = self._reference_ratio
         changed = (
             reference is None
             or abs(ratio - reference) / reference > self._ratio_threshold
         )
-        if not changed:
-            return
-        self._reference_ratio = ratio
-        selector = MtlSelector(self._model)
-        selector.provide(self._mtl, window.t_m, window.t_c)
-        self._pending_trigger_bound = window.idle_bound
-        self._finish_or_continue_selection(selector, now)
+        if changed:
+            self._reference_ratio = ratio
+        return changed
 
 
 def same_bound_program() -> StreamProgram:

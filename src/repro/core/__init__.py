@@ -7,19 +7,25 @@
   detection (Section IV-B).
 * :mod:`repro.core.selection` — binary-search MTL selection over the
   two-candidate pruned space (Section IV-C).
-* :mod:`repro.core.throttle` — the run-time dynamic throttling policy
-  assembling the three pieces.
+* :mod:`repro.core.throttle` — :class:`ProbingPolicy`, the one
+  monitor/trigger/probe/commit loop of the selecting policies, and
+  the run-time dynamic throttling policy (D-MTL) assembling the three
+  pieces on it.
 * :mod:`repro.core.plugin` — the :class:`ThrottlePolicyPlugin`
   protocol every policy implements (setup/update hooks, per-plugin
-  stat registration) and the registration primitives.
+  stat registration), the registration primitives, and
+  :class:`Selection`, the one record every selecting policy keeps per
+  committed MTL.
 * :mod:`repro.core.registry` — the name-keyed policy registry the
   CLI, suite, and experiment layers build policies through.
 * :mod:`repro.core.policies` — the static policies and the Online
   Exhaustive Search baseline.
 * :mod:`repro.core.slowdown` — the per-pair slowdown estimator the
   fairness/QoS policies share.
-* :mod:`repro.core.mise` — MISE-style slowdown-fairness policy.
-* :mod:`repro.core.qos` — slowdown-cap QoS policy.
+* :mod:`repro.core.mise` — MISE-style slowdown-fairness policy: the
+  probing loop plus an alone-probe slowdown fit.
+* :mod:`repro.core.qos` — slowdown-cap QoS policy: MISE with its own
+  selection rule.
 * :mod:`repro.core.budget` — windowed activation-budget throttler
   with per-window context blacklists.
 * :mod:`repro.core.offline` — the Offline Exhaustive Search driver.
@@ -27,11 +33,7 @@
 
 from repro.core.adaptive import AdaptiveWindowThrottlingPolicy
 from repro.core.budget import ActivationBudgetPolicy
-from repro.core.mise import (
-    MiseFairnessPolicy,
-    SlowdownDrivenPolicy,
-    SlowdownSelectionEvent,
-)
+from repro.core.mise import MiseFairnessPolicy
 from repro.core.model import AnalyticalModel, MtlPrediction, predict_speedup_curve
 from repro.core.offline import OfflineSearchOutcome, offline_exhaustive_search
 from repro.core.phase import PairSample, PhaseChangeDetector, WindowStats
@@ -39,6 +41,7 @@ from repro.core.plugin import (
     PolicyEntry,
     PolicyParam,
     PolicyStats,
+    Selection,
     ThrottlePolicyPlugin,
     register_policy,
     registered_policies,
@@ -55,7 +58,6 @@ from repro.core.registry import (
 from repro.core.policies import (
     FixedMtlPolicy,
     OnlineExhaustivePolicy,
-    OnlineSelectionEvent,
     conventional_policy,
 )
 from repro.core.selection import MtlDecision, MtlSelector
@@ -65,7 +67,7 @@ from repro.core.slowdown import (
     estimate_pair_slowdowns,
     linear_latency_factor,
 )
-from repro.core.throttle import DynamicThrottlingPolicy, PairAssembler, SelectionEvent
+from repro.core.throttle import DynamicThrottlingPolicy, PairAssembler, ProbingPolicy
 
 __all__ = [
     "ActivationBudgetPolicy",
@@ -79,7 +81,6 @@ __all__ = [
     "MtlSelector",
     "OfflineSearchOutcome",
     "OnlineExhaustivePolicy",
-    "OnlineSelectionEvent",
     "PairAssembler",
     "PairLoad",
     "PairSample",
@@ -87,12 +88,11 @@ __all__ = [
     "PolicyEntry",
     "PolicyParam",
     "PolicyStats",
+    "ProbingPolicy",
     "QosGuaranteePolicy",
     "SMtlRegion",
-    "SelectionEvent",
-    "SlowdownDrivenPolicy",
+    "Selection",
     "SlowdownProfile",
-    "SlowdownSelectionEvent",
     "ThrottlePolicyPlugin",
     "WindowStats",
     "build_policy",

@@ -4,17 +4,18 @@ MISE's insight is that a thread's slowdown can be estimated online by
 occasionally measuring its *alone* performance — giving it the memory
 system essentially to itself — and comparing against what it gets
 under sharing.  :class:`MiseFairnessPolicy` transplants that loop onto
-this codebase's pair vocabulary:
+this codebase's pair vocabulary, as the two steps of a
+:class:`~repro.core.throttle.ProbingPolicy`:
 
 1. **Monitor** ``W`` pairs at the current MTL through the same
    IdleBound :class:`~repro.core.phase.PhaseChangeDetector` the paper's
    mechanism uses, so re-estimation triggers only when the phase
-   actually moved.
-2. **Probe the alone rate**: run one window at MTL = 1 (the analogue
-   of MISE's highest-priority epochs — memory tasks execute without
-   memory-side interference).  Probe tasks are flagged for overhead
-   accounting exactly like the D-MTL selector's.
-3. **Estimate and commit**: fit a
+   actually moved (the loop's own monitor).
+2. **Probe the alone rate** (``_start``): run one window at MTL = 1
+   (the analogue of MISE's highest-priority epochs — memory tasks
+   execute without memory-side interference).  Probe tasks are
+   flagged for overhead accounting exactly like the D-MTL selector's.
+3. **Estimate and commit** (``_measured``): fit a
    :class:`~repro.core.slowdown.SlowdownProfile` through the two
    measured points and pick the MTL whose estimated per-pair slowdown
    is smallest (ties prefer the higher MTL — less throttling for the
@@ -22,49 +23,37 @@ this codebase's pair vocabulary:
    smallest common estimate is exactly the min-max-slowdown choice —
    the fairness objective.
 
-The QoS variant (:mod:`repro.core.qos`) shares this whole loop and
-only replaces the final selection rule.
+The committed :class:`~repro.core.plugin.Selection` lists every MTL's
+estimate as ``candidates`` and the trigger and probe windows as
+``measured``.  The QoS variant (:mod:`repro.core.qos`) subclasses this
+policy and only replaces :meth:`MiseFairnessPolicy._select`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.core.model import AnalyticalModel
-from repro.core.phase import PairSample, PhaseChangeDetector, WindowStats
-from repro.core.plugin import PolicyParam, ThrottlePolicyPlugin, register_policy
+from repro.core.phase import WindowStats
+from repro.core.plugin import PolicyParam, register_policy
 from repro.core.slowdown import SlowdownProfile
-from repro.core.throttle import PairAssembler
-from repro.errors import ConfigurationError
-from repro.sim.events import TaskRecord
+from repro.core.throttle import ProbingPolicy
 
-__all__ = [
-    "MiseFairnessPolicy",
-    "SlowdownDrivenPolicy",
-    "SlowdownSelectionEvent",
-]
+__all__ = ["MiseFairnessPolicy"]
 
 
-@dataclass(frozen=True)
-class SlowdownSelectionEvent:
-    """One committed slowdown-based selection, for reporting."""
+class MiseFairnessPolicy(ProbingPolicy):
+    """Pick the MTL minimising the estimated per-pair slowdown.
 
-    time: float
-    trigger_idle_bound: int
-    probe_mtl: int
-    estimates: Dict[int, float]
-    selected_mtl: int
-
-
-class SlowdownDrivenPolicy(ThrottlePolicyPlugin):
-    """Shared monitor/probe/estimate loop of the MISE-style policies.
+    At the homogeneous operating point every pair shares one estimate,
+    so minimising it is exactly minimising the maximum slowdown — the
+    fairness objective; ties break toward the higher MTL (less
+    throttling for equal fairness).
 
     Args:
         context_count: Schedulable contexts ``n``.
         window_pairs: ``W`` — pairs per monitoring (and probe) window.
         initial_mtl: Starting constraint (defaults to ``n``).
-        name: Plugin name (set by the concrete subclass).
+        name: Plugin name (overridden by subclasses).
     """
 
     def __init__(
@@ -73,161 +62,43 @@ class SlowdownDrivenPolicy(ThrottlePolicyPlugin):
         window_pairs: int = 16,
         initial_mtl: Optional[int] = None,
         *,
-        name: str = "slowdown-driven",
+        name: str = "mise-fairness",
     ) -> None:
-        super().__init__(name)
-        if context_count < 1:
-            raise ConfigurationError(
-                f"context_count must be >= 1, got {context_count}"
-            )
-        self._n = context_count
-        self._model = AnalyticalModel(core_count=context_count)
-        self._detector = PhaseChangeDetector(self._model, window_pairs=window_pairs)
-        self._assembler = PairAssembler()
-        self._window_pairs = window_pairs
-        self._mtl = initial_mtl if initial_mtl is not None else context_count
-        if not 1 <= self._mtl <= context_count:
-            raise ConfigurationError(
-                f"initial_mtl {self._mtl} outside [1, {context_count}]"
-            )
-        self._probing = False
-        self._probe_mtl: Optional[int] = None
-        self._probe_window: List[PairSample] = []
-        self._trigger: Optional[WindowStats] = None
-        self._trigger_mtl = self._mtl
-        self.selections: List[SlowdownSelectionEvent] = []
+        super().__init__(context_count, window_pairs, initial_mtl, name=name)
+        self._trigger_point: Optional[Tuple[int, WindowStats]] = None
         self.stats.register("alone_probes")
 
-    @property
-    def window_pairs(self) -> int:
-        return self._window_pairs
-
-    @property
-    def windows_completed(self) -> int:
-        return self._detector.windows_completed
-
-    def current_mtl(self) -> int:
-        return self._mtl
-
-    def is_probing(self) -> bool:
-        return self._probing
-
-    def on_task_complete(self, record: TaskRecord, now: float) -> None:
-        joined = self._assembler.feed(record)
-        if joined is None:
-            return
-        sample, sample_mtl = joined
-        if sample_mtl != self._mtl:
-            return  # pair straddled an MTL switch; not a steady sample
-        if self._probing:
-            self._probe(sample, now)
-        else:
-            self._monitor(sample, now)
-
-    # -- monitoring ----------------------------------------------------
-
-    def _monitor(self, sample: PairSample, now: float) -> None:
-        window = self._detector.observe(sample)
-        if window is None:
-            return
-        self.on_window_close(now)
-        if not window.phase_changed:
-            return
-        self.on_phase_change(now)
+    def _start(self, window: WindowStats, now: float) -> Optional[int]:
         if self._n == 1:
-            return  # MTL = 1 is the only choice; nothing to estimate
+            return None  # MTL = 1 is the only choice; nothing to estimate
         # Alone-rate probe: one window at MTL = 1 (or at n when the
         # trigger itself was measured at 1 — any second concurrency
         # point pins the contention slope).
-        self._trigger = window
-        self._trigger_mtl = self._mtl
-        self._probe_mtl = 1 if self._mtl != 1 else self._n
-        self._probing = True
-        self._probe_window = []
-        self._mtl = self._probe_mtl
-        self._detector.reset_window()
+        self._trigger_point = (self._mtl, window)
         self.stats.add("alone_probes")
+        return 1 if self._mtl != 1 else self._n
 
-    # -- probing -------------------------------------------------------
-
-    def _probe(self, sample: PairSample, now: float) -> None:
-        self._probe_window.append(sample)
-        if len(self._probe_window) < self._window_pairs:
-            return
-        t_m = sum(s.t_m for s in self._probe_window) / len(self._probe_window)
-        t_c = sum(s.t_c for s in self._probe_window) / len(self._probe_window)
-        self._probe_window = []
-        self.on_window_close(now)
-
-        trigger = self._trigger
-        probe_mtl = self._probe_mtl
-        assert trigger is not None and probe_mtl is not None
+    def _measured(self, t_m: float, t_c: float, now: float) -> Optional[int]:
+        assert self._trigger_point is not None
+        k_a, trigger = self._trigger_point
         pooled_t_c = (trigger.t_c + t_c) / 2.0
         profile = SlowdownProfile.fit(
             context_count=self._n,
-            k_a=self._trigger_mtl,
+            k_a=k_a,
             t_m_a=trigger.t_m,
-            k_b=probe_mtl,
+            k_b=self._mtl,
             t_m_b=t_m,
             t_c=pooled_t_c,
         )
         estimates = profile.slowdowns()
-        selected = self._select(profile, estimates)
-        self.selections.append(
-            SlowdownSelectionEvent(
-                time=now,
-                trigger_idle_bound=trigger.idle_bound,
-                probe_mtl=probe_mtl,
-                estimates=estimates,
-                selected_mtl=selected,
-            )
+        selected = self._select(estimates)
+        measured = {k_a: (trigger.t_m, trigger.t_c), self._mtl: (t_m, t_c)}
+        self._commit(
+            now, estimates, measured, selected, profile.t_m(selected), pooled_t_c
         )
-        self.on_selection(now, selected)
-        self._probing = False
-        self._probe_mtl = None
-        self._trigger = None
-        self._mtl = selected
-        # Re-anchor the detector at the committed operating point so
-        # the very next window does not re-trigger (same discipline as
-        # the D-MTL selector).
-        self._detector.set_reference(
-            self._model.idle_bound(profile.t_m(selected), pooled_t_c)
-        )
-        self._detector.reset_window()
+        return None
 
-    # -- the selection rule (subclass hook) ---------------------------
-
-    def _select(
-        self, profile: SlowdownProfile, estimates: Dict[int, float]
-    ) -> int:
-        raise NotImplementedError
-
-
-class MiseFairnessPolicy(SlowdownDrivenPolicy):
-    """Pick the MTL minimising the estimated per-pair slowdown.
-
-    At the homogeneous operating point every pair shares one estimate,
-    so minimising it is exactly minimising the maximum slowdown — the
-    fairness objective; ties break toward the higher MTL (less
-    throttling for equal fairness).
-    """
-
-    def __init__(
-        self,
-        context_count: int,
-        window_pairs: int = 16,
-        initial_mtl: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            context_count,
-            window_pairs=window_pairs,
-            initial_mtl=initial_mtl,
-            name="mise-fairness",
-        )
-
-    def _select(
-        self, profile: SlowdownProfile, estimates: Dict[int, float]
-    ) -> int:
+    def _select(self, estimates: Dict[int, float]) -> int:
         return min(estimates, key=lambda k: (estimates[k], -k))
 
 

@@ -16,6 +16,10 @@ uniformly.  This module brings the same shape to throttling policies:
   :meth:`~ThrottlePolicyPlugin.on_phase_change`,
   :meth:`~ThrottlePolicyPlugin.on_selection`) which the base class
   folds into per-plugin statistics.
+* :class:`Selection` is the one record a selecting policy keeps per
+  committed MTL (``policy.selections``): what triggered it, the
+  candidates with the quantity each was judged by, the windows it
+  measured, and the MTL chosen.
 * :class:`PolicyStats` is the per-plugin stat registry; each sweep
   point's snapshot travels back as ``PointResult.policy_stats`` and
   lands in that point's ``point`` telemetry record (see
@@ -49,6 +53,7 @@ __all__ = [
     "PolicyEntry",
     "PolicyParam",
     "PolicyStats",
+    "Selection",
     "ThrottlePolicyPlugin",
     "register_policy",
     "registered_policies",
@@ -104,6 +109,30 @@ class PolicyStats:
     def snapshot(self) -> Dict[str, float]:
         """Name-sorted copy of every registered stat."""
         return {name: self._values[name] for name in sorted(self._values)}
+
+
+@dataclass(frozen=True)
+class Selection:
+    """One committed MTL selection: why this k.
+
+    Attributes:
+        time: Simulated time the selection committed.
+        trigger: IdleBound of the monitoring window that started it;
+            ``None`` when the trigger is not an IdleBound (``online``
+            re-selects on a wall-clock change).
+        candidates: Each MTL the rule chose among, with the quantity
+            it was judged by (see ``docs/policies.md``, "Selection
+            records").
+        measured: ``mtl -> (t_m, t_c)``, the window means measured at
+            each MTL the selection ran, the trigger window included.
+        selected_mtl: The MTL committed, one of ``candidates``.
+    """
+
+    time: float
+    trigger: Optional[int]
+    candidates: Dict[int, float]
+    measured: Dict[int, Tuple[float, float]]
+    selected_mtl: int
 
 
 class ThrottlePolicyPlugin:

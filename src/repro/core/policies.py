@@ -26,10 +26,14 @@ for compatibility).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.plugin import PolicyParam, ThrottlePolicyPlugin, register_policy
+from repro.core.plugin import (
+    PolicyParam,
+    Selection,
+    ThrottlePolicyPlugin,
+    register_policy,
+)
 from repro.errors import ConfigurationError
 from repro.sim.events import TaskRecord
 
@@ -37,7 +41,6 @@ __all__ = [
     "FixedMtlPolicy",
     "conventional_policy",
     "OnlineExhaustivePolicy",
-    "OnlineSelectionEvent",
 ]
 
 
@@ -61,17 +64,15 @@ def conventional_policy(context_count: int) -> FixedMtlPolicy:
     return FixedMtlPolicy(mtl=context_count, name="conventional")
 
 
-@dataclass(frozen=True)
-class OnlineSelectionEvent:
-    """One completed online-exhaustive selection, for reporting."""
-
-    time: float
-    window_times: Dict[int, float]
-    selected_mtl: int
-
-
 class OnlineExhaustivePolicy(ThrottlePolicyPlugin):
     """The paper's naive online MTL searcher.
+
+    Its windows count compute completions and time them by the wall
+    clock, with no pair join and no straddle filter, so it keeps its
+    own loop rather than a :class:`~repro.core.throttle.ProbingPolicy`.
+    Each :class:`~repro.core.plugin.Selection` it records has no
+    IdleBound trigger, every MTL's window time as ``candidates`` and
+    nothing ``measured``.
 
     Args:
         context_count: Schedulable contexts ``n``.
@@ -97,7 +98,7 @@ class OnlineExhaustivePolicy(ThrottlePolicyPlugin):
             raise ConfigurationError(
                 f"window_pairs must be >= 1, got {window_pairs}"
             )
-        if threshold <= 0:
+        if not threshold > 0:
             raise ConfigurationError(f"threshold must be positive, got {threshold}")
         self._n = context_count
         self._window_pairs = window_pairs
@@ -117,7 +118,7 @@ class OnlineExhaustivePolicy(ThrottlePolicyPlugin):
         self._probe_queue: List[int] = []
         self._probe_times: Dict[int, float] = {}
 
-        self.selections: List[OnlineSelectionEvent] = []
+        self.selections: List[Selection] = []
 
     @property
     def window_pairs(self) -> int:
@@ -179,11 +180,7 @@ class OnlineExhaustivePolicy(ThrottlePolicyPlugin):
             self._probe_times, key=lambda mtl: (self._probe_times[mtl], mtl)
         )
         self.selections.append(
-            OnlineSelectionEvent(
-                time=now,
-                window_times=dict(self._probe_times),
-                selected_mtl=selected,
-            )
+            Selection(now, None, dict(self._probe_times), {}, selected)
         )
         self.on_selection(now, selected)
         self._mtl = selected

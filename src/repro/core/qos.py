@@ -5,31 +5,31 @@ objective: instead of equalising everyone's slowdown, hold a
 designated application's slowdown under an operator-chosen bound and
 give everything else as much throughput as that bound allows.
 
-:class:`QosGuaranteePolicy` reuses the whole MISE monitor/probe/
-estimate loop (:class:`~repro.core.mise.SlowdownDrivenPolicy`) and
-changes only the selection rule: among the MTLs whose estimated
+:class:`QosGuaranteePolicy` is :class:`~repro.core.mise.MiseFairnessPolicy`
+(the probing loop plus the alone-probe slowdown fit) with one method
+replaced, the selection rule: among the MTLs whose estimated
 per-pair slowdown stays within ``target_slowdown`` it picks the
 *largest* (most memory concurrency, hence most throughput for the
 rest of the mix); when no MTL can honour the bound — the target is
 infeasible for this phase — it degrades to the fairness choice, the
 closest the mechanism can get.  At the homogeneous operating point
 every pair shares the estimate, so bounding the common estimate
-bounds the designated pair's.
+bounds the designated pair's.  Its selection records are MISE's: every
+MTL's estimate as ``candidates``, the two windows as ``measured``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.mise import SlowdownDrivenPolicy
+from repro.core.mise import MiseFairnessPolicy
 from repro.core.plugin import PolicyParam, register_policy
-from repro.core.slowdown import SlowdownProfile
 from repro.errors import ConfigurationError
 
 __all__ = ["QosGuaranteePolicy"]
 
 
-class QosGuaranteePolicy(SlowdownDrivenPolicy):
+class QosGuaranteePolicy(MiseFairnessPolicy):
     """Hold estimated slowdown under a target, then maximise MTL.
 
     Args:
@@ -48,7 +48,7 @@ class QosGuaranteePolicy(SlowdownDrivenPolicy):
         window_pairs: int = 16,
         initial_mtl: Optional[int] = None,
     ) -> None:
-        if target_slowdown < 1.0:
+        if not target_slowdown >= 1.0:
             raise ConfigurationError(
                 f"target_slowdown must be >= 1, got {target_slowdown}"
             )
@@ -65,16 +65,14 @@ class QosGuaranteePolicy(SlowdownDrivenPolicy):
     def target_slowdown(self) -> float:
         return self._target
 
-    def _select(
-        self, profile: SlowdownProfile, estimates: Dict[int, float]
-    ) -> int:
+    def _select(self, estimates: Dict[int, float]) -> int:
         feasible = [k for k, s in estimates.items() if s <= self._target]
         if feasible:
             return max(feasible)
         # Infeasible phase: no MTL honours the bound; fall back to the
         # fairness choice (the smallest achievable slowdown).
         self.stats.add("target_misses")
-        return min(estimates, key=lambda k: (estimates[k], -k))
+        return super()._select(estimates)
 
 
 def _build_qos(context_count: int, **params: object) -> QosGuaranteePolicy:

@@ -33,7 +33,7 @@ from repro.core import policies as _policies  # noqa: F401
 from repro.core import qos as _qos  # noqa: F401
 from repro.core import throttle as _throttle  # noqa: F401
 from repro.core.plugin import PolicyEntry, PolicyParam, registered_policies
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_int, check_number
 
 __all__ = [
     "build_policy",
@@ -64,23 +64,18 @@ def policy_entry(name: str) -> PolicyEntry:
 def _coerce(param: PolicyParam, value: Any) -> Any:
     """Validate one spec-typed parameter value, naming the offending key.
 
-    Mirrors the sweep-spec validators exactly: ints must be ints
-    (bools and strings rejected — ``bool`` subclasses ``int`` and JSON
-    specs carry real numbers), floats accept ints.  CLI strings are
-    parsed *before* this, in :func:`parse_policy_arg`.
+    Runs the same checks as the sweep-spec validators
+    (:func:`~repro.errors.check_int`, :func:`~repro.errors.check_number`):
+    ints must be ints (bools and strings rejected — ``bool`` subclasses
+    ``int`` and JSON specs carry real numbers), floats accept ints and
+    must be finite (a NaN threshold or bound would run, compare false
+    everywhere, and hash into a cache key).  CLI strings are parsed
+    *before* this, in :func:`parse_policy_arg`.
     """
-    key = param.name
+    field = f"policy spec key {param.name!r}"
     if param.kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(
-                f"policy spec key {key!r} must be an int, got {value!r}"
-            )
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"policy spec key {key!r} must be a number, got {value!r}"
-        )
-    return float(value)
+        return check_int(value, field)
+    return check_number(value, field)
 
 
 def build_policy(

@@ -106,7 +106,12 @@ from typing import (
 
 from repro.core.offline import offline_exhaustive_search
 from repro.core.registry import build_policy
-from repro.errors import ConfigurationError, MeasurementError
+from repro.errors import (
+    ConfigurationError,
+    MeasurementError,
+    check_int,
+    check_number,
+)
 from repro.memory.cache import LastLevelCache
 from repro.runtime.cache import CACHE_SCHEMA_VERSION, ResultCache, stable_hash
 from repro.runtime.faults import (
@@ -188,19 +193,16 @@ def _require(spec: Mapping[str, Any], key: str, what: str) -> Any:
 
 def _as_int(value: Any, key: str, what: str) -> int:
     """Validate an int-typed spec value, naming the offending key."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"{what} spec key {key!r} must be an int, got {value!r}"
-        )
-    return value
+    return check_int(value, f"{what} spec key {key!r}")
 
 
 def _as_float(value: Any, key: str, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"{what} spec key {key!r} must be a number, got {value!r}"
-        )
-    return float(value)
+    """Validate a number-typed spec value, naming the offending key.
+
+    NaN and the infinities pass: the one such key, a synthetic
+    workload's ``ratio``, is range-checked by the workload itself.
+    """
+    return check_number(value, f"{what} spec key {key!r}", finite=False)
 
 
 def _as_str(value: Any, key: str, what: str) -> str:

@@ -15,18 +15,17 @@ repeatable.
 numpy is imported by :func:`seeded_generator`, on the first seeded
 stream a process builds, and not with this module: the noise-free
 runs behind Figure 13 and the model checks never load it.  Parameters
-are validated before that import, so a bad seed or a non-finite
-parameter fails as a :class:`~repro.errors.ConfigurationError` naming
-its field.
+are validated before that import, so a bad seed or a non-numeric,
+boolean or non-finite parameter fails as a
+:class:`~repro.errors.ConfigurationError` naming its field.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 from repro.units import MICROSECONDS
 
 if TYPE_CHECKING:
@@ -108,13 +107,15 @@ class GaussianNoise:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ConfigurationError(f"seed must be a non-negative int, got {seed!r}")
-        for name in ("sigma", "spike_magnitude", "overhead_seconds"):
+        for name in (
+            "sigma", "spike_probability", "spike_magnitude", "overhead_seconds"
+        ):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if check_number(value, name) < 0:
                 raise ConfigurationError(
-                    f"{name} must be finite and non-negative, got {value!r}"
+                    f"{name} must be non-negative, got {value!r}"
                 )
-        if not 0.0 <= self.spike_probability <= 1.0:
+        if self.spike_probability > 1.0:
             raise ConfigurationError(
                 f"spike_probability must be in [0, 1], got {self.spike_probability}"
             )

@@ -61,8 +61,14 @@ class TestBehaviour:
         policy = OnlineExhaustivePolicy(context_count=4, window_pairs=8)
         simulate(phased([0.7, 0.08]), policy)
         assert len(policy.selections) >= 1
-        # Exhaustive: every MTL from 1 to 4 was timed.
-        assert set(policy.selections[0].window_times) == {1, 2, 3, 4}
+        # Exhaustive: every MTL from 1 to 4 was timed, and the
+        # wall-clock trigger is not an IdleBound.
+        first = policy.selections[0]
+        assert set(first.candidates) == {1, 2, 3, 4}
+        assert first.trigger is None and first.measured == {}
+        assert first.selected_mtl == min(
+            first.candidates, key=lambda k: (first.candidates[k], k)
+        )
 
     def test_probe_flag_set_during_search(self):
         policy = OnlineExhaustivePolicy(context_count=4, window_pairs=8)

@@ -12,15 +12,18 @@ edits.  The contract:
   and so does the policy's final :meth:`current_mtl`;
 * **telemetry integrity** — ``stats_snapshot()`` maps stat names to
   floats (it is the ``policy_stats`` object of the point's telemetry
-  record), its stat *names* are identical across runs (structural
-  stability, the property the executor relies on), and its
-  ``selections`` counter equals the number of selections the policy
-  recorded.
+  record), and its stat *names* are identical across runs (structural
+  stability, the property the executor relies on);
+* **one selection record** — a selecting policy keeps each committed
+  selection as a :class:`~repro.core.plugin.Selection`: the chosen MTL
+  is one of its candidates and lies in ``[1, n]``, every candidate and
+  measured MTL lies in ``[1, n]``, it committed within the run, and the
+  ``selections`` counter equals the number recorded.
 """
 
 import pytest
 
-from repro.core import ThrottlePolicyPlugin, build_policy, policy_names
+from repro.core import Selection, ThrottlePolicyPlugin, build_policy, policy_names
 from repro.sim.machine import i7_860
 from repro.sim.simulator import simulate
 from repro.stream.program import StreamProgram, build_phase
@@ -31,6 +34,9 @@ L1 = i7_860().memory.request_latency(1.0)
 
 #: Build-time params for registry entries with required parameters.
 OVERRIDES = {"static": {"mtl": 2}}
+
+#: Policies that commit MTL selections (each keeps ``selections``).
+SELECTING = ("adaptive-window", "dynamic", "mise", "online", "qos")
 
 
 def fresh_policy(name):
@@ -103,13 +109,22 @@ class TestPolicyContract:
         assert snapshot == second_policy.stats_snapshot()
         assert all(type(value) is float for value in snapshot.values())
 
-    def test_selections_stat_counts_recorded_selections(self, name):
+    def test_selections_are_one_record_within_the_run(self, name):
         policy, result = run_fresh(name)
-        # Selecting policies keep their committed selections; the
-        # ``selections`` counter must agree with them one for one.
         recorded = getattr(policy, "selections", [])
+        if name in SELECTING:
+            assert recorded, "the contract workload must exercise a selection"
         for selection in recorded:
+            assert isinstance(selection, Selection)
+            assert 1 <= selection.selected_mtl <= N
+            assert selection.selected_mtl in selection.candidates
+            assert all(1 <= k <= N for k in selection.candidates)
+            assert all(1 <= k <= N for k in selection.measured)
             assert 0.0 <= selection.time <= result.makespan
+
+    def test_selections_stat_counts_recorded_selections(self, name):
+        policy, _ = run_fresh(name)
+        recorded = getattr(policy, "selections", [])
         assert policy.stats_snapshot()["selections"] == len(recorded)
 
 

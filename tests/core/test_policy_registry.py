@@ -77,6 +77,27 @@ class TestBuildPolicy:
         with pytest.raises(ConfigurationError, match=f"{name!r} must be a number"):
             build_policy("adaptive-window", 4, {name: True})
 
+    @pytest.mark.parametrize(
+        "name, key",
+        [
+            ("online", "threshold"),
+            ("qos", "target_slowdown"),
+            ("adaptive-window", "budget_fraction"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "value",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            pytest.param(10**400, id="int-past-float-range"),
+        ],
+    )
+    def test_float_param_rejects_non_finite(self, name, key, value):
+        with pytest.raises(ConfigurationError, match=f"{key!r} must be finite"):
+            build_policy(name, 4, {key: value})
+
     def test_only_supplied_params_forwarded(self):
         # Constructor defaults stay with the constructor: a registry
         # build with no params equals a bare direct call.

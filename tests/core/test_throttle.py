@@ -65,7 +65,7 @@ class TestPhaseAdaptation:
         policy = DynamicThrottlingPolicy(context_count=4)
         result = simulate(program, policy)
         assert len(policy.selections) >= 2
-        selected = [e.decision.selected_mtl for e in policy.selections]
+        selected = [e.selected_mtl for e in policy.selections]
         assert selected[0] == 2   # ratio 0.7 -> candidates 1/2, busy at 2
         assert selected[-1] == 1  # ratio 0.08 -> all busy at 1
 

@@ -16,10 +16,17 @@ so the expectations here are parsed from the artifact, not duplicated.
 
 ``tests/runtime/snapshots/policy_parity.json`` holds full-precision
 schedules (``repr`` makespans, per-record SHA-256, MTL-change and
-selection traces) captured from the five pre-refactor policies on the
-realistic trio.  The parity tests rebuild each policy **through the
-registry** and assert bit-identity — the proof that the plugin
-refactor changed nothing the simulator can observe.
+selection traces) on the realistic trio.  Fifteen entries were
+captured from the five policies that predate the plugin registry
+(``conventional``, ``static``, ``dynamic``, ``online``,
+``adaptive-window``); the ``mise``, ``qos`` and ``activation-budget``
+entries were captured from the code before ``MiseFairnessPolicy`` and
+``DynamicThrottlingPolicy`` shared one probing loop and one selection
+record.  The parity tests rebuild each policy **through the registry**
+and assert bit-identity — the proof that neither refactor changed
+anything the simulator can observe.  Each selection trace is read back
+from the one :class:`~repro.core.plugin.Selection` record, in the
+fields the snapshot was captured with.
 """
 
 import hashlib
@@ -163,9 +170,44 @@ PARITY_SPECS = {
     "dynamic": {"window_pairs": 8},
     "online": {"window_pairs": 8},
     "adaptive-window": {},
+    "mise": {},
+    "qos": {},
+    "activation-budget": {},
 }
 
 PARITY_WORKLOADS = ("dft", "SC_d128", "SIFT")
+
+
+def _candidates(selection):
+    return {str(k): repr(v) for k, v in sorted(selection.candidates.items())}
+
+
+#: Each snapshot trace field, read from the one Selection record.
+#: D-MTL's ``mtl_no_idle`` is its larger candidate and ``probes_used``
+#: the windows it measured; online's ``window_times`` and MISE's
+#: ``estimates`` are the candidates.
+_COMMON_TRACE = {
+    "time": lambda e: repr(e.time),
+    "selected_mtl": lambda e: e.selected_mtl,
+}
+_DMTL_TRACE = {
+    **_COMMON_TRACE,
+    "trigger_idle_bound": lambda e: e.trigger,
+    "mtl_no_idle": lambda e: max(e.candidates),
+    "probes_used": lambda e: len(e.measured),
+}
+_MISE_TRACE = {
+    **_COMMON_TRACE,
+    "trigger_idle_bound": lambda e: e.trigger,
+    "estimates": _candidates,
+}
+TRACE_FIELDS = {
+    "dynamic": _DMTL_TRACE,
+    "adaptive-window": _DMTL_TRACE,
+    "online": {**_COMMON_TRACE, "window_times": _candidates},
+    "mise": _MISE_TRACE,
+    "qos": _MISE_TRACE,
+}
 
 
 def record_digest(result):
@@ -212,28 +254,14 @@ def test_registry_built_policy_bit_identical_to_snapshot(
     assert record_digest(result) == golden["records_sha256"]
 
     # Selection traces, where the snapshot recorded them.
-    if policy_name == "online":
+    if "selections" in golden:
+        trace = TRACE_FIELDS[policy_name]
         assert [
-            {
-                "time": repr(e.time),
-                "window_times": {
-                    str(k): repr(v) for k, v in sorted(e.window_times.items())
-                },
-                "selected_mtl": e.selected_mtl,
-            }
+            {name: read(e) for name, read in trace.items()}
             for e in policy.selections
         ] == golden["selections"]
-    if policy_name in ("dynamic", "adaptive-window"):
-        assert [
-            {
-                "time": repr(e.time),
-                "trigger_idle_bound": e.trigger_idle_bound,
-                "selected_mtl": e.decision.selected_mtl,
-                "mtl_no_idle": e.decision.mtl_no_idle,
-                "probes_used": e.decision.probes_used,
-            }
-            for e in policy.selections
-        ] == golden["selections"]
+    else:
+        assert getattr(policy, "selections", []) == []
 
 
 def test_parity_snapshot_covers_the_full_grid():

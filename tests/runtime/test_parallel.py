@@ -325,10 +325,20 @@ class TestSpecBuilders:
         with pytest.raises(ConfigurationError, match="'mtl'"):
             build_policy_from_spec({"kind": "static"}, i7_860())
 
-    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf, 5e-324])
+    @pytest.mark.parametrize(
+        "ratio",
+        [
+            math.nan,
+            math.inf,
+            -math.inf,
+            5e-324,
+            pytest.param(10**400, id="int-past-float-range"),
+        ],
+    )
     def test_degenerate_synthetic_ratio_is_named(self, ratio):
-        # A NaN, infinite or subnormal ratio fails at the spec, naming
-        # the key, rather than mid-run on an infinite time step.
+        # A NaN, infinite, subnormal or past-float-range ratio fails at
+        # the spec, naming the key, rather than mid-run on an infinite
+        # time step or with a bare OverflowError.
         spec = {"kind": "synthetic", "ratio": ratio, "pairs": 16}
         with pytest.raises(WorkloadError, match="ratio"):
             build_workload_from_spec(spec)

@@ -161,6 +161,26 @@ POLICY_CASES = [
         "'window_pairs'",
         id="online-window-float",
     ),
+    pytest.param(
+        {"kind": "online", "threshold": float("nan")},
+        "'threshold'",
+        id="online-threshold-nan",
+    ),
+    pytest.param(
+        {"kind": "qos", "target_slowdown": float("nan")},
+        "'target_slowdown'",
+        id="qos-target-nan",
+    ),
+    pytest.param(
+        {"kind": "qos", "target_slowdown": float("inf")},
+        "'target_slowdown'",
+        id="qos-target-inf",
+    ),
+    pytest.param(
+        {"kind": "adaptive-window", "budget_fraction": float("-inf")},
+        "'budget_fraction'",
+        id="adaptive-budget-neg-inf",
+    ),
 ]
 
 

@@ -27,6 +27,19 @@ INVALID_NOISE = [
     ({"overhead_seconds": -1.0}, "overhead_seconds"),
     ({"overhead_seconds": float("inf")}, "overhead_seconds"),
     ({"overhead_seconds": float("nan")}, "overhead_seconds"),
+    # A bool or a non-number in a float field used to pass (bools) or
+    # die in a comparison with a bare TypeError.
+    ({"sigma": True}, "sigma"),
+    ({"sigma": "0.1"}, "sigma"),
+    ({"spike_probability": True}, "spike_probability"),
+    ({"spike_probability": "0.5"}, "spike_probability"),
+    ({"spike_magnitude": False}, "spike_magnitude"),
+    ({"spike_magnitude": "0.25"}, "spike_magnitude"),
+    ({"overhead_seconds": True}, "overhead_seconds"),
+    ({"overhead_seconds": None}, "overhead_seconds"),
+    # An int past the float range used to raise a bare OverflowError.
+    ({"sigma": 10**400}, "sigma"),
+    ({"spike_probability": 10**400}, "spike_probability"),
 ]
 
 #: The first draws of ``GaussianNoise(seed=s)``, alternating

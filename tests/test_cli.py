@@ -49,6 +49,10 @@ class TestRun:
         assert main(["run", "dft", "--policy", "magic"]) == 2
         assert "unknown policy" in capsys.readouterr().err
 
+    def test_non_finite_policy_param_errors(self, capsys):
+        assert main(["run", "dft", "--policy", "qos:target_slowdown=nan"]) == 2
+        assert "'target_slowdown' must be finite" in capsys.readouterr().err
+
     def test_unknown_workload_errors(self, capsys):
         assert main(["run", "ghost"]) == 2
         assert "unknown workload" in capsys.readouterr().err

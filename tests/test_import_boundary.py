@@ -84,13 +84,14 @@ def test_noise_parameters_are_checked_before_numpy_loads():
         from repro.errors import ConfigurationError
         from repro.sim.noise import GaussianNoise
         rejected = 0
-        for bad in ({"seed": -1}, {"seed": True}, {"sigma": float("nan")}):
+        for bad in ({"seed": -1}, {"seed": True}, {"sigma": float("nan")},
+                    {"sigma": "0.1"}, {"overhead_seconds": None}):
             try:
                 GaussianNoise(**bad)
             except ConfigurationError:
                 rejected += 1
         print(rejected, "numpy" in sys.modules)
-    """) == "3 False"
+    """) == "5 False"
 
 
 def test_seeded_pool_loads_numpy_in_the_parent_before_the_pool_starts():

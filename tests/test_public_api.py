@@ -51,6 +51,47 @@ class TestErrorHierarchy:
             AnalyticalModel(core_count=0)
 
 
+class TestParameterChecks:
+    """``check_int``/``check_number`` are the one numeric type check the
+    policy registry, the sweep specs and the noise model share."""
+
+    def test_check_int(self):
+        assert errors.check_int(3, "x") == 3
+        for bad in (True, 3.0, "3", None):
+            with pytest.raises(errors.ConfigurationError, match="x must be an int"):
+                errors.check_int(bad, "x")
+
+    def test_check_number(self):
+        assert errors.check_number(2, "x") == 2.0
+        assert isinstance(errors.check_number(2, "x"), float)
+        for bad in (True, "0.5", None):
+            with pytest.raises(errors.ConfigurationError, match="x must be a number"):
+                errors.check_number(bad, "x")
+        for bad in (float("nan"), float("inf"), -10**400):
+            with pytest.raises(errors.ConfigurationError, match="x must be finite"):
+                errors.check_number(bad, "x")
+
+    def test_past_float_range_reads_as_infinity_when_allowed(self):
+        assert errors.check_number(10**400, "x", finite=False) == float("inf")
+        assert errors.check_number(-10**400, "x", finite=False) == float("-inf")
+
+    def test_layers_reject_alike(self):
+        from repro.core.registry import build_policy
+        from repro.runtime.parallel import build_workload_from_spec
+        from repro.sim.noise import GaussianNoise
+
+        rejections = [
+            lambda: build_policy("online", 4, {"threshold": True}),
+            lambda: build_workload_from_spec({"kind": "synthetic", "ratio": True}),
+            lambda: GaussianNoise(sigma=True),
+        ]
+        for reject in rejections:
+            with pytest.raises(
+                errors.ConfigurationError, match="must be a number, got True"
+            ):
+                reject()
+
+
 class TestSubpackageDocs:
     def test_every_public_module_has_a_docstring(self):
         import importlib

@@ -71,5 +71,5 @@ class TestThrottling:
         # MOTION-COMP (0.60, IdleBound 2) alternates with compute-bound
         # stages (IdleBound 1) every frame: multiple selections happen.
         assert len(policy.selections) >= 3
-        selected = {e.decision.selected_mtl for e in policy.selections}
+        selected = {e.selected_mtl for e in policy.selections}
         assert selected <= {1, 2}
