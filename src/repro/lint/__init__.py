@@ -42,8 +42,9 @@ Layout:
 * :mod:`repro.lint.reporters` — ``text``, ``json``, and ``sarif``
   renderers plus baseline read/write (fingerprints are
   whitespace-normalized, so baselines survive reformatting);
-* :mod:`repro.lint.cache` — the ``--cache-dir`` content-hash scan
-  cache (warm runs skip unchanged files, byte-identically);
+* :mod:`repro.lint.cache` — the ``--cache-dir`` content-hash cache
+  (warm runs skip unchanged files, and a run over an unchanged corpus
+  is served whole from a run record, byte-identically);
 * :mod:`repro.lint.explain` — ``--explain RPR###`` rendering.
 
 Run it as ``python -m repro lint [paths] [--rule RPR###] [--format

@@ -13,8 +13,11 @@ discovery order, each worker returns picklable :class:`FileScan`
 records, and the parent merges them back in that same order — output
 is byte-identical to the serial run.  The whole-program phase that
 follows (corpus rules, project call graph, then the effect-signature
-fixpoint for rules that set ``needs_effects``, ``finalize``) always
-runs single-process in the parent, over the merged summaries.
+fixpoint for rules that set ``needs_effects``, ``finalize``) runs
+single-process in the parent, over the merged summaries.  With a
+cache directory, a run whose files and rules all match a stored run
+record skips both phases: :mod:`repro.lint.cache` describes the
+record, its key, and the runs that bypass it.
 
 Two findings are emitted by the engine itself rather than by a rule
 class (they are registered as *meta rules* so ``--rule`` filtering,
@@ -370,7 +373,8 @@ class LintReport:
     baselined: int = 0
     wall_seconds: float = 0.0
     jobs: int = 1
-    #: Files whose per-file pass was served from ``--cache-dir``.
+    #: Files whose per-file pass was served from ``--cache-dir``
+    #: (every file, when a run record served the run).
     cache_hits: int = 0
 
     @property
@@ -411,16 +415,18 @@ class LintEngine:
         want_units: Run the interprocedural unit fixpoint even when no
             enabled rule asks for it (``--units-output`` serializes the
             inferred signature table); implies the graph.
-        cache_dir: Directory for the content-hash scan cache (the
-            CLI's ``--cache-dir``); ``None`` disables caching.  See
-            :mod:`repro.lint.cache` — warm runs are byte-identical to
-            cold ones.
+        cache_dir: Directory for the content-hash scan cache and run
+            records (the CLI's ``--cache-dir``); ``None`` disables
+            caching.  See :mod:`repro.lint.cache` — warm runs are
+            byte-identical to cold ones.
 
     After :meth:`run`, :attr:`graph` holds the
     :class:`~repro.lint.graph.builder.ProjectGraph` built for this
     corpus (or ``None`` when nothing needed one), and :attr:`units`
     the :class:`~repro.lint.dimflow.fixpoint.UnitAnalysis` when a
-    ``needs_units`` rule ran or :attr:`want_units` was set.
+    ``needs_units`` rule ran or :attr:`want_units` was set.  Both stay
+    ``None`` when a run record served the run; a run with
+    :attr:`want_graph` or :attr:`want_units` set never uses one.
     """
 
     rules: List["Rule"]  # noqa: F821 — see repro.lint.rules.base
@@ -443,6 +449,8 @@ class LintEngine:
         if self.jobs < 1:
             raise ReproError(f"lint --jobs must be >= 1, got {self.jobs}")
         files = list(dict.fromkeys(iter_python_files([Path(p) for p in paths])))
+        root = (self.root or Path.cwd()).resolve()
+        pairs = [(str(path), _display(path, root)) for path in files]
         known_ids = self._known_ids()
         per_file_rules = [r for r in self.rules if not r.corpus_level]
         corpus_rules = [r for r in self.rules if r.corpus_level]
@@ -453,15 +461,86 @@ class LintEngine:
         )
         need_summary = build_graph or bool(corpus_rules)
 
-        scans, cache_hits = self._scan_files(
-            files, per_file_rules, known_ids, need_summary
+        cache = record = record_key = None
+        keys: List[Optional[str]] = [None] * len(pairs)
+        if self.cache_dir is not None:
+            from repro.lint.cache import ScanCache, cache_token
+
+            cache = ScanCache(
+                Path(self.cache_dir),
+                cache_token(per_file_rules, known_ids, need_summary),
+            )
+            keys = [_file_key(cache, path, display) for path, display in pairs]
+            readable = [key for key in keys if key is not None]
+            if len(readable) == len(keys) and not (
+                self.want_graph or self.want_units
+            ):
+                record_key = cache.run_key(corpus_rules, readable)
+                record = cache.load_run(record_key)
+        if record is not None:
+            collected, suppressed = list(record.findings), record.suppressed
+            cache_hits = len(files)
+        else:
+            collected, suppressed = self._analyse(
+                pairs,
+                keys,
+                cache,
+                per_file_rules,
+                known_ids,
+                need_summary,
+                build_graph,
+            )
+            cache_hits = cache.hits if cache is not None else 0
+            if record_key is not None:
+                cache.store_run(record_key, collected, suppressed)
+
+        if self.enabled is not None:
+            enabled = {RULE_ALIASES.get(rule, rule) for rule in self.enabled}
+            collected = [f for f in collected if f.rule in enabled]
+        baselined = 0
+        if self.baseline:
+            kept = []
+            for finding in collected:
+                if finding.fingerprint() in self.baseline:
+                    baselined += 1
+                else:
+                    kept.append(finding)
+            collected = kept
+        collected.sort(key=Finding.sort_key)
+        return LintReport(
+            findings=collected,
+            files_scanned=len(files),
+            suppressed=suppressed,
+            baselined=baselined,
+            wall_seconds=time.monotonic() - started,
+            jobs=self.jobs,
+            cache_hits=cache_hits,
+        )
+
+    # ------------------------------------------------------------------
+
+    def _analyse(
+        self,
+        pairs: Sequence[Tuple[str, str]],
+        keys: Sequence[Optional[str]],
+        cache: Optional["ScanCache"],  # noqa: F821 — repro.lint.cache
+        per_file_rules: Sequence["Rule"],  # noqa: F821
+        known_ids: Set[str],
+        need_summary: bool,
+        build_graph: bool,
+    ) -> Tuple[List[Finding], int]:
+        """Per-file pass, then the whole-program phase: every finding
+        after suppression, unsorted and unfiltered, and the suppressed
+        count."""
+        scans = self._scan_files(
+            pairs, keys, cache, per_file_rules, known_ids, need_summary
         )
 
         collected: List[Finding] = []
         suppressed = 0
-        for file_path, scan in zip(files, scans):
+        for (_, display), scan in zip(pairs, scans):
             if scan.parse_failed:
-                collected.append(self._parse_failure(file_path))
+                collected.append(_parse_failure(display))
             else:
                 collected.extend(scan.findings)
                 suppressed += scan.suppressed
@@ -471,9 +550,10 @@ class LintEngine:
             from repro.lint.graph.builder import ProjectGraph
 
             self.graph = ProjectGraph(summaries)
-        for rule in corpus_rules:
-            for summary in summaries:
-                rule.consume_summary(summary)
+        for rule in self.rules:
+            if rule.corpus_level:
+                for summary in summaries:
+                    rule.consume_summary(summary)
         for rule in self.rules:
             if rule.needs_graph and self.graph is not None:
                 rule.consume_graph(self.graph)
@@ -507,65 +587,28 @@ class LintEngine:
                     suppressed += 1
                 else:
                     collected.append(finding)
-
-        if self.enabled is not None:
-            enabled = {RULE_ALIASES.get(rule, rule) for rule in self.enabled}
-            collected = [f for f in collected if f.rule in enabled]
-        baselined = 0
-        if self.baseline:
-            kept = []
-            for finding in collected:
-                if finding.fingerprint() in self.baseline:
-                    baselined += 1
-                else:
-                    kept.append(finding)
-            collected = kept
-        collected.sort(key=Finding.sort_key)
-        return LintReport(
-            findings=collected,
-            files_scanned=len(files),
-            suppressed=suppressed,
-            baselined=baselined,
-            wall_seconds=time.monotonic() - started,
-            jobs=self.jobs,
-            cache_hits=cache_hits,
-        )
-
-    # ------------------------------------------------------------------
+        return collected, suppressed
 
     def _scan_files(
         self,
-        files: Sequence[Path],
+        pairs: Sequence[Tuple[str, str]],
+        keys: Sequence[Optional[str]],
+        cache: Optional["ScanCache"],  # noqa: F821 — repro.lint.cache
         rules: Sequence["Rule"],  # noqa: F821
         known_ids: Set[str],
         need_summary: bool,
-    ) -> Tuple[List[FileScan], int]:
-        """Per-file pass, serial or fanned out; order follows ``files``.
+    ) -> List[FileScan]:
+        """Per-file pass, serial or fanned out; order follows ``pairs``.
 
-        With ``cache_dir`` set, files whose content hash (plus run
-        token) has a cached :class:`FileScan` skip scanning entirely;
+        Files whose key (``None`` for an unreadable file, or without a
+        cache) has a cached :class:`FileScan` skip scanning entirely;
         only the misses go to the pool.  The merged result is
         positionally identical to an uncached run.
         """
-        pairs = [(str(path), self._display(path)) for path in files]
-        cache = None
-        cache_keys: Dict[int, str] = {}
         results: Dict[int, FileScan] = {}
-        if self.cache_dir is not None:
-            from repro.lint.cache import ScanCache, cache_token
-
-            cache = ScanCache(
-                Path(self.cache_dir),
-                cache_token(rules, known_ids, need_summary),
-            )
-            for index, (p, display) in enumerate(pairs):
-                try:
-                    content = Path(p).read_bytes()
-                except OSError:
-                    continue  # unreadable: let _scan_one report it
-                key = cache.key(display, content)
-                cache_keys[index] = key
-                hit = cache.load(key)
+        if cache is not None:
+            for index, key in enumerate(keys):
+                hit = cache.load(key) if key is not None else None
                 if hit is not None:
                     results[index] = hit
         pending = [
@@ -599,11 +642,9 @@ class LintEngine:
                     fresh.extend(future.result())
         for (index, _), scan in zip(pending, fresh):
             results[index] = scan
-            if cache is not None and index in cache_keys:
-                cache.store(cache_keys[index], scan)
-        return [results[index] for index in range(len(pairs))], (
-            cache.hits if cache is not None else 0
-        )
+            if cache is not None and keys[index] is not None:
+                cache.store(keys[index], scan)
+        return [results[index] for index in range(len(pairs))]
 
     def _known_ids(self) -> Set[str]:
         # A suppression naming any registered rule is well-formed even
@@ -612,19 +653,32 @@ class LintEngine:
 
         return set(all_rule_ids()) | {rule.id for rule in self.rules}
 
-    def _display(self, path: Path) -> str:
-        root = self.root or Path.cwd()
-        try:
-            return path.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            return path.as_posix()
 
-    def _parse_failure(self, path: Path) -> Finding:
-        return Finding(
-            rule="RPR001",
-            severity="error",
-            path=self._display(path),
-            line=0,
-            col=0,
-            message="file does not parse as Python (or is unreadable)",
-        )
+def _display(path: Path, root: Path) -> str:
+    """``path`` relative to the resolved ``root``, else as given."""
+    try:
+        return path.resolve().relative_to(root).as_posix()
+    except ValueError:
+        return path.as_posix()
+
+
+def _file_key(
+    cache: "ScanCache", path: str, display: str  # noqa: F821
+) -> Optional[str]:
+    """Scan-cache key of one file, or ``None`` when it cannot be read
+    (``_scan_one`` then reports it as RPR001)."""
+    try:
+        return cache.key(display, Path(path).read_bytes())
+    except OSError:
+        return None
+
+
+def _parse_failure(display: str) -> Finding:
+    return Finding(
+        rule="RPR001",
+        severity="error",
+        path=display,
+        line=0,
+        col=0,
+        message="file does not parse as Python (or is unreadable)",
+    )

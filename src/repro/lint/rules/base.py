@@ -81,6 +81,13 @@ class Rule:
     def applies_to(self, ctx: FileContext) -> bool:
         return self.layers is None or ctx.layer in self.layers
 
+    def cache_inputs(self) -> Tuple[str, ...]:
+        """Values from outside :mod:`repro.lint` this rule's findings
+        depend on.  The ``--cache-dir`` keys fold them in (see
+        :mod:`repro.lint.cache`), so a change to them misses every
+        cached entry that depends on this rule."""
+        return ()
+
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Yield findings for one file."""
         return iter(())

@@ -62,19 +62,31 @@ def _emit_sites(tree: ast.Module) -> Iterator[Tuple[ast.AST, str, str]]:
                     yield keyword.value, keyword.value.value, "filter"
 
 
-class UnregisteredEventRule(Rule):
-    """RPR301: event-name literal not present in ``EVENT_SCHEMAS``."""
+class _SchemaRule(Rule):
+    """A rule that compares event names against a schema set: the one
+    injected at construction, else the live ``EVENT_SCHEMAS``."""
 
-    id = "RPR301"
-    title = "event name not registered in EVENT_SCHEMAS"
     family = "telemetry"
     severity = "error"
 
     def __init__(self, schemas: Optional[Set[str]] = None) -> None:
         self._schemas = set(schemas) if schemas is not None else None
 
+    def known_events(self) -> Set[str]:
+        return self._schemas if self._schemas is not None else registered_events()
+
+    def cache_inputs(self) -> Tuple[str, ...]:
+        return tuple(sorted(self.known_events()))
+
+
+class UnregisteredEventRule(_SchemaRule):
+    """RPR301: event-name literal not present in ``EVENT_SCHEMAS``."""
+
+    id = "RPR301"
+    title = "event name not registered in EVENT_SCHEMAS"
+
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        known = self._schemas if self._schemas is not None else registered_events()
+        known = self.known_events()
         for node, name, kind in _emit_sites(ctx.tree):
             if name not in known:
                 verb = "emitted" if kind == "emit" else "filtered on"
@@ -88,7 +100,7 @@ class UnregisteredEventRule(Rule):
                 )
 
 
-class OrphanSchemaRule(Rule):
+class OrphanSchemaRule(_SchemaRule):
     """RPR302: registered schema with no static emit site in the corpus.
 
     Corpus-level: the engine feeds every file's
@@ -105,12 +117,10 @@ class OrphanSchemaRule(Rule):
 
     id = "RPR302"
     title = "registered event schema never emitted"
-    family = "telemetry"
-    severity = "error"
     corpus_level = True
 
     def __init__(self, schemas: Optional[Set[str]] = None) -> None:
-        self._schemas = set(schemas) if schemas is not None else None
+        super().__init__(schemas)
         self._emitted: Dict[str, str] = {}
         self._defining_files: List[str] = []
 
