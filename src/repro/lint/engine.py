@@ -40,6 +40,7 @@ long statements stay readable.  A suppression naming a folded rule id
 from __future__ import annotations
 
 import ast
+import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -450,7 +451,7 @@ class LintEngine:
             raise ReproError(f"lint --jobs must be >= 1, got {self.jobs}")
         files = list(dict.fromkeys(iter_python_files([Path(p) for p in paths])))
         root = (self.root or Path.cwd()).resolve()
-        pairs = [(str(path), _display(path, root)) for path in files]
+        pairs = list(zip(map(str, files), _displays(files, root)))
         known_ids = self._known_ids()
         per_file_rules = [r for r in self.rules if not r.corpus_level]
         corpus_rules = [r for r in self.rules if r.corpus_level]
@@ -654,12 +655,28 @@ class LintEngine:
         return set(all_rule_ids()) | {rule.id for rule in self.rules}
 
 
-def _display(path: Path, root: Path) -> str:
-    """``path`` relative to the resolved ``root``, else as given."""
-    try:
-        return path.resolve().relative_to(root).as_posix()
-    except ValueError:
-        return path.as_posix()
+def _displays(files: Sequence[Path], root: Path) -> List[str]:
+    """Each file relative to the resolved ``root``, else as given.
+
+    A file that is not itself a link resolves to its resolved
+    directory plus its name, so each directory is resolved once per
+    run: resolving costs one ``lstat`` per path component.
+    """
+    directories: Dict[Path, Path] = {}
+    displays = []
+    for path in files:
+        if os.path.islink(path):
+            resolved = path.resolve()
+        else:
+            directory = directories.get(path.parent)
+            if directory is None:
+                directory = directories[path.parent] = path.parent.resolve()
+            resolved = directory / path.name
+        try:
+            displays.append(resolved.relative_to(root).as_posix())
+        except ValueError:
+            displays.append(path.as_posix())
+    return displays
 
 
 def _file_key(

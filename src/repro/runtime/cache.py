@@ -29,12 +29,25 @@ key, quarantined like any other, and the second entry is recomputed.
 Only the sweep parent reads or writes: pool workers never touch the
 cache.
 
-There is no in-memory index and no file handle outlives a call, so
-stores made by other instances and processes are visible to the next
-lookup, and memory does not grow with the cache.  A lookup reads one
-bucket, about 1/256 of the cache, and a fresh directory gets at most
-256 new files however many entries it holds (file creation, not an
-append, is what costs; see ``docs/performance.md``).
+There is no in-memory index and no file handle outlives a call.  A
+lookup reads its key's bucket, about 1/256 of the cache, unless it is
+the bucket this instance read last and ``os.stat`` still reports the
+same inode, size and modification time; then the bytes of that read
+are reused.  Every store appends, and an append changes the bucket's
+size, so a store by another instance or process is visible to the
+next lookup, and memory holds at most one bucket however large the
+cache grows.  Deleting a bucket is the one case the stat can miss:
+if another instance or process clears the cache and re-stores a
+bucket of the same size within one mtime tick, on a reused inode,
+this instance keeps serving the bytes it read before the clear until
+the bucket's stat changes (results are deterministic, so those bytes
+nearly always hold what a re-run would store, but a cleared key can
+be served as a hit).  A sweep looks its keys up in key order
+(:class:`~repro.runtime.parallel.SweepExecutor`), so one bucket's
+lookups are adjacent and each bucket is read once.  A fresh
+directory gets at most 256 new files however many entries it holds
+(file creation, not an append, is what costs; see
+``docs/performance.md``).
 
 A corrupt line — invalid JSON, not a result object, wrong or missing
 schema version — is **quarantined**: counted in :class:`CacheStats`,
@@ -54,10 +67,14 @@ import os
 import pathlib
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.runtime.telemetry import TELEMETRY_SCHEMA_VERSION, TelemetryWriter
+from repro.runtime.telemetry import (
+    _ENCODER,
+    TELEMETRY_SCHEMA_VERSION,
+    TelemetryWriter,
+)
 
 __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "ResultCache", "stable_hash"]
 
@@ -76,17 +93,30 @@ _QUARANTINED = b'{"quarantined": '
 _TRUNCATED = '{"schema": '
 
 
+#: ``json.dumps`` with any argument off its defaults builds a new
+#: ``JSONEncoder`` per call; this one is built once.  A canonical form
+#: is a tree :func:`_canonical` has just built, so it cannot hold a
+#: cycle and the encoder skips the check.
+_KEY_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
+
+
 def _canonical(value: Any) -> Any:
-    """Normalise a value for hashing: dicts sorted, floats exact.
+    """Normalise a value for hashing: keys as strings, floats exact.
 
     Floats are rewritten as ``repr`` strings so the canonical form is
     bit-exact (JSON float round-tripping is repr-faithful in Python 3,
     but being explicit keeps the key stable across serialisers), and
     integral floats hash differently from ints on purpose — a spec that
-    changes type changes meaning.
+    changes type changes meaning.  Keys are not sorted here: the key
+    encoder sorts them.  Of two keys with one ``str`` form, the one
+    inserted last wins.
     """
     if isinstance(value, dict):
-        return {str(k): _canonical(value[k]) for k in sorted(value, key=str)}
+        return {
+            k if type(k) is str else str(k): _canonical(v) for k, v in value.items()
+        }
     if isinstance(value, (list, tuple)):
         return [_canonical(item) for item in value]
     if isinstance(value, float):
@@ -101,7 +131,7 @@ def _canonical(value: Any) -> Any:
 
 def stable_hash(description: Dict[str, Any]) -> str:
     """SHA-256 hex digest of the canonical JSON form of ``description``."""
-    canonical = json.dumps(_canonical(description), sort_keys=True, separators=(",", ":"))
+    canonical = _KEY_ENCODER.encode(_canonical(description))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -130,14 +160,27 @@ class ResultCache:
             view of the cache, not the directory's lifetime history).
         telemetry: Optional JSON-lines sink; quarantines emit one
             ``cache_quarantine`` record each.
+
+    An instance reuses the bytes of the bucket it read last while
+    their stat is unchanged.  So after a :meth:`clear` by another
+    instance or process, a bucket re-created with the inode, size and
+    mtime of the one read is still served from the bytes read before
+    the clear (see the module docstring).
     """
 
     directory: Union[str, pathlib.Path]
     stats: CacheStats = field(default_factory=CacheStats)
     telemetry: Optional[TelemetryWriter] = None
+    #: The bucket read last: ``((path, inode, size, mtime_ns), bytes)``.
+    _last: Optional[Tuple[Tuple[str, int, int, int], bytes]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.directory = pathlib.Path(self.directory)
+        # A bucket path is ``_root + "<xx>.log"``, spelled as pathlib
+        # spells a child of the directory ("" for ".").
+        self._root = str(self.directory / "_")[:-1]
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Return the stored payload for ``key``, or ``None`` on miss.
@@ -149,7 +192,7 @@ class ResultCache:
         _check_key(key)
         bucket = self._bucket(key)
         try:
-            text = _newest_payload(_read(bucket), key)
+            text = _newest_payload(self._bucket_bytes(bucket), key)
         except OSError:
             text = None  # nothing stored under this prefix
         if text is None or text.startswith(_QUARANTINED):
@@ -181,7 +224,7 @@ class ResultCache:
         payload = {"schema": CACHE_SCHEMA_VERSION, "key": key, "result": result}
         if point is not None:
             payload["point"] = point
-        self._append(key, json.dumps(payload, sort_keys=True))
+        self._append(key, _ENCODER.encode(payload))
         self.stats.stores += 1
 
     def append_truncated(self, key: str) -> None:
@@ -193,8 +236,16 @@ class ResultCache:
     def clear(self) -> int:
         """Delete every bucket (quarantine records and evidence
         included) and any entry files of the older one-file-per-entry
-        layout; returns how many files were removed."""
+        layout; returns how many files were removed.
+
+        This instance forgets the bucket it read last, since a
+        re-created bucket can reuse its inode, size and mtime.  Other
+        instances cannot be told: one that read a bucket before the
+        clear keeps serving those bytes while a re-created bucket
+        matches their inode, size and mtime.
+        """
         root = pathlib.Path(self.directory)
+        self._last = None
         removed = 0
         for pattern in (_BUCKET_GLOB, "*/*.json", "*/*.json.corrupt", "*/*.tmp"):
             for entry in root.glob(pattern):
@@ -205,8 +256,22 @@ class ResultCache:
                     pass
         return removed
 
-    def _bucket(self, key: str) -> pathlib.Path:
-        return pathlib.Path(self.directory) / f"{key[:2]}.log"
+    def _bucket(self, key: str) -> str:
+        return self._root + key[:2] + ".log"
+
+    def _bucket_bytes(self, bucket: str) -> bytes:
+        """The bytes of ``bucket``: those of the last read while
+        ``os.stat`` reports the same inode, size and mtime (an append
+        changes the size), else a fresh read."""
+        stat = os.stat(bucket)
+        seen = (bucket, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        if self._last is not None and self._last[0] == seen:
+            return self._last[1]
+        # Drop the old bytes first: the read then reuses their memory.
+        self._last = None
+        data = _read(bucket)
+        self._last = (seen, data)
+        return data
 
     def _append(self, key: str, text: str) -> None:
         """Append one whole line to ``key``'s bucket."""
@@ -215,7 +280,7 @@ class ResultCache:
         try:
             fd = os.open(bucket, flags, 0o644)
         except FileNotFoundError:
-            bucket.parent.mkdir(parents=True, exist_ok=True)
+            pathlib.Path(self.directory).mkdir(parents=True, exist_ok=True)
             fd = os.open(bucket, flags, 0o644)
         try:
             data = f"{key} {text}\n".encode()
@@ -224,7 +289,7 @@ class ResultCache:
         finally:
             os.close(fd)
 
-    def _quarantine(self, key: str, bucket: pathlib.Path, reason: str) -> None:
+    def _quarantine(self, key: str, bucket: str, reason: str) -> None:
         """Count a corrupt line and mark ``key`` with a quarantine
         record, so later lookups are plain misses until a re-store."""
         self.stats.quarantined += 1
@@ -238,13 +303,13 @@ class ResultCache:
                     "schema": TELEMETRY_SCHEMA_VERSION,
                     "event": "cache_quarantine",
                     "key": key,
-                    "path": str(bucket),
+                    "path": bucket,
                     "reason": reason,
                 }
             )
 
 
-def _read(bucket: pathlib.Path) -> bytes:
+def _read(bucket: str) -> bytes:
     fd = os.open(bucket, os.O_RDONLY)
     try:
         return os.read(fd, os.fstat(fd).st_size)

@@ -60,7 +60,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_int, check_number
 
 __all__ = [
     "FAULT_CRASH",
@@ -137,9 +137,7 @@ class FaultPlan:
     def __post_init__(self) -> None:
         for name in ("crash_rate", "hang_rate", "error_rate", "corrupt_rate"):
             rate = getattr(self, name)
-            if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-                raise ConfigurationError(f"{name} must be a number, got {rate!r}")
-            if not 0.0 <= float(rate) <= 1.0:
+            if not 0.0 <= check_number(rate, name) <= 1.0:
                 raise ConfigurationError(
                     f"{name} must be in [0, 1], got {rate!r}"
                 )
@@ -149,9 +147,9 @@ class FaultPlan:
                 "crash_rate + hang_rate + error_rate must be <= 1, got "
                 f"{total!r}"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigurationError(f"seed must be an int, got {self.seed!r}")
-        if self.hang_seconds <= 0:
+        check_int(self.seed, "seed")
+        # Finite: a NaN would disable hangs, an infinity overflow sleep().
+        if check_number(self.hang_seconds, "hang_seconds") <= 0:
             raise ConfigurationError(
                 f"hang_seconds must be > 0, got {self.hang_seconds!r}"
             )

@@ -746,20 +746,26 @@ class SweepExecutor:
         counts = {"faults": 0, "retries": 0, "failures": 0}
 
         pending: List[int] = []
-        for index, key in enumerate(keys):
-            if self.cache is not None:
+        if self.cache is None:
+            pending = list(range(count))
+        else:
+            # Key order puts one bucket's lookups next to each other,
+            # so the cache reads each bucket once; misses still run in
+            # input order.
+            for index in sorted(range(count), key=keys.__getitem__):
                 lookup_start = time.perf_counter()
-                cached = self.cache.get(key)
-                if cached is not None:
-                    # Labels are not part of the key: a hit echoes
-                    # this point's label, not the one stored with it.
-                    results[index] = PointResult.from_dict(
-                        {**cached, "label": points[index].label}
-                    )
-                    walls[index] = time.perf_counter() - lookup_start
-                    hits[index] = True
+                cached = self.cache.get(keys[index])
+                if cached is None:
+                    pending.append(index)
                     continue
-            pending.append(index)
+                # Labels are not part of the key: a hit echoes this
+                # point's label, not the one stored with it.
+                results[index] = PointResult.from_dict(
+                    {**cached, "label": points[index].label}
+                )
+                walls[index] = time.perf_counter() - lookup_start
+                hits[index] = True
+            pending.sort()
 
         if self.jobs == 1 or len(pending) <= 1:
             self._run_serial(points, keys, pending, results, walls, counts)

@@ -71,6 +71,10 @@ __all__ = [
 #: changes, so downstream consumers can dispatch on ``record["schema"]``.
 TELEMETRY_SCHEMA_VERSION = 2
 
+#: Every record's encoder, and every result-cache line's, built once
+#: (``json.dumps(record, sort_keys=True)`` builds a new one per call).
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 #: JSON never distinguishes 3 from 3.0, so float-typed fields accept
 #: ints too; bool is excluded from numeric fields (it subclasses int).
 _STR: Tuple[type, ...] = (str,)
@@ -223,7 +227,7 @@ class TelemetryWriter:
 
     def emit(self, record: Dict[str, Any]) -> None:
         """Write one record as a single JSON line."""
-        line = json.dumps(record, sort_keys=True) + "\n"
+        line = _ENCODER.encode(record) + "\n"
         if self._path is not None:
             if self._fd < 0:
                 self._path.parent.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
+from repro.lint import engine as lint_engine
 from repro.lint import (
     LintEngine,
     build_rules,
@@ -17,6 +18,15 @@ from repro.lint import (
 )
 
 P = pathlib.Path
+
+
+def _display_by_resolving(path, root):
+    """A report path as the engine first computed it, resolving every
+    file whole: relative to the resolved ``root``, else as given."""
+    try:
+        return path.resolve().relative_to(root).as_posix()
+    except ValueError:
+        return path.as_posix()
 
 
 def run(paths, only=None, baseline=None):
@@ -66,6 +76,39 @@ class TestWalking:
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(ReproError, match="does not exist"):
             run([tmp_path / "nope"])
+
+    def test_display_paths_match_resolving_every_file(self, tmp_path, monkeypatch):
+        root, outside = tmp_path / "root", tmp_path / "outside"
+        (root / "pkg" / "sub").mkdir(parents=True)
+        outside.mkdir()
+        for path in (root / "pkg" / "a.py", root / "pkg" / "sub" / "b.py",
+                     outside / "c.py"):
+            path.write_text("")
+        (root / "pkg" / "inner.py").symlink_to(root / "pkg" / "sub" / "b.py")
+        (root / "pkg" / "escape.py").symlink_to(outside / "c.py")
+        (root / "linked").symlink_to(root / "pkg" / "sub", target_is_directory=True)
+        (root / "away").symlink_to(outside, target_is_directory=True)
+        monkeypatch.chdir(root)
+        files = [
+            root / "pkg" / "a.py",
+            root / "pkg" / "inner.py",  # a linked file
+            root / "pkg" / "escape.py",  # a linked file outside the root
+            root / "linked" / "b.py",  # under a linked directory
+            root / "away" / "c.py",  # under a link leaving the root
+            root / "pkg" / "sub" / ".." / "a.py",
+            root / "linked" / ".." / "a.py",  # ".." after a link
+            outside / "c.py",  # outside the root
+            P("pkg") / "sub" / "b.py",  # relative to the working directory
+            P("missing.py"),
+        ]
+        displays = lint_engine._displays(files, root.resolve())
+        assert displays == [_display_by_resolving(f, root.resolve()) for f in files]
+        # Outside the root a file is shown as given.
+        assert displays == [
+            "pkg/a.py", "pkg/sub/b.py", files[2].as_posix(), "pkg/sub/b.py",
+            files[4].as_posix(), "pkg/a.py", "pkg/a.py", files[7].as_posix(),
+            "pkg/sub/b.py", "missing.py",
+        ]
 
     def test_output_is_sorted_and_deterministic(self, tmp_path):
         for name in ("b.py", "a.py"):

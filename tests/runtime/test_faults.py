@@ -14,6 +14,7 @@ tests replay exactly, including their fault telemetry.
 
 import io
 import itertools
+import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -155,6 +156,43 @@ class TestFaultPlan:
             FaultPlan(hang_seconds=0.0)
         with pytest.raises(ConfigurationError, match="seed"):
             FaultPlan(seed=True)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # NaN would silently disable hangs; an infinity would make
+            # a worker's sleep() raise a bare OverflowError.
+            ("hang_seconds", math.nan),
+            ("hang_seconds", math.inf),
+            ("hang_seconds", True),
+            ("hang_seconds", "2"),
+            ("crash_rate", 10**400),
+            ("crash_rate", math.nan),
+            ("hang_rate", "0.5"),
+            ("error_rate", -math.inf),
+            ("corrupt_rate", None),
+            ("seed", 1.5),
+            ("seed", "7"),
+        ],
+    )
+    def test_bad_values_are_configuration_errors(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            FaultPlan(**{field: value})
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ("hang=0.5,hang_seconds=nan", "hang_seconds"),
+            ("hang_seconds=inf", "hang_seconds"),
+            ("hang_seconds=-inf", "hang_seconds"),
+            ("crash=1e400", "crash_rate"),
+            ("error=nan", "error_rate"),
+            ("corrupt=inf", "corrupt_rate"),
+        ],
+    )
+    def test_parse_rejects_non_finite_values(self, spec, field):
+        with pytest.raises(ConfigurationError, match=field):
+            FaultPlan.parse(spec)
 
     def test_parse_round_trips(self):
         plan = FaultPlan.parse(

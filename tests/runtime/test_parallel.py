@@ -1,15 +1,19 @@
 """Tests for the parallel sweep executor, result cache, and telemetry."""
 
 import gc
+import hashlib
 import io
 import json
 import math
 import multiprocessing
 import os
 import re
+import shutil
 import time
 import warnings
+from collections import Counter, OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +27,7 @@ from repro.runtime.cache import (
     stable_hash,
 )
 from repro.runtime.experiment import compare_policies
-from repro.runtime import parallel
+from repro.runtime import cache as cache_module, parallel
 from repro.runtime.faults import PointFailure
 from repro.runtime.parallel import (
     PointResult,
@@ -46,6 +50,86 @@ from repro.workloads import build_workload, synthetic_from_ratio
 SYNTH = {"kind": "synthetic", "ratio": 0.5, "pairs": 24}
 
 
+def _reference_canonical(value):
+    """The canonical form as ``stable_hash`` first built it: every dict
+    rebuilt with its keys sorted by ``str``, then encoded by
+    ``json.dumps(sort_keys=True)`` (the key bytes are pinned to it)."""
+    if isinstance(value, dict):
+        return {
+            str(k): _reference_canonical(value[k]) for k in sorted(value, key=str)
+        }
+    if isinstance(value, (list, tuple)):
+        return [_reference_canonical(item) for item in value]
+    if isinstance(value, float):
+        return f"f:{value!r}"
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    raise ConfigurationError(f"cannot hash value of type {type(value).__name__}")
+
+
+def _reference_hash(description):
+    canonical = json.dumps(
+        _reference_canonical(description), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class _SpecDict(dict):
+    pass
+
+
+class _SpecInt(int):
+    pass
+
+
+class _SpecFloat(float):
+    pass
+
+
+class _SpecStr(str):
+    pass
+
+
+#: Floats that print oddly, and integral ones next to the equal ints.
+_EDGE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 2.0, 1e16, 0.1 + 0.2]
+)
+_HASH_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.integers(),
+    st.text(max_size=6),
+    st.floats(),
+    _EDGE_FLOATS,
+    # Subclasses canonicalise as their base types do.
+    st.integers(-2, 2).map(_SpecInt),
+    _EDGE_FLOATS.map(_SpecFloat),
+    st.text(max_size=3).map(_SpecStr),
+)
+#: Keys whose ``str`` forms collide ("1" and 1, "True" and True, "1.0"
+#: and 1.0), so the last-inserted-wins rule is exercised.
+_HASH_KEYS = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["0", "1", "1.0", "True", "None", "-0.0"]),
+    st.integers(-1, 2),
+    st.booleans(),
+    st.none(),
+    _EDGE_FLOATS,
+)
+_HASH_VALUES = st.recursive(
+    _HASH_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_HASH_KEYS, children, max_size=4),
+        st.dictionaries(_HASH_KEYS, children, max_size=4).map(OrderedDict),
+        st.dictionaries(_HASH_KEYS, children, max_size=4).map(_SpecDict),
+    ),
+    max_leaves=12,
+)
+
+
 class TestStableHash:
     def test_key_order_does_not_matter(self):
         a = {"x": 1, "y": {"b": 2.5, "a": [1, 2]}}
@@ -64,12 +148,59 @@ class TestStableHash:
         with pytest.raises(ConfigurationError):
             stable_hash({"bad": object()})
 
+    @pytest.mark.parametrize(
+        "bad", [object(), {1, 2}, b"bytes", MappingProxyType({"a": 1})]
+    )
+    def test_unsupported_types_are_rejected_at_any_depth(self, bad):
+        for description in ({"bad": bad}, {"a": [1, {"b": (bad,)}]}):
+            with pytest.raises(ConfigurationError, match="cannot hash value"):
+                stable_hash(description)
+            with pytest.raises(ConfigurationError, match="cannot hash value"):
+                _reference_hash(description)
+
+    def test_integral_floats_and_ints_differ(self):
+        assert stable_hash({"x": 1}) != stable_hash({"x": 1.0})
+        assert stable_hash({"x": [0]}) != stable_hash({"x": [-0.0]})
+        assert stable_hash({"x": 0.0}) != stable_hash({"x": -0.0})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(_HASH_KEYS, _HASH_VALUES, max_size=6))
+    def test_digest_matches_the_sorted_rebuild(self, description):
+        assert stable_hash(description) == _reference_hash(description)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_HASH_VALUES)
+    def test_any_value_matches_the_sorted_rebuild(self, value):
+        assert stable_hash(value) == _reference_hash(value)
+
 
 def _store_many(directory, proc, count):
     """Store ``count`` entries from a separate process."""
     cache = ResultCache(directory)
     for n in range(count):
         cache.put(stable_hash({"proc": proc, "n": n}), {"proc": proc, "n": n})
+
+
+def _same_bucket(key, salt="q"):
+    """A key other than ``key`` in ``key``'s bucket."""
+    return next(
+        other for other in (stable_hash({salt: n}) for n in range(10_000))
+        if other[:2] == key[:2] and other != key
+    )
+
+
+@pytest.fixture
+def bucket_reads(monkeypatch):
+    """The path of every bucket file the cache reads, in order."""
+    reads = []
+    real_read = cache_module._read
+
+    def counting(bucket):
+        reads.append(bucket)
+        return real_read(bucket)
+
+    monkeypatch.setattr(cache_module, "_read", counting)
+    return reads
 
 
 def _append_line(directory, key, text):
@@ -236,6 +367,59 @@ class TestResultCache:
         a.put(second, {"n": 8})
         assert b.get(second) == {"n": 8}
         assert b.stats == CacheStats(hits=2, misses=1)
+
+    def test_store_by_another_instance_into_the_bucket_read_last_is_served(
+        self, tmp_path, bucket_reads
+    ):
+        a, b = ResultCache(tmp_path), ResultCache(tmp_path)
+        first = stable_hash({"p": 20})
+        second = _same_bucket(first)
+        a.put(first, {"n": 20})
+        assert b.get(first) == {"n": 20}
+        assert b.get(first) == {"n": 20}
+        assert len(bucket_reads) == 1  # the second lookup reused the bytes
+        a.put(second, {"n": 21})  # between two lookups of one bucket
+        assert b.get(second) == {"n": 21}
+        assert b.get(first) == {"n": 20}
+        assert len(bucket_reads) == 2
+        assert b.stats == CacheStats(hits=4)
+
+    def test_restore_after_clear_into_a_same_size_bucket_is_served(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = stable_hash({"p": 21})
+        bucket = tmp_path / f"{key[:2]}.log"
+        cache.put(key, {"n": 1})
+        assert cache.get(key) == {"n": 1}
+        before = bucket.stat()
+        assert cache.clear() == 1
+        # One line of the same length, in a new file that may reuse the
+        # inode, stamped as if in the same clock tick.
+        cache.put(key, {"n": 2})
+        os.utime(bucket, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert bucket.stat().st_size == before.st_size
+        assert cache.get(key) == {"n": 2}
+        assert ResultCache(tmp_path).get(key) == {"n": 2}
+
+    def test_partial_line_in_the_bucket_read_last_is_served_once_completed(
+        self, tmp_path, bucket_reads
+    ):
+        healthy = stable_hash({"p": 22})
+        torn = _same_bucket(healthy)
+        record = json.dumps(
+            {"schema": CACHE_SCHEMA_VERSION, "key": torn, "result": {"n": 23}}
+        )
+        cache = ResultCache(tmp_path)
+        cache.put(healthy, {"n": 22})
+        assert cache.get(healthy) == {"n": 22}
+        bucket = _append_line(tmp_path, torn, record)  # still being written
+        assert cache.get(torn) is None
+        assert cache.get(healthy) == {"n": 22}
+        assert len(bucket_reads) == 2
+        with bucket.open("a") as handle:
+            handle.write("\n")
+        assert cache.get(torn) == {"n": 23}
+        assert len(bucket_reads) == 3
+        assert cache.stats.quarantined == 0
 
     def test_short_writes_still_append_whole_lines(self, tmp_path, monkeypatch):
         # The kernel may accept only part of a write; the rest must
@@ -786,6 +970,60 @@ class TestSweepExecutor:
         assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
         assert cache.stats.hits == len(self.POINTS)
         assert cache.stats.stores == len(self.POINTS)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warm_sweep_reads_each_bucket_at_most_once(
+        self, tmp_path, bucket_reads, jobs
+    ):
+        points = _tiny(60)
+        keys = [point_key(point) for point in points]
+        assert max(Counter(key[:2] for key in keys).values()) > 1  # shared buckets
+        cold = SweepExecutor(jobs=jobs, cache=ResultCache(tmp_path)).run(points)
+        bucket_reads.clear()
+        cache = ResultCache(tmp_path)
+        warm = SweepExecutor(jobs=jobs, cache=cache).run(points)
+        assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
+        assert cache.stats == CacheStats(hits=len(points))
+        assert sorted(bucket_reads) == sorted(
+            str(tmp_path / f"{prefix}.log") for prefix in {key[:2] for key in keys}
+        )
+
+    def test_quarantines_match_per_point_lookups(self, tmp_path):
+        # Key-order lookups quarantine exactly what the per-point order
+        # did: each quarantine record only affects its own key.
+        points = _tiny(40) + _tiny(3)  # three points asked twice
+        keys = [point_key(point) for point in points]
+        source = tmp_path / "source"
+        seeded = ResultCache(source)
+        SweepExecutor(cache=seeded).run(points)
+        for key in keys[::4]:
+            seeded.append_truncated(key)
+        for key in keys[1::7]:
+            _append_line(source, key, '["not", "a", "result"]\n')
+        _append_line(source, keys[2], '{"schema": 1, "result": {}}\n')
+
+        def quarantined(cache, sink):
+            log = io.StringIO(sink.getvalue())
+            return cache.stats.quarantined, sorted(
+                (r["key"], os.path.basename(r["path"]), r["reason"])
+                for r in read_telemetry(log, "cache_quarantine")
+            )
+
+        shutil.copytree(source, tmp_path / "swept")
+        sink = io.StringIO()
+        swept = ResultCache(tmp_path / "swept", telemetry=TelemetryWriter(sink))
+        SweepExecutor(cache=swept).run(points)
+        shutil.copytree(source, tmp_path / "looked-up")
+        reference = io.StringIO()
+        looked_up = ResultCache(
+            tmp_path / "looked-up", telemetry=TelemetryWriter(reference)
+        )
+        for key in keys:  # input order, one lookup per point
+            looked_up.get(key)
+        assert quarantined(swept, sink) == quarantined(looked_up, reference)
+        corrupt = set(keys[::4]) | set(keys[1::7]) | {keys[2]}
+        assert swept.stats.quarantined == len(corrupt)
+        assert swept.stats.misses == looked_up.stats.misses
 
     def test_cache_is_shared_between_serial_and_parallel(self, tmp_path):
         cache = ResultCache(tmp_path)
