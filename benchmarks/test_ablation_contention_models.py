@@ -19,13 +19,13 @@ import pytest
 
 from _helpers import run_once, save_artifact
 from repro.analysis import format_speedup, render_table
-from repro.core import DynamicThrottlingPolicy, conventional_policy
+from repro.core import DynamicThrottlingPolicy
 from repro.memory.contention import (
     BandwidthShareModel,
     LinearContentionModel,
     PowerLawContentionModel,
 )
-from repro.sim import Simulator, i7_860
+from repro.sim import Simulator, conventional_policy, i7_860
 from repro.units import NANOSECONDS
 from repro.workloads import streamcluster
 

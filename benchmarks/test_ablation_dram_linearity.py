@@ -21,7 +21,8 @@ Asserted findings:
 import pytest
 
 from _helpers import run_once, save_artifact
-from repro.analysis import linear_fit, render_table
+from repro.analysis import render_table
+from repro.memory.calibration import linear_fit
 from repro.memory.dram import measure_latency_curve
 from repro.memory.timing import DDR3_1066
 

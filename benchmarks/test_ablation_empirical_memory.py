@@ -16,9 +16,9 @@ import pytest
 
 from _helpers import run_once, save_artifact
 from repro.analysis import format_speedup, render_table
-from repro.core import DynamicThrottlingPolicy, conventional_policy
+from repro.core import DynamicThrottlingPolicy
 from repro.memory.empirical import EmpiricalContentionModel
-from repro.sim import Simulator, i7_860
+from repro.sim import Simulator, conventional_policy, i7_860
 from repro.workloads import streamcluster, synthetic_from_ratio
 
 RATIOS = [0.2, 0.5, 1.5]

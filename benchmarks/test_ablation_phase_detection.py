@@ -23,9 +23,9 @@ import pytest
 
 from _helpers import run_once, save_artifact
 from repro.analysis import format_percent, format_speedup, render_table
-from repro.core import DynamicThrottlingPolicy, conventional_policy
+from repro.core import DynamicThrottlingPolicy
 from repro.core.phase import WindowStats
-from repro.sim import i7_860, simulate
+from repro.sim import conventional_policy, i7_860, simulate
 from repro.stream.program import StreamProgram, build_phase
 from repro.workloads.base import REFERENCE_SOLO_LATENCY
 

@@ -18,12 +18,8 @@ import pytest
 
 from _helpers import run_once, save_artifact
 from repro.analysis import format_speedup, render_table
-from repro.core import (
-    AdaptiveWindowThrottlingPolicy,
-    DynamicThrottlingPolicy,
-    conventional_policy,
-)
-from repro.sim import i7_860, simulate
+from repro.core import AdaptiveWindowThrottlingPolicy, DynamicThrottlingPolicy
+from repro.sim import conventional_policy, i7_860, simulate
 from repro.workloads import build_workload, realistic_workloads
 
 FIXED_W = [4, 8, 16, 24]

@@ -15,8 +15,8 @@ import pytest
 
 from _helpers import run_once, save_artifact
 from repro.analysis import render_table
-from repro.core import DynamicThrottlingPolicy, conventional_policy
-from repro.sim import i7_860, simulate
+from repro.core import DynamicThrottlingPolicy
+from repro.sim import conventional_policy, i7_860, simulate
 from repro.workloads import build_workload, realistic_workloads
 
 W_VALUES = [4, 8, 12, 16, 20, 24]

@@ -7,7 +7,8 @@ substrates it runs on:
 * :mod:`repro.core` — the analytical model, phase detection, MTL
   selection, the dynamic throttling policy, and the baselines;
 * :mod:`repro.sim` — a processor-sharing multi-core machine simulator
-  standing in for the paper's Intel i7-860 testbed;
+  standing in for the paper's Intel i7-860 testbed, with the policy
+  base class and the static policies;
 * :mod:`repro.memory` — contention models, an LLC capacity model, and
   a bank-level DRAM validator;
 * :mod:`repro.stream` — the gather-compute-scatter task model;
@@ -33,21 +34,21 @@ Quickstart::
 from repro.core import (
     AnalyticalModel,
     DynamicThrottlingPolicy,
-    FixedMtlPolicy,
     MtlDecision,
     MtlSelector,
     OnlineExhaustivePolicy,
     PhaseChangeDetector,
-    conventional_policy,
     offline_exhaustive_search,
     predict_speedup_curve,
 )
 from repro.sim import (
+    FixedMtlPolicy,
     GaussianNoise,
     Machine,
     SimulationResult,
     Simulator,
     ZeroNoise,
+    conventional_policy,
     i7_860,
     simulate,
 )

@@ -1,6 +1,6 @@
 """Analysis and reporting helpers.
 
-* :mod:`repro.analysis.stats` — geometric mean, spread, line fits;
+* :mod:`repro.analysis.stats` — geometric mean, mean and spread;
 * :mod:`repro.analysis.tables` — fixed-width table rendering;
 * :mod:`repro.analysis.figures` — data series and ASCII charts;
 * :mod:`repro.analysis.report` — policy-comparison formatting.
@@ -14,13 +14,7 @@ from repro.analysis.report import (
     geomean_improvement,
 )
 from repro.analysis.timeline import render_timeline
-from repro.analysis.stats import (
-    LinearFit,
-    arithmetic_mean,
-    geometric_mean,
-    linear_fit,
-    stdev,
-)
+from repro.analysis.stats import arithmetic_mean, geometric_mean, stdev
 from repro.analysis.tables import (
     format_percent,
     format_speedup,
@@ -29,7 +23,6 @@ from repro.analysis.tables import (
 )
 
 __all__ = [
-    "LinearFit",
     "Series",
     "arithmetic_mean",
     "ascii_chart",
@@ -39,7 +32,6 @@ __all__ = [
     "format_speedup",
     "geomean_improvement",
     "geometric_mean",
-    "linear_fit",
     "render_policy_matrix",
     "render_table",
     "render_timeline",

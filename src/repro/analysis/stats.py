@@ -1,20 +1,19 @@
 """Statistics helpers for experiment reporting.
 
 The paper summarises realistic-workload results as a geometric mean of
-speedups ("a geometric mean of 12% performance improvement"); the
-DRAM-linearity ablation needs a least-squares line fit.  Both live
-here, dependency-free.
+speedups ("a geometric mean of 12% performance improvement").  The
+least-squares line fit lives with its one user, the contention-law
+calibration (:mod:`repro.memory.calibration`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import MeasurementError
 
-__all__ = ["geometric_mean", "arithmetic_mean", "stdev", "LinearFit", "linear_fit"]
+__all__ = ["geometric_mean", "arithmetic_mean", "stdev"]
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -39,44 +38,3 @@ def stdev(values: Sequence[float]) -> float:
         raise MeasurementError("stdev of an empty sample")
     mean = arithmetic_mean(values)
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-
-
-@dataclass(frozen=True)
-class LinearFit:
-    """Least-squares line ``y = intercept + slope * x``.
-
-    Attributes:
-        slope: Fitted slope.
-        intercept: Fitted intercept.
-        r_squared: Coefficient of determination (1 = perfect line).
-    """
-
-    slope: float
-    intercept: float
-    r_squared: float
-
-    def predict(self, x: float) -> float:
-        return self.intercept + self.slope * x
-
-
-def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
-    """Ordinary least squares over paired samples."""
-    if len(xs) != len(ys):
-        raise MeasurementError(
-            f"mismatched sample lengths: {len(xs)} vs {len(ys)}"
-        )
-    if len(xs) < 2:
-        raise MeasurementError("linear_fit needs at least two points")
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
-        raise MeasurementError("linear_fit needs varying x values")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return LinearFit(slope=slope, intercept=intercept, r_squared=r_squared)

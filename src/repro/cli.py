@@ -61,9 +61,7 @@ from repro.analysis import (
     render_table,
 )
 from repro.core import (
-    FixedMtlPolicy,
     build_policy,
-    conventional_policy,
     offline_exhaustive_search,
     parse_policy_arg,
     policy_catalogue,
@@ -83,7 +81,7 @@ from repro.runtime import (
     measure_ratio,
     paper_policy_specs,
 )
-from repro.sim import Simulator, i7_860
+from repro.sim import FixedMtlPolicy, Simulator, conventional_policy, i7_860
 from repro.sim.gantt import render_gantt
 from repro.stream.program import StreamProgram
 from repro.units import format_time

@@ -1,4 +1,11 @@
-"""The paper's primary contribution.
+"""The paper's primary contribution: the model and the adaptive policies.
+
+Every policy here subclasses
+:class:`~repro.sim.scheduler.ThrottlePolicyPlugin`, which lives with
+the simulator that drives it, as do the static policies
+(:class:`~repro.sim.scheduler.FixedMtlPolicy`,
+:func:`~repro.sim.scheduler.conventional_policy`); this package sits
+above :mod:`repro.sim` and imports it freely.
 
 * :mod:`repro.core.model` — the analytical performance model
   (Section IV-A): core-idle condition, execution time, and speedup at
@@ -11,15 +18,13 @@
   monitor/trigger/probe/commit loop of the selecting policies, and
   the run-time dynamic throttling policy (D-MTL) assembling the three
   pieces on it.
-* :mod:`repro.core.plugin` — the :class:`ThrottlePolicyPlugin`
-  protocol every policy implements (setup/update hooks, per-plugin
-  stat registration), the registration primitives, and
+* :mod:`repro.core.plugin` — the registration primitives and
   :class:`Selection`, the one record every selecting policy keeps per
   committed MTL.
 * :mod:`repro.core.registry` — the name-keyed policy registry the
   CLI, suite, and experiment layers build policies through.
-* :mod:`repro.core.policies` — the static policies and the Online
-  Exhaustive Search baseline.
+* :mod:`repro.core.policies` — the registry entries of the static
+  policies and the Online Exhaustive Search baseline.
 * :mod:`repro.core.slowdown` — the per-pair slowdown estimator the
   fairness/QoS policies share.
 * :mod:`repro.core.mise` — MISE-style slowdown-fairness policy: the
@@ -40,9 +45,7 @@ from repro.core.phase import PairSample, PhaseChangeDetector, WindowStats
 from repro.core.plugin import (
     PolicyEntry,
     PolicyParam,
-    PolicyStats,
     Selection,
-    ThrottlePolicyPlugin,
     register_policy,
     registered_policies,
 )
@@ -55,11 +58,7 @@ from repro.core.registry import (
     policy_entry,
     policy_names,
 )
-from repro.core.policies import (
-    FixedMtlPolicy,
-    OnlineExhaustivePolicy,
-    conventional_policy,
-)
+from repro.core.policies import OnlineExhaustivePolicy
 from repro.core.selection import MtlDecision, MtlSelector
 from repro.core.slowdown import (
     PairLoad,
@@ -74,7 +73,6 @@ __all__ = [
     "AdaptiveWindowThrottlingPolicy",
     "AnalyticalModel",
     "DynamicThrottlingPolicy",
-    "FixedMtlPolicy",
     "MiseFairnessPolicy",
     "MtlDecision",
     "MtlPrediction",
@@ -87,16 +85,13 @@ __all__ = [
     "PhaseChangeDetector",
     "PolicyEntry",
     "PolicyParam",
-    "PolicyStats",
     "ProbingPolicy",
     "QosGuaranteePolicy",
     "SMtlRegion",
     "Selection",
     "SlowdownProfile",
-    "ThrottlePolicyPlugin",
     "WindowStats",
     "build_policy",
-    "conventional_policy",
     "estimate_pair_slowdowns",
     "linear_latency_factor",
     "offline_exhaustive_search",

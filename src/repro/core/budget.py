@@ -8,11 +8,11 @@ of the window, and the counters clear when the window rolls over.
 vocabulary:
 
 * an *activation* is a memory-task dispatch, observed through the
-  plugin :meth:`~repro.core.plugin.ThrottlePolicyPlugin.on_task_dispatch`
+  plugin :meth:`~repro.sim.scheduler.ThrottlePolicyPlugin.on_task_dispatch`
   hook;
 * the *window* rolls over every ``window_pairs`` completed pairs;
 * a blacklisted hardware context is vetoed from acquiring MTL tokens
-  through :meth:`~repro.core.plugin.ThrottlePolicyPlugin.blocks_context`
+  through :meth:`~repro.sim.scheduler.ThrottlePolicyPlugin.blocks_context`
   (it still runs compute work — Section III's "does not have to
   stall" semantics are preserved).
 
@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from repro.core.plugin import PolicyParam, ThrottlePolicyPlugin, register_policy
+from repro.core.plugin import PolicyParam, register_policy
 from repro.errors import ConfigurationError
 from repro.sim.events import TaskRecord
+from repro.sim.scheduler import ThrottlePolicyPlugin
 from repro.stream.task import Task
 
 __all__ = ["ActivationBudgetPolicy"]

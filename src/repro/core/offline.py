@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional
 from repro.sim.machine import Machine, i7_860
 from repro.sim.noise import NoiseModel
 from repro.sim.results import SimulationResult
-from repro.core.policies import FixedMtlPolicy
+from repro.sim.scheduler import FixedMtlPolicy
 from repro.sim.simulator import Simulator
 from repro.stream.program import StreamProgram
 
@@ -39,11 +39,6 @@ class OfflineSearchOutcome:
 
     def makespan(self, mtl: int) -> float:
         return self.by_mtl[mtl].makespan
-
-    def speedup_over(self, baseline_mtl: int) -> float:
-        """Speedup of the best static MTL over another static MTL
-        (pass ``n`` for the conventional baseline)."""
-        return self.by_mtl[baseline_mtl].makespan / self.best.makespan
 
 
 def offline_exhaustive_search(

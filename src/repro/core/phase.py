@@ -73,19 +73,10 @@ class PhaseChangeDetector:
         self._window: List[PairSample] = []
         self._reference_bound: Optional[int] = None
         self.windows_completed = 0
-        self.changes_detected = 0
 
     @property
     def window_pairs(self) -> int:
         return self._window_pairs
-
-    @property
-    def reference_idle_bound(self) -> Optional[int]:
-        """IdleBound of the last completed window (None before any)."""
-        return self._reference_bound
-
-    def pending_samples(self) -> int:
-        return len(self._window)
 
     def observe(self, sample: PairSample) -> Optional[WindowStats]:
         """Add one pair sample.
@@ -105,8 +96,6 @@ class PhaseChangeDetector:
         bound = self._model.idle_bound(t_m, t_c)
         changed = bound != self._reference_bound
         self._reference_bound = bound
-        if changed:
-            self.changes_detected += 1
         return WindowStats(
             t_m=t_m, t_c=t_c, idle_bound=bound, phase_changed=changed
         )
@@ -119,11 +108,6 @@ class PhaseChangeDetector:
                 f"idle_bound {idle_bound} outside [1, {self._model.core_count}]"
             )
         self._reference_bound = idle_bound
-
-    def reset_window(self) -> None:
-        """Discard partially collected samples (used when the MTL under
-        measurement changes mid-window)."""
-        self._window.clear()
 
     def grow_window(self, window_pairs: int) -> None:
         """Enlarge the window size mid-run (grow-only).

@@ -17,51 +17,27 @@ interference-oblivious conventional schedule:
   both pays ~n× the monitoring cost and sometimes mis-selects — the
   two deficits the paper's mechanism is designed to avoid.
 
-Every policy here is a :class:`~repro.core.plugin.ThrottlePolicyPlugin`
-and registers itself in the policy registry; this module is also the
-canonical home of :class:`FixedMtlPolicy` and
-:func:`conventional_policy` (``repro.sim.scheduler`` re-exports them
-for compatibility).
+Every policy here is a :class:`~repro.sim.scheduler.ThrottlePolicyPlugin`
+and registers itself in the policy registry.  The static policies
+(:class:`~repro.sim.scheduler.FixedMtlPolicy`,
+:func:`~repro.sim.scheduler.conventional_policy`) live in the
+simulator's scheduler; this module registers them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.plugin import (
-    PolicyParam,
-    Selection,
-    ThrottlePolicyPlugin,
-    register_policy,
-)
+from repro.core.plugin import PolicyParam, Selection, register_policy
 from repro.errors import ConfigurationError
 from repro.sim.events import TaskRecord
+from repro.sim.scheduler import (
+    FixedMtlPolicy,
+    ThrottlePolicyPlugin,
+    conventional_policy,
+)
 
-__all__ = [
-    "FixedMtlPolicy",
-    "conventional_policy",
-    "OnlineExhaustivePolicy",
-]
-
-
-class FixedMtlPolicy(ThrottlePolicyPlugin):
-    """A static MTL constraint — the paper's *S-MTL* runs."""
-
-    def __init__(self, mtl: int, name: Optional[str] = None) -> None:
-        if mtl < 1:
-            raise ConfigurationError(f"mtl must be >= 1, got {mtl}")
-        super().__init__(name if name is not None else f"static-mtl-{mtl}")
-        self._mtl = mtl
-
-    def current_mtl(self) -> int:
-        return self._mtl
-
-
-def conventional_policy(context_count: int) -> FixedMtlPolicy:
-    """The interference-oblivious baseline: MTL equal to the thread
-    count, i.e. no throttling at all.  All speedups in the paper are
-    relative to this schedule."""
-    return FixedMtlPolicy(mtl=context_count, name="conventional")
+__all__ = ["OnlineExhaustivePolicy"]
 
 
 class OnlineExhaustivePolicy(ThrottlePolicyPlugin):

@@ -4,8 +4,9 @@ Figure 13 partitions the ratio axis into regions by the best static
 MTL (S-MTL).  The paper eyeballs the first boundary at 0.33; the
 analytical model actually puts every boundary at a computable
 crossing of two speedup curves.  This module computes the exact
-partition for any contention model, which the sweep benchmark and the
-documentation use instead of magic constants:
+partition for any contention model; the tests check simulated offline
+searches against it, and ``docs/analytical_model.md`` quotes its
+boundaries instead of magic constants:
 
 * within a region the best-MTL speedup is the hill the paper
   describes (rising while all cores stay busy at that MTL, falling

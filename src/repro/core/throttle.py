@@ -23,15 +23,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.model import AnalyticalModel
 from repro.core.phase import PairSample, PhaseChangeDetector, WindowStats
-from repro.core.plugin import (
-    PolicyParam,
-    Selection,
-    ThrottlePolicyPlugin,
-    register_policy,
-)
+from repro.core.plugin import PolicyParam, Selection, register_policy
 from repro.core.selection import MtlSelector
 from repro.errors import ConfigurationError
 from repro.sim.events import TaskRecord
+from repro.sim.scheduler import ThrottlePolicyPlugin
 
 __all__ = ["DynamicThrottlingPolicy", "PairAssembler", "ProbingPolicy"]
 

@@ -1,31 +1,44 @@
 """API-hygiene rules (RPR501–RPR502).
 
 The package advertises its public surface through ``__all__`` (the
-public-API test walks it) and layers its imports one way: the
-deterministic model layers at the bottom, orchestration (``runtime``,
-``cli``) and tooling (``lint``) on top.  A ``sim`` module importing
-``runtime`` would let wall-clock measurement types leak into the
-simulator — and create exactly the import cycles that made the seed's
-monolith hard to split.
+public-API test walks it) and layers its imports one way, down one
+declared order (:data:`LAYER_RANKS`).  A ``sim`` module importing
+``core`` or ``runtime`` would make importing the simulator depend on
+which package happened to load first — exactly the import cycles that
+made the seed's monolith hard to split.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from pathlib import Path
+from typing import Dict, Iterator, Optional
 
 from repro.lint.engine import FileContext, Finding
 from repro.lint.graph.summary import is_type_checking_test
 from repro.lint.rules.base import Rule
 
-__all__ = ["MissingAllRule", "LayerImportRule"]
+__all__ = ["LAYER_RANKS", "MissingAllRule", "LayerImportRule"]
 
-#: Layers that must never import from the orchestration layers.
-_LOWER_LAYERS = frozenset(
-    {"analysis", "core", "memory", "sim", "stream", "workloads"}
-)
-#: Module prefixes that constitute the orchestration/tooling layers.
-_UPPER_PREFIXES = ("repro.runtime", "repro.cli", "repro.lint")
+#: The layer order, lowest first: a module may import its own layer or
+#: a lower one.  A layer is a ``repro`` subpackage or a module directly
+#: under ``repro`` (``errors``, ``units``, ``cli``).  ``memory`` and
+#: ``stream`` share a rank: here ``stream`` builds on ``memory``, but a
+#: project may layer the two the other way round (e2ebench's lint
+#: corpus does), and neither order is part of the contract.
+LAYER_RANKS: Dict[str, int] = {
+    "errors": 0,
+    "units": 1,
+    "memory": 2,
+    "stream": 2,
+    "sim": 3,
+    "core": 4,
+    "workloads": 5,
+    "analysis": 6,
+    "runtime": 7,
+    "lint": 8,
+    "cli": 9,
+}
 
 
 class MissingAllRule(Rule):
@@ -91,37 +104,69 @@ def _runtime_nodes(node: ast.AST) -> Iterator[ast.AST]:
         yield from _runtime_nodes(child)
 
 
-class LayerImportRule(Rule):
-    """RPR502: deterministic layer imports an orchestration layer.
+def _file_layer(path: Path) -> Optional[str]:
+    """The ranked layer of ``.../repro/<layer>/...`` or
+    ``.../repro/<layer>.py``, if any."""
+    parts = path.parts
+    for index, part in enumerate(parts[:-1]):
+        if part == "repro":
+            name = parts[index + 1]
+            name = name[:-3] if name.endswith(".py") else name
+            if name in LAYER_RANKS:
+                return name
+    return None
 
-    Imports under ``if TYPE_CHECKING:`` are exempt — they vanish at
-    runtime and exist exactly to annotate upper-layer types without
+
+def _module_layer(module: str) -> Optional[str]:
+    """The ranked layer of the module ``repro.<layer>[.…]``, if any."""
+    parts = module.split(".")
+    if len(parts) > 1 and parts[0] == "repro" and parts[1] in LAYER_RANKS:
+        return parts[1]
+    return None
+
+
+def _imported_modules(node: ast.AST) -> Iterator[str]:
+    """Absolute module names an import statement loads."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            yield alias.name
+    elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        if node.module == "repro":  # ``from repro import units``
+            for alias in node.names:
+                yield f"repro.{alias.name}"
+        else:
+            yield node.module
+
+
+class LayerImportRule(Rule):
+    """RPR502: an import goes up the layer order.
+
+    Every import of a ranked layer must name its own layer or a lower
+    one in :data:`LAYER_RANKS`, wherever it sits (inside a function
+    too).  Imports under ``if TYPE_CHECKING:`` are exempt — they vanish
+    at runtime and exist exactly to annotate upper-layer types without
     depending on them.
     """
 
     id = "RPR502"
-    title = "lower layer imports runtime/cli/lint"
+    title = "import goes up the layer order"
     family = "api-hygiene"
     severity = "error"
-    layers = _LOWER_LAYERS
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
+        layer = _file_layer(Path(ctx.display_path))
+        if layer is None:
+            return
+        rank = LAYER_RANKS[layer]
         for node in _runtime_nodes(ctx.tree):
-            modules = []
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                modules = [node.module]
-            for module in modules:
-                if any(
-                    module == prefix or module.startswith(prefix + ".")
-                    for prefix in _UPPER_PREFIXES
-                ):
+            for module in _imported_modules(node):
+                target = _module_layer(module)
+                if target is not None and LAYER_RANKS[target] > rank:
                     yield self.finding(
                         ctx,
                         node,
-                        f"layer {ctx.layer!r} imports {module}: the "
-                        "deterministic model layers must not depend on "
-                        "orchestration/tooling (imports flow strictly "
-                        "upward; see docs/static_analysis.md)",
+                        f"layer {layer!r} imports {module} from the higher "
+                        f"layer {target!r}; imports go down the order errors "
+                        "< units < memory = stream < sim < core < workloads "
+                        "< analysis < runtime < lint < cli",
                     )

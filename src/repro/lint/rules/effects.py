@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 #: Module-level tuple naming the policy plugin contract's hook methods
-#: (``repro/core/plugin.py`` carries the real one; fixture corpora
+#: (``repro/sim/scheduler.py`` carries the real one; fixture corpora
 #: declare their own).  The same machine-readable-annotation idiom as
 #: ``POOL_BOUNDARY``.
 _POLICY_HOOKS_NAME = "POLICY_HOOKS"

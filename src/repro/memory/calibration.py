@@ -14,13 +14,53 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.stats import LinearFit, linear_fit
-from repro.errors import ConfigurationError, ModelError
+from repro.errors import ConfigurationError, MeasurementError, ModelError
 from repro.memory.contention import LinearContentionModel
 from repro.memory.dram import measure_latency_curve
 from repro.memory.timing import DDR3_1066, DramTiming
 
-__all__ = ["CalibrationResult", "calibrate_linear_model"]
+__all__ = ["CalibrationResult", "LinearFit", "calibrate_linear_model", "linear_fit"]
+
+
+@dataclass(frozen=True)
+class LinearFit:
+    """Least-squares line ``y = intercept + slope * x``.
+
+    Attributes:
+        slope: Fitted slope.
+        intercept: Fitted intercept.
+        r_squared: Coefficient of determination (1 = perfect line).
+    """
+
+    slope: float
+    intercept: float
+    r_squared: float
+
+    def predict(self, x: float) -> float:
+        return self.intercept + self.slope * x
+
+
+def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
+    """Ordinary least squares over paired samples."""
+    if len(xs) != len(ys):
+        raise MeasurementError(
+            f"mismatched sample lengths: {len(xs)} vs {len(ys)}"
+        )
+    if len(xs) < 2:
+        raise MeasurementError("linear_fit needs at least two points")
+    n = len(xs)
+    mean_x = sum(xs) / n
+    mean_y = sum(ys) / n
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    if sxx == 0:
+        raise MeasurementError("linear_fit needs varying x values")
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    intercept = mean_y - slope * mean_x
+    ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = sum((y - mean_y) ** 2 for y in ys)
+    r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return LinearFit(slope=slope, intercept=intercept, r_squared=r_squared)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.errors import MeasurementError
 from repro.sim.machine import Machine, i7_860
 from repro.sim.noise import NoiseModel, noise_for_seed
-from repro.sim.scheduler import SchedulingPolicy
+from repro.sim.scheduler import ThrottlePolicyPlugin
 from repro.sim.simulator import Simulator
 from repro.stream.program import StreamProgram
 
@@ -56,17 +56,10 @@ class RepeatedMeasurement:
     def runs(self) -> int:
         return len(self.makespans)
 
-    @property
-    def spread(self) -> float:
-        """Relative spread ``(max - min) / value`` across runs."""
-        if self.value == 0:
-            return 0.0
-        return (max(self.makespans) - min(self.makespans)) / self.value
-
 
 def measure_makespan(
     program: StreamProgram,
-    policy_factory: Callable[[], SchedulingPolicy],
+    policy_factory: Callable[[], ThrottlePolicyPlugin],
     machine: Optional[Machine] = None,
     runs: int = 20,
     keep: int = 10,

@@ -128,7 +128,7 @@ from repro.runtime.telemetry import TELEMETRY_SCHEMA_VERSION, TelemetryWriter
 from repro.sim.machine import Machine, i7_860
 from repro.sim.noise import noise_for_seed, seeded_generator
 from repro.sim.power7 import power7
-from repro.sim.scheduler import SchedulingPolicy
+from repro.sim.scheduler import ThrottlePolicyPlugin
 from repro.sim.simulator import Simulator
 from repro.stream.program import StreamProgram
 from repro.workloads import SyntheticWorkload, build_workload
@@ -312,7 +312,7 @@ def build_machine_from_spec(spec: Mapping[str, Any]) -> Machine:
 
 def build_policy_from_spec(
     spec: Mapping[str, Any], machine: Machine
-) -> SchedulingPolicy:
+) -> ThrottlePolicyPlugin:
     """Materialise a policy spec for ``machine``.
 
     The ``offline`` kind has no single-policy materialisation (it is a
@@ -406,7 +406,7 @@ class PointResult:
             makespan (the Figure 13 speedup curves need the MTL = n
             baseline); ``None`` otherwise.
         policy_stats: The policy plugin's registered-counter snapshot
-            (:meth:`~repro.core.plugin.ThrottlePolicyPlugin.stats_snapshot`);
+            (:meth:`~repro.sim.scheduler.ThrottlePolicyPlugin.stats_snapshot`);
             ``None`` for ``offline`` points, which run a meta-procedure
             rather than one policy instance.
     """

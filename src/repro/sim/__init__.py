@@ -10,8 +10,8 @@ policy.  It substitutes for the paper's physical Intel i7-860 testbed:
 * :mod:`repro.sim.engine` — the processor-sharing rate calculator that
   turns task demands plus memory contention into progress rates;
 * :mod:`repro.sim.scheduler` — the work queue and the MTL token gate
-  (the lock-and-counter of the paper's runtime), plus the policy
-  protocol;
+  (the lock-and-counter of the paper's runtime), plus the policy base
+  class every throttling policy subclasses and the static policies;
 * :mod:`repro.sim.simulator` — the event loop tying it all together;
 * :mod:`repro.sim.events` / :mod:`repro.sim.results` — execution
   records and derived statistics;
@@ -32,7 +32,11 @@ from repro.sim.multiprogram import CoScheduleResult, co_schedule, merge_programs
 from repro.sim.power7 import power7
 from repro.sim.noise import GaussianNoise, NoiseModel, ZeroNoise
 from repro.sim.results import SimulationResult
-from repro.sim.scheduler import FixedMtlPolicy, SchedulingPolicy, conventional_policy
+from repro.sim.scheduler import (
+    FixedMtlPolicy,
+    ThrottlePolicyPlugin,
+    conventional_policy,
+)
 from repro.sim.simulator import Simulator, simulate
 
 __all__ = [
@@ -42,10 +46,10 @@ __all__ = [
     "Machine",
     "MtlChange",
     "NoiseModel",
-    "SchedulingPolicy",
     "SimulationResult",
     "Simulator",
     "TaskRecord",
+    "ThrottlePolicyPlugin",
     "ZeroNoise",
     "CoScheduleResult",
     "co_schedule",

@@ -78,13 +78,6 @@ class Processor:
             for way in range(self.smt_ways)
         ]
 
-    def core_of(self, context_id: int) -> int:
-        if not 0 <= context_id < self.context_count:
-            raise ConfigurationError(
-                f"context_id {context_id} out of range [0, {self.context_count})"
-            )
-        return context_id // self.smt_ways
-
     def cpu_rate(self, cpu_active_on_core: int) -> float:
         """Per-context execution rate given CPU-active siblings.
 

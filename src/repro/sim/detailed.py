@@ -33,7 +33,7 @@ from repro.memory.timing import DDR3_1066, DramTiming
 from repro.sim.events import MtlChange, TaskRecord
 from repro.sim.noise import NoiseModel, ZeroNoise
 from repro.sim.results import SimulationResult
-from repro.sim.scheduler import MtlGate, SchedulingPolicy, WorkQueue
+from repro.sim.scheduler import MtlGate, ThrottlePolicyPlugin, WorkQueue
 from repro.stream.program import StreamProgram
 from repro.stream.task import Task
 from repro.units import CACHE_LINE_BYTES
@@ -90,7 +90,9 @@ class DetailedSimulator:
         self.channels = channels
         self.noise: NoiseModel = noise if noise is not None else ZeroNoise()
 
-    def run(self, program: StreamProgram, policy: SchedulingPolicy) -> SimulationResult:
+    def run(
+        self, program: StreamProgram, policy: ThrottlePolicyPlugin
+    ) -> SimulationResult:
         graph = program.to_task_graph()
         self._validate_graph(graph)
 
@@ -252,7 +254,7 @@ class DetailedSimulator:
                 "detailed mode"
             )
 
-    def _validated_mtl(self, policy: SchedulingPolicy) -> int:
+    def _validated_mtl(self, policy: ThrottlePolicyPlugin) -> int:
         mtl = policy.current_mtl()
         if not 1 <= mtl <= self.core_count:
             raise ConfigurationError(

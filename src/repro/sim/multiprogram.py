@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError
 from repro.sim.machine import Machine, i7_860
 from repro.sim.noise import NoiseModel
 from repro.sim.results import SimulationResult
-from repro.sim.scheduler import SchedulingPolicy
+from repro.sim.scheduler import ThrottlePolicyPlugin
 from repro.sim.simulator import Simulator
 from repro.stream.graph import TaskGraph
 from repro.stream.program import StreamProgram
@@ -122,7 +122,7 @@ class CoScheduleResult:
 
 def co_schedule(
     programs: Sequence[StreamProgram],
-    policy: SchedulingPolicy,
+    policy: ThrottlePolicyPlugin,
     machine: Optional[Machine] = None,
     noise: Optional[NoiseModel] = None,
 ) -> CoScheduleResult:

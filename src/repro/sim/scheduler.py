@@ -1,4 +1,4 @@
-"""Work queue, MTL gate, and the scheduling-policy protocol.
+"""Work queue, MTL gate, and the throttling-policy base class.
 
 This module is the simulated counterpart of the paper's application-
 level runtime (Section V): the main thread enqueues all memory and
@@ -7,13 +7,20 @@ compute tasks with their dependencies into a work queue; child threads
 to reinforce MTL restriction".  The lock-and-counter is the
 :class:`MtlGate`; the queue is :class:`WorkQueue`, which counts
 dependencies per join of the graph (a phase barrier is one counter,
-as a ``pthread_join`` is one join); policies — the
-paper's dynamic throttler and its baselines — plug in through
-:class:`SchedulingPolicy`.  The static policies themselves
-(:class:`~repro.core.policies.FixedMtlPolicy`,
-:func:`~repro.core.policies.conventional_policy`) now live with the
-rest of the policy plugins in :mod:`repro.core.policies` and are
-re-exported here for compatibility.
+as a ``pthread_join`` is one join).
+
+Policies — the paper's dynamic throttler and its baselines — plug in
+on top of this runtime by subclassing :class:`ThrottlePolicyPlugin`,
+the one policy contract.  It lives here, with the runtime that drives
+it, as Ramulator's controller layer owns ``IControllerPlugin``, and it
+has a Ramulator plugin's moments: construction takes the policy's
+parameters, :meth:`~ThrottlePolicyPlugin.setup` binds it to a machine,
+and the hooks in :data:`POLICY_HOOKS` observe the run.  Each policy's
+:class:`PolicyStats` snapshot travels back as
+``PointResult.policy_stats`` into the point's telemetry record.  The
+static policies (:class:`FixedMtlPolicy`, :func:`conventional_policy`)
+live here too; the adaptive policies and the policy registry live in
+:mod:`repro.core`, above the simulator.
 
 Dispatch preference follows Section III: a context that cannot acquire
 an MTL token "does not have to stall if it has compute work to do", so
@@ -25,56 +32,196 @@ thread pinning).
 from __future__ import annotations
 
 from collections import deque
-from typing import (
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.policies import FixedMtlPolicy, conventional_policy
 from repro.errors import ConfigurationError, SchedulingError
 from repro.sim.events import TaskRecord
+from repro.sim.machine import Machine
 from repro.stream.graph import Join, TaskGraph
 from repro.stream.task import Task
 
 __all__ = [
-    "SchedulingPolicy",
+    "POLICY_HOOKS",
+    "PolicyStats",
+    "ThrottlePolicyPlugin",
     "FixedMtlPolicy",
     "conventional_policy",
     "MtlGate",
     "WorkQueue",
 ]
 
+#: The machine-readable hook contract: every method through which the
+#: simulator (or the policy's own machinery) drives a policy during a
+#: run.  Hooks *observe* — they may mutate the policy instance, but
+#: never the simulator-owned arguments they receive, may not retain
+#: references to those arguments, and may not write module globals.
+#: The lint plugin-contract family (RPR901–RPR903) discovers this
+#: tuple the same way pool-safety discovers ``POOL_BOUNDARY`` and
+#: enforces that contract over every policy class.
+POLICY_HOOKS: Tuple[str, ...] = (
+    "setup",
+    "on_task_dispatch",
+    "on_task_complete",
+    "blocks_context",
+    "on_window_close",
+    "on_phase_change",
+    "on_selection",
+)
 
-@runtime_checkable
-class SchedulingPolicy(Protocol):
-    """Protocol every scheduling policy implements.
+
+def _valid_identifier(name: str) -> bool:
+    return bool(name) and all(c.isalnum() or c in "_-" for c in name)
+
+
+class PolicyStats:
+    """Ramulator-style per-plugin statistic registry.
+
+    Stats must be registered (usually in the plugin's ``__init__``)
+    before they can be bumped; this keeps snapshots structurally
+    stable across runs, so two runs of the same policy always expose
+    the same stat names — a property the conformance suite pins.
+    """
+
+    def __init__(self) -> None:
+        self._values: Dict[str, float] = {}
+
+    def register(self, name: str, initial: float = 0.0) -> None:
+        if not _valid_identifier(name):
+            raise ConfigurationError(f"invalid stat name {name!r}")
+        if name in self._values:
+            raise ConfigurationError(f"stat {name!r} registered twice")
+        self._values[name] = float(initial)
+
+    def add(self, name: str, delta: float = 1.0) -> None:
+        if name not in self._values:
+            raise ConfigurationError(f"stat {name!r} was never registered")
+        self._values[name] += delta
+
+    def snapshot(self) -> Dict[str, float]:
+        """Name-sorted copy of every registered stat."""
+        return {name: self._values[name] for name in sorted(self._values)}
+
+
+class ThrottlePolicyPlugin:
+    """Base class of every throttling policy.
 
     The simulator queries :meth:`current_mtl` at every dispatch and
     feeds every completion to :meth:`on_task_complete`; a policy
     changes the throttle simply by returning a different value from
     :meth:`current_mtl` afterwards.
+
+    Subclasses implement :meth:`current_mtl` (and usually
+    :meth:`on_task_complete`); everything else has a safe default so a
+    minimal policy stays minimal.  The base class registers the stats
+    common to every policy (``windows_closed``, ``phase_changes``,
+    ``selections``); subclasses register their own in ``__init__`` and
+    everything surfaces through :meth:`stats_snapshot`.
     """
+
+    #: Stats every plugin carries, bumped by the default hook bodies.
+    _BASE_STATS = ("windows_closed", "phase_changes", "selections")
+
+    def __init__(self, name: str) -> None:
+        if not _valid_identifier(name):
+            raise ConfigurationError(f"invalid policy name {name!r}")
+        self._plugin_name = name
+        self.stats = PolicyStats()
+        for stat in self._BASE_STATS:
+            self.stats.register(stat)
+
+    # -- identity ------------------------------------------------------
 
     @property
     def name(self) -> str:
         """Short policy name used in reports."""
+        return self._plugin_name
+
+    # -- what the dispatcher reads ------------------------------------
 
     def current_mtl(self) -> int:
         """The MTL constraint in force right now."""
-
-    def on_task_complete(self, record: TaskRecord, now: float) -> None:
-        """Observe a completed task (the policy's monitoring hook)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement current_mtl()"
+        )
 
     def is_probing(self) -> bool:
         """Whether dispatched tasks currently belong to a monitoring
         window (recorded on :class:`TaskRecord.probe` for overhead
         accounting)."""
+        return False
+
+    # -- simulator-driven hooks ---------------------------------------
+
+    def setup(self, machine: Machine) -> None:
+        """Bind to the machine before a run (Ramulator's ``setup``).
+
+        The default is a no-op; policies that size internal structures
+        from the context count override it.  The simulator calls it
+        exactly once per ``run_graph``.
+        """
+        return None
+
+    def on_task_dispatch(self, task: Task, context_id: int, now: float) -> None:
+        """A task was just dispatched to ``context_id``.
+
+        The simulator only pays for this call when a subclass actually
+        overrides it (the hot path checks the method identity once per
+        run), so the default body must stay empty.
+        """
+        return None
+
+    def on_task_complete(self, record: TaskRecord, now: float) -> None:
+        """A task completed (the policy's monitoring hook)."""
+        return None
+
+    def blocks_context(self, context_id: int, now: float) -> bool:
+        """Whether ``context_id`` may not acquire an MTL token now.
+
+        Veto hook for blacklist-style policies (BlockHammer idiom);
+        consulted by the dispatcher before the MTL gate.  Like
+        :meth:`on_task_dispatch` it costs nothing unless overridden.
+        """
+        return False
+
+    # -- policy-driven derived events ---------------------------------
+
+    def on_window_close(self, now: float) -> None:
+        """A monitoring or probe window completed."""
+        self.stats.add("windows_closed")
+
+    def on_phase_change(self, now: float) -> None:
+        """The detector signalled a phase change (re-selection trigger)."""
+        self.stats.add("phase_changes")
+
+    def on_selection(self, now: float, selected_mtl: int) -> None:
+        """An MTL selection committed."""
+        self.stats.add("selections")
+
+    # -- reporting -----------------------------------------------------
+
+    def stats_snapshot(self) -> Dict[str, float]:
+        """Name-sorted stat values for telemetry emission."""
+        return self.stats.snapshot()
+
+
+class FixedMtlPolicy(ThrottlePolicyPlugin):
+    """A static MTL constraint — the paper's *S-MTL* runs."""
+
+    def __init__(self, mtl: int, name: Optional[str] = None) -> None:
+        if mtl < 1:
+            raise ConfigurationError(f"mtl must be >= 1, got {mtl}")
+        super().__init__(name if name is not None else f"static-mtl-{mtl}")
+        self._mtl = mtl
+
+    def current_mtl(self) -> int:
+        return self._mtl
+
+
+def conventional_policy(context_count: int) -> FixedMtlPolicy:
+    """The interference-oblivious baseline: MTL equal to the thread
+    count, i.e. no throttling at all.  All speedups in the paper are
+    relative to this schedule."""
+    return FixedMtlPolicy(mtl=context_count, name="conventional")
 
 
 class MtlGate:

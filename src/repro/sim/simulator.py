@@ -2,7 +2,7 @@
 
 :class:`Simulator` executes a :class:`~repro.stream.program.StreamProgram`
 on a :class:`~repro.sim.machine.Machine` under a
-:class:`~repro.sim.scheduler.SchedulingPolicy`, producing a
+:class:`~repro.sim.scheduler.ThrottlePolicyPlugin`, producing a
 :class:`~repro.sim.results.SimulationResult`.
 
 The loop alternates two actions until the work queue drains:
@@ -43,15 +43,18 @@ import math
 from bisect import insort
 from typing import Dict, List, Optional, Set
 
-from repro.core.plugin import ThrottlePolicyPlugin
-from repro.core.policies import FixedMtlPolicy
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import _COMPLETION_EPSILON, RateCalculator, RunningTask
 from repro.sim.events import MtlChange, TaskRecord
 from repro.sim.machine import Machine, i7_860
 from repro.sim.noise import NoiseModel, ZeroNoise
 from repro.sim.results import SimulationResult
-from repro.sim.scheduler import MtlGate, SchedulingPolicy, WorkQueue
+from repro.sim.scheduler import (
+    FixedMtlPolicy,
+    MtlGate,
+    ThrottlePolicyPlugin,
+    WorkQueue,
+)
 from repro.stream.program import StreamProgram
 from repro.stream.task import Task
 
@@ -62,19 +65,16 @@ __all__ = ["Simulator", "simulate"]
 _RECORD_NEW = TaskRecord.__new__
 
 
-def _plugin_hook(policy: SchedulingPolicy, name: str):
+def _plugin_hook(policy: ThrottlePolicyPlugin, name: str):
     """Resolve an optional plugin hook, skipping default no-op bodies.
 
-    Returns the bound method only when the policy actually overrides
-    the :class:`~repro.core.plugin.ThrottlePolicyPlugin` default (or
-    is a plain policy providing the method itself); the dispatch hot
-    path then pays for a hook exactly when one is implemented.
+    Returns the bound method only when the policy overrides the
+    :class:`~repro.sim.scheduler.ThrottlePolicyPlugin` default; the
+    dispatch hot path then pays for a hook exactly when one is
+    implemented.
     """
-    method = getattr(policy, name, None)
-    if method is None:
-        return None
-    base = getattr(ThrottlePolicyPlugin, name, None)
-    if base is not None and getattr(method, "__func__", None) is base:
+    method = getattr(policy, name)
+    if getattr(method, "__func__", None) is getattr(ThrottlePolicyPlugin, name):
         return None
     return method
 
@@ -132,22 +132,24 @@ class Simulator:
         cache-effectiveness counters."""
         return self._rates
 
-    def run(self, program: StreamProgram, policy: SchedulingPolicy) -> SimulationResult:
+    def run(
+        self, program: StreamProgram, policy: ThrottlePolicyPlugin
+    ) -> SimulationResult:
         """Execute ``program`` to completion under ``policy``."""
         return self.run_graph(program.to_task_graph(), policy, program.name)
 
     def run_graph(
         self,
         graph,
-        policy: SchedulingPolicy,
+        policy: ThrottlePolicyPlugin,
         name: str,
     ) -> SimulationResult:
         """Execute a pre-built task graph (multiprogram mixes use this
         to bypass the single-program phase-barrier construction)."""
         queue = WorkQueue(graph)
         # Plugin moments (the init/setup/update shape): bind the policy
-        # to the machine, then resolve the optional hooks once so plain
-        # policies and no-op defaults cost nothing per event.
+        # to the machine, then resolve the optional hooks once so no-op
+        # defaults cost nothing per event.
         setup = _plugin_hook(policy, "setup")
         if setup is not None:
             setup(self.machine)
@@ -175,7 +177,7 @@ class Simulator:
 
     # -- shared helpers ------------------------------------------------
 
-    def _validated_mtl(self, policy: SchedulingPolicy) -> int:
+    def _validated_mtl(self, policy: ThrottlePolicyPlugin) -> int:
         mtl = policy.current_mtl()
         if not 1 <= mtl <= self._context_count:
             raise ConfigurationError(
@@ -498,7 +500,7 @@ class Simulator:
 
     def _sync_mtl(
         self,
-        policy: SchedulingPolicy,
+        policy: ThrottlePolicyPlugin,
         gate: MtlGate,
         mtl_changes: List[MtlChange],
         now: float,
@@ -514,7 +516,7 @@ class Simulator:
         self,
         queue: WorkQueue,
         gate: MtlGate,
-        policy: SchedulingPolicy,
+        policy: ThrottlePolicyPlugin,
         contexts,
         running: Dict[int, RunningTask],
         now: float,
@@ -568,7 +570,7 @@ class Simulator:
         self,
         queue: WorkQueue,
         gate: MtlGate,
-        policy: SchedulingPolicy,
+        policy: ThrottlePolicyPlugin,
         running: Dict[int, RunningTask],
         records: List[TaskRecord],
         now: float,
@@ -634,7 +636,7 @@ class Simulator:
 
 def simulate(
     program: StreamProgram,
-    policy: SchedulingPolicy,
+    policy: ThrottlePolicyPlugin,
     machine: Optional[Machine] = None,
     noise: Optional[NoiseModel] = None,
 ) -> SimulationResult:

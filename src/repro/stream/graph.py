@@ -154,15 +154,6 @@ class TaskGraph:
         except KeyError:
             raise TaskGraphError(f"unknown task id {task_id!r}") from None
 
-    def dependents(self, task_id: str) -> List[Task]:
-        """Tasks that list ``task_id`` as a dependency, in insertion
-        order, once per time they list it."""
-        try:
-            fed = self.feeds[task_id]
-        except KeyError:
-            raise TaskGraphError(f"unknown task id {task_id!r}") from None
-        return self.in_insertion_order(fed)
-
     def in_insertion_order(self, joins: Iterable[Join]) -> List[Task]:
         """The members of ``joins`` merged by graph insertion index.
 
@@ -182,13 +173,6 @@ class TaskGraph:
         # program's runs never merge joins (a completion there fires
         # at most one).
         return {tid: index for index, tid in enumerate(self._tasks)}
-
-    def root_tasks(self) -> List[Task]:
-        """Dependency-free tasks in topological (enqueue) order.
-
-        The returned list is shared — callers must not mutate it.
-        """
-        return self._roots
 
     def topological_order(self) -> List[Task]:
         """Tasks in an order consistent with all dependencies."""

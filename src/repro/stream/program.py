@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import ConfigurationError
 from repro.stream.graph import TaskGraph
 from repro.stream.task import Task, TaskPair, compute_task, memory_task
 
@@ -58,19 +58,6 @@ class ProgramPhase:
 
     def mean_compute_seconds(self) -> float:
         return sum(p.compute.cpu_seconds for p in self.pairs) / len(self.pairs)
-
-    def memory_to_compute_ratio(self, request_latency: float) -> float:
-        """``T_m1 / T_c`` of this phase at a given solo request latency.
-
-        This is the workload characteristic the paper tabulates
-        (Tables II and III) and the throttler monitors.
-        """
-        t_c = self.mean_compute_seconds()
-        if t_c <= 0:
-            raise WorkloadError(
-                f"phase {self.name!r} has zero compute time; the ratio is undefined"
-            )
-        return self.mean_memory_requests() * request_latency / t_c
 
 
 class StreamProgram:

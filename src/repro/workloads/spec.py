@@ -29,9 +29,9 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Optional, Union
 
-from repro.errors import WorkloadError
+from repro.errors import ConfigurationError, WorkloadError, check_number
 from repro.stream.program import ProgramPhase, StreamProgram, build_phase
 from repro.units import cache_lines
 from repro.workloads.base import (
@@ -103,12 +103,17 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_positive_number(value: Any) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and 0 < value < math.inf
-    )
+def _positive_number(value: Any) -> Optional[float]:
+    """``value`` as a float if it is a positive finite number, else None.
+
+    An int past the float range reads as infinity, and so is refused,
+    rather than raising a bare ``OverflowError``.
+    """
+    try:
+        number = check_number(value, "value", finite=False)
+    except ConfigurationError:
+        return None
+    return number if 0 < number < math.inf else None
 
 
 def _parse_phase(workload: str, index: int, raw: Any) -> ProgramPhase:
@@ -145,29 +150,28 @@ def _parse_phase(workload: str, index: int, raw: Any) -> ProgramPhase:
         )
 
     if has_ratio:
-        ratio = raw["ratio"]
-        if not _is_positive_number(ratio):
+        ratio = _positive_number(raw["ratio"])
+        if ratio is None:
             raise WorkloadError(
                 f"{workload!r} phase {phase_name!r}: 'ratio' must be positive "
-                f"and finite, got {ratio!r}"
+                f"and finite, got {raw['ratio']!r}"
             )
         requests = float(cache_lines(footprint))
-        compute_seconds = compute_time_for_ratio(float(ratio), footprint)
+        compute_seconds = compute_time_for_ratio(ratio, footprint)
     else:
-        requests = raw.get("requests")
-        compute_seconds = raw.get("compute_seconds")
-        if not _is_positive_number(requests):
+        explicit_requests = _positive_number(raw.get("requests"))
+        if explicit_requests is None:
             raise WorkloadError(
                 f"{workload!r} phase {phase_name!r}: needs positive finite "
                 "'requests' (or use 'ratio')"
             )
-        if not _is_positive_number(compute_seconds):
+        explicit_seconds = _positive_number(raw.get("compute_seconds"))
+        if explicit_seconds is None:
             raise WorkloadError(
                 f"{workload!r} phase {phase_name!r}: needs positive finite "
                 "'compute_seconds' (or use 'ratio')"
             )
-        requests = float(requests)
-        compute_seconds = float(compute_seconds)
+        requests, compute_seconds = explicit_requests, explicit_seconds
 
     return build_phase(
         name=str(phase_name),

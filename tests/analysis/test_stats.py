@@ -3,12 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.stats import (
-    arithmetic_mean,
-    geometric_mean,
-    linear_fit,
-    stdev,
-)
+from repro.analysis.stats import arithmetic_mean, geometric_mean, stdev
 from repro.errors import MeasurementError
 
 
@@ -48,26 +43,3 @@ class TestBasicStats:
             arithmetic_mean([])
         with pytest.raises(MeasurementError):
             stdev([])
-
-
-class TestLinearFit:
-    def test_exact_line(self):
-        fit = linear_fit([1, 2, 3, 4], [3, 5, 7, 9])
-        assert fit.slope == pytest.approx(2.0)
-        assert fit.intercept == pytest.approx(1.0)
-        assert fit.r_squared == pytest.approx(1.0)
-        assert fit.predict(10) == pytest.approx(21.0)
-
-    def test_noisy_line_has_high_r_squared(self):
-        xs = list(range(10))
-        ys = [2.0 * x + 1.0 + (0.1 if x % 2 else -0.1) for x in xs]
-        fit = linear_fit(xs, ys)
-        assert fit.r_squared > 0.99
-
-    def test_validation(self):
-        with pytest.raises(MeasurementError):
-            linear_fit([1], [2])
-        with pytest.raises(MeasurementError):
-            linear_fit([1, 2], [3])
-        with pytest.raises(MeasurementError):
-            linear_fit([2, 2], [1, 3])

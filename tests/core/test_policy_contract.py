@@ -23,8 +23,9 @@ edits.  The contract:
 
 import pytest
 
-from repro.core import Selection, ThrottlePolicyPlugin, build_policy, policy_names
+from repro.core import Selection, build_policy, policy_names
 from repro.sim.machine import i7_860
+from repro.sim.scheduler import ThrottlePolicyPlugin
 from repro.sim.simulator import simulate
 from repro.stream.program import StreamProgram, build_phase
 

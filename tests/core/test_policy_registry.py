@@ -16,9 +16,9 @@ from repro.core.registry import (
     policy_entry,
     policy_names,
 )
-from repro.core.policies import FixedMtlPolicy
 from repro.core.throttle import DynamicThrottlingPolicy
 from repro.errors import ConfigurationError
+from repro.sim.scheduler import FixedMtlPolicy
 
 
 class TestLookup:

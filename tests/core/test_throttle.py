@@ -53,7 +53,7 @@ class TestConvergence:
         conventional = simulate(program, conventional_policy(4))
         offline = offline_exhaustive_search(program)
         dynamic_speedup = conventional.makespan / dynamic.makespan
-        offline_speedup = offline.speedup_over(4)
+        offline_speedup = offline.makespan(4) / offline.best.makespan
         assert dynamic_speedup > 1.05
         assert dynamic_speedup == pytest.approx(offline_speedup, abs=0.05)
 

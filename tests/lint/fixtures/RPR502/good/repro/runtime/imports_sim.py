@@ -1,4 +1,4 @@
-"""Known-good: imports flow upward — runtime may use sim."""
+"""Known-good: runtime sits above sim, so it may import sim."""
 from repro.sim.engine import RateCalculator
 
 __all__ = ["RateCalculator"]

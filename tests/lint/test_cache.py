@@ -28,7 +28,7 @@ def make_corpus(tmp_path):
 #: RPR202 reads ``MEMO_KEY`` off the class summary, so a summary field
 #: the cache or the pool's pickling dropped would lose both findings.
 MEMO_FILES = {
-    "repro/core/book.py": (
+    "repro/sim/book.py": (
         '__all__ = ["Book"]\n\n\n'
         "class Book:\n"
         '    MEMO_KEY = ("parts",)\n\n'
@@ -37,8 +37,8 @@ MEMO_FILES = {
         "    def widen(self, part):\n"
         "        self.parts.append(part)\n"
     ),
-    "repro/sim/loop.py": (
-        "from repro.core.book import Book\n\n"
+    "repro/core/loop.py": (
+        "from repro.sim.book import Book\n\n"
         '__all__ = ["reset"]\n\n\n'
         "def reset():\n"
         "    book = Book([])\n"
@@ -170,7 +170,7 @@ def _add(corpus, monkeypatch):
 
 
 def _remove(corpus, monkeypatch):
-    (corpus / "repro" / "sim" / "loop.py").unlink()
+    (corpus / "repro" / "core" / "loop.py").unlink()
 
 
 def _rename(corpus, monkeypatch):
@@ -196,7 +196,7 @@ def _schemas(corpus, monkeypatch):
 
 def _unit_table(corpus, monkeypatch):
     monkeypatch.setitem(
-        units.UNIT_PARAMS, "repro.core.book.Book.widen", {"part": "bytes"}
+        units.UNIT_PARAMS, "repro.sim.book.Book.widen", {"part": "bytes"}
     )
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, ModelError
-from repro.memory.calibration import calibrate_linear_model
+from repro.errors import ConfigurationError, MeasurementError, ModelError
+from repro.memory.calibration import calibrate_linear_model, linear_fit
 from repro.memory.contention import LinearContentionModel
 from repro.memory.timing import DDR3_1066, DDR3_1333
 
@@ -43,3 +43,26 @@ class TestCalibration:
             calibrate_linear_model(
                 requests_per_stream=256, min_r_squared=0.99999
             )
+
+
+class TestLinearFit:
+    def test_exact_line(self):
+        fit = linear_fit([1, 2, 3, 4], [3, 5, 7, 9])
+        assert fit.slope == pytest.approx(2.0)
+        assert fit.intercept == pytest.approx(1.0)
+        assert fit.r_squared == pytest.approx(1.0)
+        assert fit.predict(10) == pytest.approx(21.0)
+
+    def test_noisy_line_has_high_r_squared(self):
+        xs = list(range(10))
+        ys = [2.0 * x + 1.0 + (0.1 if x % 2 else -0.1) for x in xs]
+        fit = linear_fit(xs, ys)
+        assert fit.r_squared > 0.99
+
+    def test_validation(self):
+        with pytest.raises(MeasurementError):
+            linear_fit([1], [2])
+        with pytest.raises(MeasurementError):
+            linear_fit([1, 2], [3])
+        with pytest.raises(MeasurementError):
+            linear_fit([2, 2], [1, 3])

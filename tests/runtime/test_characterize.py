@@ -54,7 +54,8 @@ class TestPhaseCharacters:
 
 class TestProgramSpeedupPrediction:
     def test_prediction_is_a_ceiling_on_measured_speedup(self):
-        from repro.core import DynamicThrottlingPolicy, conventional_policy
+        from repro.core import DynamicThrottlingPolicy
+        from repro.sim.scheduler import conventional_policy
         from repro.sim.simulator import simulate
 
         for program in (dft(), streamcluster(), sift()):

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.errors import MeasurementError
-from repro.runtime.measurement import (
-    RepeatedMeasurement,
-    measure_makespan,
-    middle_mean,
-)
+from repro.runtime.measurement import measure_makespan, middle_mean
 from repro.sim.noise import GaussianNoise
 from repro.sim.scheduler import FixedMtlPolicy
 from repro.stream.program import StreamProgram, build_phase
@@ -60,10 +56,6 @@ class TestMeasureMakespan:
             small_program(), lambda: FixedMtlPolicy(2), runs=5
         )
         assert len(set(measurement.makespans)) > 1
-
-    def test_spread_reports_relative_range(self):
-        measurement = RepeatedMeasurement(makespans=(9.0, 10.0, 11.0), value=10.0)
-        assert measurement.spread == pytest.approx(0.2)
 
     def test_custom_noise_factory(self):
         measurement = measure_makespan(

@@ -200,6 +200,20 @@ class TestWorkloadSpecRejections:
             build_workload_from_spec(spec)
         assert "accepted" in str(error.value)
 
+    @pytest.mark.parametrize(
+        "phase, key",
+        [
+            ({"ratio": 10**400}, "ratio"),
+            ({"requests": 10**400, "compute_seconds": 0.001}, "requests"),
+            ({"requests": 100, "compute_seconds": 10**400}, "compute_seconds"),
+        ],
+    )
+    def test_int_past_the_float_range_fails_the_point(self, phase, key):
+        document = {"name": "x", "phases": [dict(phase, pairs=4)]}
+        point = SweepPoint(workload={"kind": "spec", "document": document})
+        with pytest.raises(WorkloadError, match=f"'{key}'"):
+            run_point(point)
+
     def test_unknown_document_key_is_named_with_the_accepted_ones(self):
         # The document's own keys are the spec parser's to check: a
         # typo used to build the program and cache it under the typo.

@@ -17,13 +17,12 @@ of another one and the results part.
 import pytest
 
 from repro.core.budget import ActivationBudgetPolicy
-from repro.core.plugin import ThrottlePolicyPlugin
 from repro.core.policies import OnlineExhaustivePolicy
 from repro.core.throttle import DynamicThrottlingPolicy
 from repro.sim.engine import RateCalculator, snapshot_key
 from repro.sim.machine import i7_860
 from repro.sim.noise import noise_for_seed
-from repro.sim.scheduler import FixedMtlPolicy
+from repro.sim.scheduler import FixedMtlPolicy, ThrottlePolicyPlugin
 from repro.sim.simulator import Simulator
 from repro.stream.program import StreamProgram, build_phase
 from repro.workloads.base import REFERENCE_SOLO_LATENCY

@@ -36,15 +36,6 @@ class TestContexts:
         ids = [c.context_id for c in cpu.contexts()]
         assert ids == list(range(8))
 
-    def test_core_of(self):
-        cpu = Processor(core_count=4, smt_ways=2)
-        assert cpu.core_of(0) == 0
-        assert cpu.core_of(5) == 2
-        with pytest.raises(ConfigurationError):
-            cpu.core_of(8)
-        with pytest.raises(ConfigurationError):
-            cpu.core_of(-1)
-
 
 class TestCpuRate:
     def test_unshared_core_runs_at_full_rate(self):

@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.sim.scheduler import (
     FixedMtlPolicy,
     MtlGate,
-    SchedulingPolicy,
     WorkQueue,
     conventional_policy,
 )
@@ -71,9 +70,6 @@ class TestFixedPolicies:
         policy = conventional_policy(context_count=4)
         assert policy.current_mtl() == 4
         assert policy.name == "conventional"
-
-    def test_policies_satisfy_protocol(self):
-        assert isinstance(FixedMtlPolicy(1), SchedulingPolicy)
 
     def test_rejects_mtl_below_one(self):
         with pytest.raises(ConfigurationError):

@@ -44,7 +44,7 @@ def graph_digest(graph):
         ]
         for task in graph.topological_order()
     ]
-    roots = [task.task_id for task in graph.root_tasks()]
+    roots = [task.task_id for task in graph if not task.depends_on]
     payload = json.dumps({"tasks": tasks, "roots": roots}, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

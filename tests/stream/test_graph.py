@@ -54,14 +54,6 @@ class TestQueries:
         with pytest.raises(TaskGraphError):
             graph.task("ghost")
 
-    def test_dependents(self):
-        graph = TaskGraph(chain(2))
-        assert [t.task_id for t in graph.dependents("M0")] == ["C0"]
-        assert [t.task_id for t in graph.dependents("C0")] == ["M1"]
-        assert graph.dependents("C1") == []
-        with pytest.raises(TaskGraphError):
-            graph.dependents("ghost")
-
 
 class TestOrdering:
     def test_topological_order_respects_dependencies(self):

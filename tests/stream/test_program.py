@@ -64,21 +64,6 @@ class TestProgramPhase:
         with pytest.raises(ConfigurationError):
             ProgramPhase(name="p", pairs=())
 
-    def test_memory_to_compute_ratio(self):
-        phase = build_phase(
-            "p", 0, 4, requests_per_memory_task=1000,
-            compute_seconds_per_task=1e-3,
-        )
-        # T_m1 = 1000 * 100ns = 100us, T_c = 1ms -> ratio 0.1.
-        assert phase.memory_to_compute_ratio(100e-9) == pytest.approx(0.1)
-
-    def test_ratio_positive_for_any_valid_phase(self):
-        # Task validation guarantees compute tasks carry work, so the
-        # ratio is always defined and positive for constructible phases.
-        phase = build_phase("p", 0, 1, requests_per_memory_task=10,
-                            compute_seconds_per_task=1e-4)
-        assert phase.memory_to_compute_ratio(1e-7) > 0
-
 
 class TestStreamProgram:
     def test_rejects_empty_program(self):
@@ -111,8 +96,8 @@ class TestTaskGraphConversion:
 
     def test_first_phase_memory_tasks_are_roots(self):
         graph = two_phase_program().to_task_graph()
-        roots = {t.task_id for t in graph.root_tasks()}
-        assert roots == {f"M[0.{i}]" for i in range(4)}
+        assert {t.task_id for t in graph.root_memory} == {f"M[0.{i}]" for i in range(4)}
+        assert graph.root_compute == ()
 
     def test_graph_is_acyclic_and_orderable(self):
         order = two_phase_program().to_task_graph().topological_order()

@@ -66,6 +66,14 @@ class TestRun:
         assert main(["run", "--spec", str(spec), "--policy", "static:1"]) == 0
         assert "from-spec" in capsys.readouterr().out
 
+    def test_spec_ratio_past_the_float_range_errors(self, capsys, tmp_path):
+        spec = tmp_path / "w.json"
+        spec.write_text(json.dumps(
+            {"name": "x", "phases": [{"pairs": 4, "ratio": 10**400}]}
+        ))
+        assert main(["run", "--spec", str(spec)]) == 2
+        assert "'ratio' must be positive and finite" in capsys.readouterr().err
+
     def test_machine_options(self, capsys):
         assert main(
             ["run", "dft", "--channels", "2", "--smt", "2",

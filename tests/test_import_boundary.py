@@ -1,8 +1,15 @@
-"""numpy loads with the first seeded noise stream, not with the package.
+"""Import boundaries, each checked in a fresh interpreter.
 
-Noise-free work (Figure 13, the model checks, ``repro lint``) never
-needs numpy, so importing the package must not load it.  Each check
-runs in a fresh interpreter: this test process loaded numpy long ago.
+* Every layer imports first and alone.  The layers import one way,
+  down the order RPR502 checks (``repro.lint.rules.api.LAYER_RANKS``),
+  so none relies on ``repro/__init__.py`` having loaded another first.
+* numpy loads with the first seeded noise stream, not with the
+  package.  Noise-free work (Figure 13, the model checks,
+  ``repro lint``) never needs numpy, so importing the package must not
+  load it.
+
+Each check runs in a fresh interpreter: this test process imported the
+whole package, numpy included, long ago.
 """
 
 import os
@@ -14,8 +21,10 @@ import textwrap
 import pytest
 
 import repro
+from repro.lint.rules.api import LAYER_RANKS
 
-SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
+PACKAGE = pathlib.Path(repro.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
 
 #: Executor setup shared by the pool checks: records, each time a
 #: worker pool is created, whether numpy was already loaded.
@@ -53,6 +62,25 @@ def fresh(code: str) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.strip().splitlines()[-1]
+
+
+def test_every_subpackage_and_top_module_has_a_rank():
+    subpackages = {path.parent.name for path in PACKAGE.glob("*/__init__.py")}
+    modules = {path.stem for path in PACKAGE.glob("[!_]*.py")}
+    assert subpackages | modules == set(LAYER_RANKS)
+
+
+@pytest.mark.parametrize("layer", sorted(LAYER_RANKS, key=LAYER_RANKS.get))
+def test_layer_imports_first_and_alone(layer):
+    # A bare root: a ``repro`` package whose ``__init__`` ran nothing.
+    assert fresh(f"""
+        import importlib, sys, types
+        root = types.ModuleType("repro")
+        root.__path__ = [{str(PACKAGE)!r}]
+        sys.modules["repro"] = root
+        importlib.import_module("repro.{layer}")
+        print("imported")
+    """) == "imported"
 
 
 @pytest.mark.parametrize(

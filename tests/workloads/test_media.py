@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import DynamicThrottlingPolicy, conventional_policy
+from repro.core import DynamicThrottlingPolicy
 from repro.errors import WorkloadError
 from repro.runtime.monitor import measure_phase_ratios
+from repro.sim.scheduler import conventional_policy
 from repro.sim.simulator import simulate
 from repro.workloads.media import (
     JPEG_STAGE_RATIOS,

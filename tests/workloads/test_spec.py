@@ -92,7 +92,9 @@ class TestValidation:
         with pytest.raises(WorkloadError):
             parse_workload_spec(document)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # 10**400 is an int past the float range: it used to escape as a
+    # bare OverflowError instead of the WorkloadError naming the key.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
     @pytest.mark.parametrize(
         "phase, key",
         [
